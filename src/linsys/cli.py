@@ -4,9 +4,7 @@ Subcommands: gen, solve, derive, extend, check-paper, iso, embed.
 Exit codes: 0 success / property holds, 1 checked property is false,
 2 usage or input error. Size caps come from defaults unless the
 LINSYS_CAPS environment variable overrides them (comma-separated
-key=value pairs). All output is deterministic; --threads is accepted
-for interface stability and runs everything sequentially, which by the
-determinism contract gives identical results for any value.
+key=value pairs). All output is deterministic.
 """
 
 import argparse
@@ -202,12 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="linsys",
         description="Exact invariants and plane derivations for linear systems.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="solver thread budget (results are identical for any value)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a system file")
@@ -272,9 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=_sys.stderr)
-        return 2
     try:
         caps = caps_from_env()
     except ValueError as e:

@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 from .core import (
     LinearSystem,
     degree_profile,
-    delete_point,
+    delete_points,
     drop_isolated,
     embeds_in,
     induced_subsystem,
@@ -148,9 +148,7 @@ def derive(
     for j, l in enumerate(spanning.line_tuples):
         pendant_map[j] = next(v for v in l if spanning.degrees[v] == 1)
 
-    reduced = spanning
-    for v in pendant_map.values():
-        reduced = delete_point(reduced, v)
+    reduced = delete_points(spanning, pendant_map.values())
 
     chain = {
         "gamma_source": domination_number(sys, caps=caps, kernels=kernels).value,

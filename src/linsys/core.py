@@ -123,12 +123,6 @@ class LinearSystem:
         return f"LinearSystem(n={self.num_points}, m={self.num_lines}{label})"
 
 
-def new_system(
-    num_points: int, lines: Iterable[Iterable[int]], name: Optional[str] = None
-) -> LinearSystem:
-    return LinearSystem(num_points, lines, name)
-
-
 @dataclass(frozen=True)
 class DegreeProfile:
     degrees: Tuple[int, ...]
@@ -166,19 +160,26 @@ def is_uniform(sys: LinearSystem, r: int) -> bool:
     return all(len(l) == r for l in sys.lines)
 
 
-def delete_point(sys: LinearSystem, point: int) -> LinearSystem:
-    """Remove a point from every line. Emptied lines are dropped; lines
-    that collapse onto an identical survivor are merged (the line list is
-    a set). Indices stay stable: the removed point becomes isolated."""
-    p = _as_point(point, sys.num_points, "delete_point")
+def delete_points(sys: LinearSystem, points: Iterable[int]) -> LinearSystem:
+    """Remove a set of points from every line with one rebuild. Emptied
+    lines are dropped; lines that collapse onto an earlier survivor are
+    merged (the line list is a set), so the result equals deleting the
+    points one at a time in any order. Indices stay stable: the removed
+    points become isolated."""
+    gone = {_as_point(p, sys.num_points, "delete_points") for p in points}
     out = []
     seen = set()
     for l in sys.lines:
-        nl = l - {p}
+        nl = l - gone
         if nl and nl not in seen:
             seen.add(nl)
             out.append(nl)
     return LinearSystem(sys.num_points, out)
+
+
+def delete_point(sys: LinearSystem, point: int) -> LinearSystem:
+    """delete_points for a single point."""
+    return delete_points(sys, [point])
 
 
 def delete_line(sys: LinearSystem, line_index: int) -> LinearSystem:
@@ -249,9 +250,8 @@ def pendant_reduction(sys: LinearSystem) -> Tuple[LinearSystem, Tuple[int, ...]]
         ones = [int(v) for v in np.nonzero(cur.degrees == 1)[0]]
         if not ones:
             return cur, tuple(removed)
-        for v in ones:
-            cur = delete_point(cur, v)
-            removed.append(v)
+        cur = delete_points(cur, ones)
+        removed.extend(ones)
 
 
 @dataclass(frozen=True)
@@ -327,75 +327,12 @@ def _adjacent(sys: LinearSystem, u: int, v: int) -> bool:
     return bool((sys.point_lines[u] & sys.point_lines[v]).any())
 
 
-def _iso_backtrack(a: LinearSystem, b: LinearSystem, pcol_a, pcol_b):
-    """Match support points of a onto b within color classes; lines force
-    each other through mapped point pairs. Deterministic order: the next
-    point maximizes mapped neighbors, ties to the smaller index."""
-    b_by_color: Dict[int, list] = {}
-    for w in sorted(b.support):
-        b_by_color.setdefault(pcol_b[w], []).append(w)
-    class_size = {c: len(ws) for c, ws in b_by_color.items()}
-
-    a_pts = sorted(a.support)
-    b_lines = set(b.lines)
-    mapping: Dict[int, int] = {}
-    used = set()
-
-    def next_point():
-        best, key = -1, None
-        for u in a_pts:
-            if u in mapping:
-                continue
-            k = (
-                -sum(1 for v in mapping if _adjacent(a, u, v)),
-                class_size[pcol_a[u]] if pcol_a[u] in class_size else 0,
-                u,
-            )
-            if key is None or k < key:
-                best, key = u, k
-        return best
-
-    def feasible(u: int, w: int) -> bool:
-        for v, x in mapping.items():
-            if _adjacent(a, u, v) != _adjacent(b, w, x):
-                return False
-        # every a-line through u with mapped points must fit one b-line
-        for i in range(a.num_lines):
-            if u not in a.lines[i]:
-                continue
-            imgs = [mapping[v] for v in a.lines[i] if v in mapping]
-            if not imgs:
-                continue
-            key = (min(imgs[0], w), max(imgs[0], w))
-            j = b.pair_line.get(key)
-            if j is None or len(b.lines[j]) != len(a.lines[i]):
-                return False
-            if any(x not in b.lines[j] for x in imgs):
-                return False
-        return True
-
-    def rec() -> bool:
-        if len(mapping) == len(a_pts):
-            return all(
-                frozenset(mapping[v] for v in l) in b_lines for l in a.lines
-            )
-        u = next_point()
-        for w in b_by_color.get(pcol_a[u], []):
-            if w in used or not feasible(u, w):
-                continue
-            mapping[u] = w
-            used.add(w)
-            if rec():
-                return True
-            del mapping[u]
-            used.discard(w)
-        return False
-
-    return dict(mapping) if rec() else None
-
-
 def are_isomorphic(a: LinearSystem, b: LinearSystem, caps: Caps = DEFAULT_CAPS) -> IsoCertificate:
-    """Hypergraph isomorphism after pendant reduction of both systems."""
+    """Hypergraph isomorphism after pendant reduction of both systems.
+    With equal support sizes, line counts and line-size multisets, any
+    injective point map carrying the lines of one into distinct lines of
+    the other is an isomorphism, so the embedding search decides it, with
+    each point's candidates cut down to its colour class."""
     ra, _ = pendant_reduction(a)
     rb, _ = pendant_reduction(b)
     no = IsoCertificate(False, None, ra, rb)
@@ -414,10 +351,15 @@ def are_isomorphic(a: LinearSystem, b: LinearSystem, caps: Caps = DEFAULT_CAPS) 
     if _histogram(pcol_a) != _histogram(pcol_b):
         return no
 
-    mapping = _iso_backtrack(ra, rb, pcol_a, pcol_b)
-    if mapping is None:
+    b_by_color: Dict[int, list] = {}
+    for w in sorted(rb.support):
+        b_by_color.setdefault(pcol_b[w], []).append(w)
+    candidates = {u: b_by_color[c] for u, c in pcol_a.items()}
+    priority = {u: len(ws) for u, ws in candidates.items()}
+    emb = _map_points(ra, rb, candidates, priority)
+    if emb is None:
         return no
-    return IsoCertificate(True, mapping, ra, rb)
+    return IsoCertificate(True, emb.point_map, ra, rb)
 
 
 def _match_single_lines(singles, cand_lists):
@@ -443,6 +385,102 @@ def _match_single_lines(singles, cand_lists):
     return assign
 
 
+def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> Optional[Embedding]:
+    """Backtracking search for an injective map of sub's support into host
+    carrying every line of sub into a distinct host line. candidates[u]
+    lists the host points u may map to, ascending. The next point to map
+    has the most mapped neighbours, then the lowest priority[u], then the
+    lowest index, so the first map found is deterministic."""
+    a_pts = sorted(sub.support)
+    mapping: Dict[int, int] = {}
+    used = set()
+
+    def next_point():
+        best, key = -1, None
+        for u in a_pts:
+            if u in mapping:
+                continue
+            k = (
+                -sum(1 for v in mapping if _adjacent(sub, u, v)),
+                priority[u],
+                u,
+            )
+            if key is None or k < key:
+                best, key = u, k
+        return best
+
+    def feasible(u: int, w: int) -> bool:
+        for i in range(sub.num_lines):
+            if u not in sub.lines[i]:
+                continue
+            imgs = [mapping[v] for v in sub.lines[i] if v in mapping]
+            if not imgs:
+                continue
+            key = (min(imgs[0], w), max(imgs[0], w))
+            j = host.pair_line.get(key)
+            if j is None or len(host.lines[j]) < len(sub.lines[i]):
+                return False
+            if any(x not in host.lines[j] for x in imgs):
+                return False
+        return True
+
+    def finish() -> Optional[Dict[int, int]]:
+        # lines with two or more points are forced through image pairs
+        line_map: Dict[int, int] = {}
+        taken = set()
+        singles = []
+        for i, l in enumerate(sub.line_tuples):
+            if len(l) == 1:
+                singles.append(i)
+                continue
+            x, y = mapping[l[0]], mapping[l[1]]
+            j = host.pair_line.get((min(x, y), max(x, y)))
+            if j is None or j in taken:
+                return None
+            if any(mapping[v] not in host.lines[j] for v in l):
+                return None
+            taken.add(j)
+            line_map[i] = j
+        cands = []
+        for i in singles:
+            (x,) = sub.line_tuples[i]
+            w = mapping[x]
+            cands.append(
+                [
+                    j
+                    for j in range(host.num_lines)
+                    if j not in taken and w in host.lines[j]
+                ]
+            )
+        assign = _match_single_lines(singles, cands)
+        if assign is None:
+            return None
+        for i, j in zip(singles, assign):
+            line_map[i] = j
+        return line_map
+
+    def rec() -> Optional[Dict[int, int]]:
+        if len(mapping) == len(a_pts):
+            return finish()
+        u = next_point()
+        for w in candidates[u]:
+            if w in used or not feasible(u, w):
+                continue
+            mapping[u] = w
+            used.add(w)
+            line_map = rec()
+            if line_map is not None:
+                return line_map
+            del mapping[u]
+            used.discard(w)
+        return None
+
+    line_map = rec()
+    if line_map is None:
+        return None
+    return Embedding(point_map=dict(mapping), line_map=line_map)
+
+
 def embeds_in(sub: LinearSystem, host: LinearSystem, caps: Caps = DEFAULT_CAPS) -> Optional[Embedding]:
     """Backtracking search for an injective map of sub's support into host
     carrying every line of sub into a distinct host line."""
@@ -461,94 +499,10 @@ def embeds_in(sub: LinearSystem, host: LinearSystem, caps: Caps = DEFAULT_CAPS) 
     ):
         return None
 
-    a_pts = sorted(sub.support)
     host_pts = sorted(host.support)
-    mapping: Dict[int, int] = {}
-    used = set()
-    result = {}
-
-    def next_point():
-        best, key = -1, None
-        for u in a_pts:
-            if u in mapping:
-                continue
-            k = (
-                -sum(1 for v in mapping if _adjacent(sub, u, v)),
-                -int(sub.degrees[u]),
-                u,
-            )
-            if key is None or k < key:
-                best, key = u, k
-        return best
-
-    def feasible(u: int, w: int) -> bool:
-        if host.degrees[w] < sub.degrees[u]:
-            return False
-        for i in range(sub.num_lines):
-            if u not in sub.lines[i]:
-                continue
-            imgs = [mapping[v] for v in sub.lines[i] if v in mapping]
-            if not imgs:
-                continue
-            key = (min(imgs[0], w), max(imgs[0], w))
-            j = host.pair_line.get(key)
-            if j is None or len(host.lines[j]) < len(sub.lines[i]):
-                return False
-            if any(x not in host.lines[j] for x in imgs):
-                return False
-        return True
-
-    def finish() -> bool:
-        # lines with two or more points are forced through image pairs
-        line_map: Dict[int, int] = {}
-        taken = set()
-        singles = []
-        for i, l in enumerate(sub.line_tuples):
-            if len(l) == 1:
-                singles.append(i)
-                continue
-            x, y = mapping[l[0]], mapping[l[1]]
-            j = host.pair_line.get((min(x, y), max(x, y)))
-            if j is None or j in taken:
-                return False
-            if any(mapping[v] not in host.lines[j] for v in l):
-                return False
-            taken.add(j)
-            line_map[i] = j
-        cands = []
-        for i in singles:
-            (x,) = sub.line_tuples[i]
-            w = mapping[x]
-            cands.append(
-                [
-                    j
-                    for j in range(host.num_lines)
-                    if j not in taken and w in host.lines[j]
-                ]
-            )
-        assign = _match_single_lines(singles, cands)
-        if assign is None:
-            return False
-        for i, j in zip(singles, assign):
-            line_map[i] = j
-        result["lines"] = line_map
-        return True
-
-    def rec() -> bool:
-        if len(mapping) == len(a_pts):
-            return finish()
-        u = next_point()
-        for w in host_pts:
-            if w in used or not feasible(u, w):
-                continue
-            mapping[u] = w
-            used.add(w)
-            if rec():
-                return True
-            del mapping[u]
-            used.discard(w)
-        return False
-
-    if not rec():
-        return None
-    return Embedding(point_map=dict(mapping), line_map=result["lines"])
+    candidates = {
+        u: [w for w in host_pts if host.degrees[w] >= sub.degrees[u]]
+        for u in sub.support
+    }
+    priority = {u: -int(sub.degrees[u]) for u in sub.support}
+    return _map_points(sub, host, candidates, priority)

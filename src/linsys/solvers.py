@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bitsets
-from .core import LinearSystem, closed_neighborhood, degree_profile
+from .core import LinearSystem, degree_profile
 from .errors import NoLines, SizeLimit
 from .kernels import ACTIVE, KernelSet
 from .limits import DEFAULT_CAPS, Caps
@@ -109,19 +109,19 @@ def transversal_number(
     return SolveResult(KIND_TRANSVERSAL, int(best), witness, int(nodes), dt)
 
 
-def _greedy_domination(sys: LinearSystem, universe: set) -> list:
+def _greedy_domination(hoods: list, support: list) -> list:
     """Cover the support greedily by closed neighborhoods: most new points
-    covered first, lowest index on ties."""
-    left = set(universe)
+    covered first, lowest index on ties. support is sorted."""
+    left = set(support)
     chosen = []
     while left:
         best, best_new = -1, 0
-        for v in sorted(universe):
-            new = len(closed_neighborhood(sys, v) & left)
+        for v in support:
+            new = len(hoods[v] & left)
             if new > best_new:
                 best, best_new = v, new
         chosen.append(best)
-        left -= closed_neighborhood(sys, best)
+        left -= hoods[best]
     return chosen
 
 
@@ -139,17 +139,20 @@ def domination_number(
         dt = time.perf_counter() - t0
         return SolveResult(KIND_DOMINATION, len(forced), tuple(forced), 0, dt)
 
-    hoods = [sorted(closed_neighborhood(sys, v)) for v in range(n)]
+    hoods = [{v} for v in range(n)]
+    for l in sys.lines:
+        for v in l:
+            hoods[v] |= l
     cover_words = bitsets.pack_sets(hoods, n)
     cmax = max(len(h) for h in hoods)
     cover_lists = np.full((n, cmax), -1, dtype=np.int32)
     cover_sizes = np.zeros(n, dtype=np.int32)
     for v, h in enumerate(hoods):
-        cover_lists[v, : len(h)] = h
+        cover_lists[v, : len(h)] = sorted(h)
         cover_sizes[v] = len(h)
     universe = bitsets.pack_one(support, n)
 
-    seed = _greedy_domination(sys, set(support))
+    seed = _greedy_domination(hoods, support)
     best, improved, wit, nodes = ks.gamma_search(
         cover_words, cover_lists, cover_sizes, universe, len(seed)
     )

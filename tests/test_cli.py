@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from linsys import loads_json, loads_text, new_system, dumps_text
+from linsys import LinearSystem, dumps_text, loads_json, loads_text
 from linsys.cli import main
 
 
@@ -112,7 +112,7 @@ def test_solve_nu2(capsys, plane_file):
 
 def test_solve_reads_text_format(capsys, tmp_path):
     path = tmp_path / "tri.txt"
-    path.write_text(dumps_text(new_system(3, [[0, 1], [1, 2], [0, 2]])))
+    path.write_text(dumps_text(LinearSystem(3, [[0, 1], [1, 2], [0, 2]])))
     code, out, _ = run_cli(capsys, "solve", "--tau", str(path), "--json")
     assert code == 0
     assert json.loads(out)["value"] == 2
@@ -234,25 +234,6 @@ def test_embed_negative(capsys, tmp_path, plane_file):
     code, out, _ = run_cli(capsys, "embed", str(big), str(plane_file))
     assert code == 1
     assert "no embedding" in out
-
-
-def test_threads_flag_validation(capsys):
-    code, _, err = run_cli(capsys, "--threads", "0", "check-paper", "--q", "2")
-    assert code == 2
-    assert "--threads" in err
-
-
-def test_threads_do_not_change_results(capsys, plane_file):
-    outputs = []
-    for n in ("1", "2", "8"):
-        code, out, _ = run_cli(
-            capsys, "--threads", n, "solve", "--tau", str(plane_file), "--json"
-        )
-        assert code == 0
-        parsed = json.loads(out)
-        parsed.pop("ms")
-        outputs.append(parsed)
-    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_caps_env_rejected_when_malformed(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import pytest
 
 from linsys import (
+    LinearSystem,
     NotIntersecting,
     NotMember,
     NotPrimePower,
@@ -17,7 +18,6 @@ from linsys import (
     is_intersecting,
     is_spanning_subsystem,
     is_uniform,
-    new_system,
     projective_plane,
     rank,
     transversal_number,
@@ -45,9 +45,9 @@ def test_extension_shape(fano, ext_fano):
 
 def test_extension_rejects_bad_inputs():
     with pytest.raises(NotUniform):
-        extend_with_pendant_points(new_system(4, [[0, 1], [1, 2, 3]]))
+        extend_with_pendant_points(LinearSystem(4, [[0, 1], [1, 2, 3]]))
     with pytest.raises(NotIntersecting):
-        extend_with_pendant_points(new_system(4, [[0, 1], [2, 3]]))
+        extend_with_pendant_points(LinearSystem(4, [[0, 1], [2, 3]]))
 
 
 def test_membership_of_extension(ext_fano):
@@ -97,7 +97,7 @@ def test_derive_rejects_non_members(fano):
     with pytest.raises(NotMember):
         derive(fano, 3)
     with pytest.raises(NotMember):
-        derive(new_system(4, [[0, 1], [2, 3]]), 2)
+        derive(LinearSystem(4, [[0, 1], [2, 3]]), 2)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 7])
@@ -118,7 +118,7 @@ def test_triangular_rejects_small():
 
 def test_triangular_three_is_triangle():
     assert are_isomorphic(
-        triangular_system(3), new_system(3, [[0, 1], [1, 2], [0, 2]])
+        triangular_system(3), LinearSystem(3, [[0, 1], [1, 2], [0, 2]])
     ).isomorphic
 
 
@@ -153,9 +153,9 @@ def test_saturated_packing_hypothesis_can_fail():
 
 def test_saturated_packing_rejects_bad_inputs():
     with pytest.raises(NotUniform):
-        check_saturated_packing(new_system(4, [[0, 1], [1, 2, 3]]))
+        check_saturated_packing(LinearSystem(4, [[0, 1], [1, 2, 3]]))
     with pytest.raises(NotIntersecting):
-        check_saturated_packing(new_system(4, [[0, 1], [2, 3]]))
+        check_saturated_packing(LinearSystem(4, [[0, 1], [2, 3]]))
     with pytest.raises(ValueError):
         check_saturated_packing(triangular_system(4))  # odd rank 3
 

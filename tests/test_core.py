@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from linsys import (
     degree_profile,
     delete_line,
     delete_point,
+    delete_points,
     drop_isolated,
     embeds_in,
     extend_with_pendant_points,
@@ -23,11 +25,12 @@ from linsys import (
     is_intersecting,
     is_spanning_subsystem,
     is_uniform,
-    new_system,
     pendant_reduction,
     rank,
 )
 from linsys.limits import Caps
+
+from corpus import build_corpus
 
 FANO_LINES = [
     [0, 1, 2],
@@ -42,12 +45,12 @@ FANO_LINES = [
 
 @pytest.fixture
 def fano_input():
-    return new_system(7, FANO_LINES)
+    return LinearSystem(7, FANO_LINES)
 
 
 @pytest.fixture
 def triangle():
-    return new_system(3, [[0, 1], [1, 2], [0, 2]])
+    return LinearSystem(3, [[0, 1], [1, 2], [0, 2]])
 
 
 def test_validation_accepts_triangle(triangle):
@@ -57,20 +60,20 @@ def test_validation_accepts_triangle(triangle):
 
 def test_validation_rejects_shared_pair():
     with pytest.raises(LinearityViolation) as info:
-        new_system(4, [[0, 1, 2], [0, 1, 3]])
+        LinearSystem(4, [[0, 1, 2], [0, 1, 3]])
     assert info.value.shared == (0, 1)
     assert (info.value.first, info.value.second) == (0, 1)
 
 
 def test_validation_rejects_duplicates_and_empties():
     with pytest.raises(DuplicateLine):
-        new_system(3, [[0, 1], [1, 0]])
+        LinearSystem(3, [[0, 1], [1, 0]])
     with pytest.raises(EmptyLine):
-        new_system(3, [[0, 1], []])
+        LinearSystem(3, [[0, 1], []])
     with pytest.raises(BadIndex):
-        new_system(3, [[0, 7]])
+        LinearSystem(3, [[0, 7]])
     with pytest.raises(BadIndex):
-        new_system(-1, [])
+        LinearSystem(-1, [])
 
 
 def test_fano_is_valid_and_uniform(fano_input):
@@ -84,21 +87,21 @@ def test_degree_profile(fano_input, triangle):
     assert prof.degrees == (3,) * 7
     assert prof.max_degree == 3 and prof.second_max_degree == 3
     assert degree_profile(triangle).degrees == (2, 2, 2)
-    single = new_system(3, [[0, 1, 2]])
+    single = LinearSystem(3, [[0, 1, 2]])
     assert degree_profile(single).degrees == (1, 1, 1)
     assert degree_profile(single).max_degree == 1
 
 
 def test_rank_errors_without_lines():
     with pytest.raises(NoLines):
-        rank(new_system(3, []))
-    assert rank(new_system(5, [[0, 1, 2], [3, 4]])) == 3
+        rank(LinearSystem(3, []))
+    assert rank(LinearSystem(5, [[0, 1, 2], [3, 4]])) == 3
 
 
 def test_is_intersecting_cases(fano_input):
     assert is_intersecting(fano_input)
-    assert not is_intersecting(new_system(4, [[0, 1], [2, 3]]))
-    assert is_intersecting(new_system(3, [[0, 1, 2]]))
+    assert not is_intersecting(LinearSystem(4, [[0, 1], [2, 3]]))
+    assert is_intersecting(LinearSystem(3, [[0, 1, 2]]))
 
 
 def test_delete_point_counts(fano_input):
@@ -110,8 +113,8 @@ def test_delete_point_keeps_size_one_lines(triangle):
     out = delete_point(triangle, 0)
     assert sorted(tuple(sorted(l)) for l in out.lines) == [(1,), (1, 2), (2,)]
     # deleting an isolated point leaves lines untouched
-    again = delete_point(new_system(8, FANO_LINES), 7)
-    assert again.lines == new_system(8, FANO_LINES).lines
+    again = delete_point(LinearSystem(8, FANO_LINES), 7)
+    assert again.lines == LinearSystem(8, FANO_LINES).lines
 
 
 def test_delete_point_merges_collapsed_lines(triangle):
@@ -121,16 +124,33 @@ def test_delete_point_merges_collapsed_lines(triangle):
     assert [tuple(l) for l in step2.line_tuples] == [(1,)]
 
 
+def test_delete_points_matches_repeated_delete_point():
+    for sys_ in build_corpus():
+        support = sorted(sys_.support)
+        subsets = [support[:1], support[::2], support[1::3], support]
+        for pts in subsets:
+            folded = functools.reduce(delete_point, pts, sys_)
+            assert delete_points(sys_, pts).lines == folded.lines
+            assert delete_points(sys_, reversed(pts)).lines == folded.lines
+
+
+def test_delete_points_rejects_bad_index(triangle):
+    with pytest.raises(BadIndex):
+        delete_points(triangle, [0, 3])
+    with pytest.raises(BadIndex):
+        delete_points(triangle, [-1])
+
+
 def test_delete_line(fano_input):
     assert delete_line(fano_input, 0).num_lines == 6
-    only = new_system(3, [[0, 1, 2]])
+    only = LinearSystem(3, [[0, 1, 2]])
     assert delete_line(only, 0).num_lines == 0
     with pytest.raises(BadIndex):
         delete_line(fano_input, 7)
 
 
 def test_induced_subsystem(fano_input):
-    assert induced_subsystem(fano_input, range(7)) == new_system(7, FANO_LINES)
+    assert induced_subsystem(fano_input, range(7)) == LinearSystem(7, FANO_LINES)
     one = induced_subsystem(fano_input, [3])
     assert one.lines == (frozenset({1, 3, 5}),)
     two = induced_subsystem(fano_input, [0, 1])
@@ -154,7 +174,7 @@ def test_spanning_subsystem(fano_input):
 def test_adjacency(fano_input):
     assert collinearity_adjacent(fano_input, 0, 1)
     assert collinearity_adjacent(fano_input, 2, 2)
-    lonely = new_system(8, FANO_LINES)
+    lonely = LinearSystem(8, FANO_LINES)
     assert not collinearity_adjacent(lonely, 7, 0)
     assert closed_neighborhood(fano_input, 0) == frozenset(range(7))
     assert closed_neighborhood(lonely, 7) == frozenset({7})
@@ -162,14 +182,14 @@ def test_adjacency(fano_input):
 
 def test_pendant_reduction_path():
     # endpoints go; the shrunken 1-point lines keep 1 and 2 at degree 2
-    path = new_system(4, [[0, 1], [1, 2], [2, 3]])
+    path = LinearSystem(4, [[0, 1], [1, 2], [2, 3]])
     reduced, removed = pendant_reduction(path)
     assert set(removed) == {0, 3}
     assert sorted(tuple(sorted(l)) for l in reduced.lines) == [(1,), (1, 2), (2,)]
 
 
 def test_pendant_reduction_single_line():
-    reduced, removed = pendant_reduction(new_system(3, [[0, 1, 2]]))
+    reduced, removed = pendant_reduction(LinearSystem(3, [[0, 1, 2]]))
     assert reduced.num_lines == 0
     assert removed == (0, 1, 2)
 
@@ -183,7 +203,7 @@ def test_pendant_reduction_of_extension(fano_input):
 
 def test_delete_then_readd_round_trip(fano_input):
     dropped = delete_line(fano_input, 2)
-    rebuilt = new_system(
+    rebuilt = LinearSystem(
         7, [list(l) for l in dropped.line_tuples] + [list(fano_input.line_tuples[2])]
     )
     assert are_isomorphic(rebuilt, fano_input).isomorphic
@@ -193,18 +213,19 @@ def test_isomorphism_relabeled(fano_input):
     rng = random.Random(11)
     perm = list(range(7))
     rng.shuffle(perm)
-    relabeled = new_system(7, [[perm[v] for v in l] for l in FANO_LINES])
+    relabeled = LinearSystem(7, [[perm[v] for v in l] for l in FANO_LINES])
     cert = are_isomorphic(fano_input, relabeled)
     assert cert.isomorphic
     phi = cert.point_bijection
     mapped = {frozenset(phi[v] for v in l) for l in cert.reduced_a.lines}
     assert mapped == set(cert.reduced_b.lines)
+    assert phi == {0: 0, 1: 1, 2: 2, 3: 3, 4: 6, 5: 4, 6: 5}
 
 
 def test_isomorphism_negative(fano_input):
     assert not are_isomorphic(fano_input, delete_line(fano_input, 0)).isomorphic
-    square = new_system(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
-    star = new_system(4, [[0, 1], [0, 2], [0, 3], [1, 2]])
+    square = LinearSystem(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
+    star = LinearSystem(4, [[0, 1], [0, 2], [0, 3], [1, 2]])
     assert not are_isomorphic(square, star).isomorphic
 
 
@@ -226,29 +247,31 @@ def test_embeds_examples(fano_input, triangle):
         image = frozenset(emb.point_map[v] for v in l)
         assert image <= fano_input.lines[emb.line_map[i]]
     assert len(set(emb.line_map.values())) == missing.num_lines
+    assert emb.point_map == {0: 2, 1: 4, 2: 5, 3: 0, 4: 1, 5: 3, 6: 6}
+    assert emb.line_map == {0: 0, 1: 5, 2: 1, 3: 4, 4: 2, 5: 3}
 
     assert embeds_in(triangle, fano_input) is not None
-    too_long = new_system(4, [[0, 1, 2, 3]])
+    too_long = LinearSystem(4, [[0, 1, 2, 3]])
     assert embeds_in(too_long, fano_input) is None
 
 
 def test_embeds_respects_line_distinctness():
     # two disjoint 1-point lines cannot land on the same host line
-    sub = new_system(2, [[0], [1]])
-    host_one = new_system(2, [[0, 1]])
+    sub = LinearSystem(2, [[0], [1]])
+    host_one = LinearSystem(2, [[0, 1]])
     assert embeds_in(sub, host_one) is None
-    host_two = new_system(3, [[0, 1], [0, 2]])
+    host_two = LinearSystem(3, [[0, 1], [0, 2]])
     assert embeds_in(sub, host_two) is not None
 
 
 def test_drop_isolated(fano_input):
-    padded = new_system(9, FANO_LINES)
+    padded = LinearSystem(9, FANO_LINES)
     compacted, remap = drop_isolated(padded)
     assert compacted.num_points == 7
-    assert compacted == new_system(7, FANO_LINES)
+    assert compacted == LinearSystem(7, FANO_LINES)
     assert remap[0] == 0 and len(remap) == 7
 
 
 def test_within_line_duplicates_collapse():
-    sys_ = new_system(3, [[0, 0, 1]])
+    sys_ = LinearSystem(3, [[0, 0, 1]])
     assert sys_.lines == (frozenset({0, 1}),)

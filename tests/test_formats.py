@@ -4,12 +4,12 @@ import pytest
 
 from linsys import (
     FormatError,
+    LinearSystem,
     dumps_json,
     dumps_plane_json,
     dumps_text,
     loads_json,
     loads_text,
-    new_system,
     plane_to_dict,
     projective_plane,
     system_from_dict,
@@ -19,7 +19,7 @@ from linsys import (
 
 @pytest.fixture
 def sample():
-    return new_system(4, [[0, 1], [1, 2, 3]], name="sample")
+    return LinearSystem(4, [[0, 1], [1, 2, 3]], name="sample")
 
 
 def test_dict_round_trip(sample):
@@ -31,7 +31,7 @@ def test_dict_round_trip(sample):
 
 
 def test_name_omitted_when_unset():
-    d = system_to_dict(new_system(2, [[0, 1]]))
+    d = system_to_dict(LinearSystem(2, [[0, 1]]))
     assert "name" not in d
     assert system_from_dict(d).name is None
 
@@ -98,7 +98,7 @@ def test_text_rejects_bad_input():
 
 
 def test_zero_line_round_trips():
-    empty = new_system(5, [])
+    empty = LinearSystem(5, [])
     assert loads_text(dumps_text(empty)).num_points == 5
     assert loads_json(dumps_json(empty)) == empty
 

@@ -1,6 +1,7 @@
 import pytest
 
 from linsys import (
+    LinearSystem,
     NotPrimePower,
     OddOrder,
     SizeLimit,
@@ -10,7 +11,6 @@ from linsys import (
     dual_plane,
     hyperoval,
     is_arc,
-    new_system,
     normalized_triples,
     projective_plane,
     verify_plane_axioms,
@@ -67,7 +67,7 @@ def test_plane_build_is_deterministic():
 
 
 def test_order_two_plane_is_fano():
-    fano = new_system(
+    fano = LinearSystem(
         7,
         [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6], [2, 3, 6], [2, 4, 5]],
     )
@@ -75,21 +75,21 @@ def test_order_two_plane_is_fano():
 
 
 def test_axiom_failure_point_pair():
-    report = verify_plane_axioms(new_system(4, [[0, 1], [2, 3]]))
+    report = verify_plane_axioms(LinearSystem(4, [[0, 1], [2, 3]]))
     assert not report.is_plane
     assert report.failed_axiom == "point-pairs"
 
 
 def test_axiom_failure_line_pair():
     # K4 as 2-point lines: every pair covered once, opposite edges disjoint
-    k4 = new_system(4, [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3], [1, 2]])
+    k4 = LinearSystem(4, [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3], [1, 2]])
     report = verify_plane_axioms(k4)
     assert not report.is_plane
     assert report.failed_axiom == "line-pairs"
 
 
 def test_axiom_failure_general_position():
-    triangle = new_system(3, [[0, 1], [1, 2], [0, 2]])
+    triangle = LinearSystem(3, [[0, 1], [1, 2], [0, 2]])
     report = verify_plane_axioms(triangle)
     assert not report.is_plane
     assert report.failed_axiom == "general-position"

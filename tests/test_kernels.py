@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from linsys import (
+    LinearSystem,
     domination_number,
-    new_system,
     projective_plane,
     transversal_number,
     two_packing_number,
@@ -83,8 +83,8 @@ def test_pure_numpy_env_flag():
         "from linsys.kernels import ACTIVE, JIT_KERNELS;"
         "assert JIT_KERNELS is None;"
         "assert ACTIVE.name == 'numpy';"
-        "from linsys import transversal_number, new_system;"
-        "sys_ = new_system(7, [[0,1,2],[0,3,4],[0,5,6],[1,3,5],[1,4,6],[2,3,6],[2,4,5]]);"
+        "from linsys import transversal_number, LinearSystem;"
+        "sys_ = LinearSystem(7, [[0,1,2],[0,3,4],[0,5,6],[1,3,5],[1,4,6],[2,3,6],[2,4,5]]);"
         "assert transversal_number(sys_).value == 3"
     )
     env = dict(os.environ, **{PURE_NUMPY_ENV: "1"})
@@ -95,5 +95,5 @@ def test_pure_numpy_env_flag():
 
 
 def test_domination_on_lineless_system_needs_no_kernels():
-    res = domination_number(new_system(3, []), kernels=PY_KERNELS)
+    res = domination_number(LinearSystem(3, []), kernels=PY_KERNELS)
     assert res.value == 3

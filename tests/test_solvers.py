@@ -4,12 +4,12 @@ from linsys import (
     KIND_DOMINATION,
     KIND_TRANSVERSAL,
     KIND_TWO_PACKING,
+    LinearSystem,
     NoLines,
     SizeLimit,
     check_packing_gap,
     domination_number,
     greedy_transversal,
-    new_system,
     projective_plane,
     transversal_number,
     two_packing_number,
@@ -34,14 +34,14 @@ def test_transversal_fano(fano):
 
 
 def test_transversal_single_point_suffices():
-    pencil = new_system(4, [[0, 1], [0, 2], [0, 3]])
+    pencil = LinearSystem(4, [[0, 1], [0, 2], [0, 3]])
     res = transversal_number(pencil)
     assert res.value == 1
     assert res.witness == (0,)
 
 
 def test_transversal_disjoint_lines():
-    res = transversal_number(new_system(6, [[0, 1], [2, 3], [4, 5]]))
+    res = transversal_number(LinearSystem(6, [[0, 1], [2, 3], [4, 5]]))
     assert res.value == 3
 
 
@@ -50,11 +50,11 @@ def test_greedy_transversal(fano):
     assert verify_transversal(fano, cover)
     assert cover == greedy_transversal(fano)
     with pytest.raises(NoLines):
-        greedy_transversal(new_system(3, []))
+        greedy_transversal(LinearSystem(3, []))
 
 
 def test_solvers_reject_empty_line_sets():
-    empty = new_system(3, [])
+    empty = LinearSystem(3, [])
     with pytest.raises(NoLines):
         transversal_number(empty)
     with pytest.raises(NoLines):
@@ -71,7 +71,7 @@ def test_domination_fano(fano):
 
 
 def test_domination_counts_isolated_points():
-    padded = new_system(
+    padded = LinearSystem(
         9,
         [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6], [2, 3, 6], [2, 4, 5]],
     )
@@ -83,13 +83,13 @@ def test_domination_counts_isolated_points():
 
 
 def test_domination_no_lines_still_works():
-    res = domination_number(new_system(2, []))
+    res = domination_number(LinearSystem(2, []))
     assert res.value == 2
     assert res.witness == (0, 1)
 
 
 def test_domination_path():
-    path = new_system(3, [[0, 1], [1, 2]])
+    path = LinearSystem(3, [[0, 1], [1, 2]])
     res = domination_number(path)
     assert res.value == 1
     assert res.witness == (1,)
@@ -104,7 +104,7 @@ def test_two_packing_fano(fano):
 
 
 def test_two_packing_triangle():
-    triangle = new_system(3, [[0, 1], [1, 2], [0, 2]])
+    triangle = LinearSystem(3, [[0, 1], [1, 2], [0, 2]])
     res = two_packing_number(triangle)
     assert res.value == 3
     assert res.witness == (0, 1, 2)
@@ -112,7 +112,7 @@ def test_two_packing_triangle():
 
 def test_two_packing_sunflower():
     # four lines through one point: only two fit in a 2-packing
-    sun = new_system(9, [[0, 1, 2], [0, 3, 4], [0, 5, 6], [0, 7, 8]])
+    sun = LinearSystem(9, [[0, 1, 2], [0, 3, 4], [0, 5, 6], [0, 7, 8]])
     res = two_packing_number(sun)
     assert res.value == 2
     assert res.value == brute_two_packing(sun.num_points, sun.line_tuples)
@@ -148,8 +148,8 @@ def test_caps_enforced(fano):
 def test_verifiers_reject_bad_witnesses(fano):
     assert not verify_transversal(fano, (0,))
     assert not verify_two_packing(fano, (0, 1, 2, 3, 4))
-    assert not verify_domination(new_system(4, [[0, 1], [2, 3]]), (0,))
-    assert verify_domination(new_system(4, [[0, 1], [2, 3]]), (0, 2))
+    assert not verify_domination(LinearSystem(4, [[0, 1], [2, 3]]), (0,))
+    assert verify_domination(LinearSystem(4, [[0, 1], [2, 3]]), (0, 2))
 
 
 def test_plane_solver_values():
@@ -160,7 +160,7 @@ def test_plane_solver_values():
 
 
 def test_packing_gap_single_line():
-    rep = check_packing_gap(new_system(3, [[0, 1, 2]]))
+    rep = check_packing_gap(LinearSystem(3, [[0, 1, 2]]))
     assert (rep.tau, rep.nu2) == (1, 1)
     assert rep.bound == 1 + 1 + 1 - 3
     assert not rep.hypothesis_holds
@@ -180,9 +180,9 @@ def test_packing_gap_fano(fano):
 
 def test_witnesses_match_oracle_sizes():
     systems = [
-        new_system(5, [[0, 1], [1, 2], [2, 3], [3, 4]]),
-        new_system(6, [[0, 1, 2], [2, 3], [3, 4, 5], [1, 3]]),
-        new_system(4, [[0], [1], [2, 3]]),
+        LinearSystem(5, [[0, 1], [1, 2], [2, 3], [3, 4]]),
+        LinearSystem(6, [[0, 1, 2], [2, 3], [3, 4, 5], [1, 3]]),
+        LinearSystem(4, [[0], [1], [2, 3]]),
     ]
     for sys_ in systems:
         n, rows = sys_.num_points, sys_.line_tuples
