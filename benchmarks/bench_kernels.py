@@ -2,7 +2,9 @@
 
 Runs each solver on a few representative instances with both backends and
 prints a timing table. Results (values, witnesses, node counts) must agree
-exactly; the script asserts that before reporting.
+exactly; the script asserts that before reporting. Without numba (or with
+LINSYS_PURE_NUMPY set) it times the numpy kernels alone and reports numba
+as absent.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -52,14 +54,12 @@ def main() -> int:
     parser.add_argument("--repeat", type=int, default=5, help="repetitions, best kept")
     args = parser.parse_args()
 
-    if JIT_KERNELS is None:
-        print("numba unavailable (or LINSYS_PURE_NUMPY set); nothing to compare")
-        return 1
-
-    # trigger compilation outside the timed region
-    warm = projective_plane(2).system
-    for solve in (transversal_number, domination_number, two_packing_number):
-        solve(warm, kernels=JIT_KERNELS)
+    jit = JIT_KERNELS
+    if jit is not None:
+        # trigger compilation outside the timed region
+        warm = projective_plane(2).system
+        for solve in (transversal_number, domination_number, two_packing_number):
+            solve(warm, kernels=jit)
 
     name_w = max(
         [len(name) for name, _, _ in cases()] + [len("pairwise 2000x512 bits")]
@@ -70,35 +70,44 @@ def main() -> int:
     )
     print(header)
     print("-" * len(header))
+
+    def row(name, value, nodes, t_py, t_jit):
+        if t_jit is None:
+            jit_ms, speedup = "absent", "-"
+        else:
+            jit_ms, speedup = f"{t_jit * 1e3:.2f}", f"{t_py / t_jit:.1f}x"
+        print(
+            f"{name:<{name_w}}  {value:>5}  {nodes:>8}  "
+            f"{t_py * 1e3:>9.2f}  {jit_ms:>9}  {speedup:>7}"
+        )
+
     for name, solve, sys_ in cases():
         res_py, t_py = best_of(args.repeat, solve, sys_, PY_KERNELS)
-        res_jit, t_jit = best_of(args.repeat, solve, sys_, JIT_KERNELS)
-        assert res_py.value == res_jit.value
-        assert res_py.witness == res_jit.witness
-        assert res_py.nodes_explored == res_jit.nodes_explored
-        speedup = t_py / t_jit if t_jit > 0 else float("inf")
-        print(
-            f"{name:<{name_w}}  {res_jit.value:>5}  {res_jit.nodes_explored:>8}  "
-            f"{t_py * 1e3:>9.2f}  {t_jit * 1e3:>9.2f}  {speedup:>6.1f}x"
-        )
+        t_jit = None
+        if jit is not None:
+            res_jit, t_jit = best_of(args.repeat, solve, sys_, jit)
+            assert res_py.value == res_jit.value
+            assert res_py.witness == res_jit.witness
+            assert res_py.nodes_explored == res_jit.nodes_explored
+        row(name, res_py.value, res_py.nodes_explored, t_py, t_jit)
 
     # the other hot kernel: all-pairs |l_i & l_j| on a large bitset matrix
     rng = np.random.default_rng(0)
     blob = rng.integers(0, 2**64, size=(2000, 8), dtype=np.uint64)
-    JIT_KERNELS.pairwise_intersections(blob[:4])
-    t_py = t_jit = float("inf")
+    if jit is not None:
+        jit.pairwise_intersections(blob[:4])
+    t_py = float("inf")
+    t_jit = None if jit is None else float("inf")
     for _ in range(args.repeat):
         start = time.perf_counter()
         a = PY_KERNELS.pairwise_intersections(blob)
         t_py = min(t_py, time.perf_counter() - start)
-        start = time.perf_counter()
-        b = JIT_KERNELS.pairwise_intersections(blob)
-        t_jit = min(t_jit, time.perf_counter() - start)
-    assert np.array_equal(a, b)
-    print(
-        f"{'pairwise 2000x512 bits':<{name_w}}  {'-':>5}  {'-':>8}  "
-        f"{t_py * 1e3:>9.2f}  {t_jit * 1e3:>9.2f}  {t_py / t_jit:>6.1f}x"
-    )
+        if jit is not None:
+            start = time.perf_counter()
+            b = jit.pairwise_intersections(blob)
+            t_jit = min(t_jit, time.perf_counter() - start)
+            assert np.array_equal(a, b)
+    row("pairwise 2000x512 bits", "-", "-", t_py, t_jit)
     return 0
 
 

@@ -56,20 +56,24 @@ def _pairwise_loop(words):
     return out
 
 
-def _tau_search(point_lines, line_points, line_sizes, line_words, full_cover, best0):
+def _tau_search(point_lines, line_points, line_sizes, line_words, max_degree, best0):
     """Branch and bound for the minimum transversal.
 
     point_lines: (n, MW) uint64, lines through each point packed over lines.
     line_points: (m, rmax) int32, points of each line ascending, -1 padded.
     line_sizes:  (m,) int32.
     line_words:  (m, W) uint64, point set of each line.
-    full_cover:  (MW,) uint64, all m line bits set.
+    max_degree:  largest number of lines through one point (>= 1).
     best0:       incumbent size (from the greedy transversal).
 
     Branch rule: uncovered line of minimum size, lowest index; its points in
-    ascending order. Lower bound: greedy pairwise-disjoint uncovered lines,
-    scanned in index order. Returns (best, improved, witness_buffer, nodes);
-    the first `best` witness entries are meaningful only when improved == 1.
+    ascending order. Bounds, tried in this order at a node with U uncovered
+    lines: one more point is needed; the degree bound ceil(U / max_degree),
+    since one point hits at most max_degree lines; greedy pairwise-disjoint
+    uncovered lines, scanned in index order. A node is pruned once a bound
+    shows that its subtree holds no transversal smaller than the incumbent.
+    Returns (best, improved, witness_buffer, nodes); the first `best`
+    witness entries are meaningful only when improved == 1.
     """
     m = line_sizes.shape[0]
     mw = point_lines.shape[1]
@@ -92,17 +96,30 @@ def _tau_search(point_lines, line_points, line_sizes, line_words, full_cover, be
         if pending:
             nodes += 1
             pending = False
-            full = True
+            covered = np.int64(0)
             for i in range(mw):
-                if cov[d, i] != full_cover[i]:
-                    full = False
-                    break
-            if full:
+                x = cov[d, i]
+                x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+                x = (x & np.uint64(0x3333333333333333)) + (
+                    (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
+                )
+                x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+                x = x + (x >> np.uint64(8))
+                x = x + (x >> np.uint64(16))
+                x = x + (x >> np.uint64(32))
+                covered += np.int64(x & np.uint64(0x7F))
+            if covered == m:
                 if d < best:
                     best = d
                     improved = 1
                     for i in range(d):
                         witness[i] = chosen[i]
+                d -= 1
+                continue
+            if d + 1 >= best:
+                d -= 1
+                continue
+            if d + (m - covered + max_degree - 1) // max_degree >= best:
                 d -= 1
                 continue
             # greedy disjoint-line matching among uncovered lines
@@ -156,8 +173,12 @@ def _gamma_search(cover_words, cover_lists, cover_sizes, universe, best0):
     universe:    (W,) uint64, points still needing domination (nonempty).
 
     Branch rule: uncovered point with the fewest covering candidates, lowest
-    index; candidates in ascending order. Lower bound: ceil(remaining /
-    best residual cover).
+    index; candidates in ascending order. Tried-candidate exclusion: once
+    the subtree of candidate v of branch point u is finished, every cover
+    containing v has been searched, so v is excluded from the subtrees of
+    u's later candidates. Bounds over the candidates not excluded: a node
+    where some uncovered point has no such candidate is pruned; otherwise
+    ceil(remaining / best residual cover).
     """
     n = cover_words.shape[0]
     w = universe.shape[0]
@@ -168,6 +189,9 @@ def _gamma_search(cover_words, cover_lists, cover_sizes, universe, best0):
     cap = best0 + 2
     witness = np.full(cap, -1, dtype=np.int32)
     cov = np.zeros((cap, w), dtype=np.uint64)
+    excluded = np.zeros((cap, w), dtype=np.uint64)
+    tried = np.zeros((cap, w), dtype=np.uint64)
+    reach = np.zeros(w, dtype=np.uint64)
     branch_point = np.zeros(cap, dtype=np.int32)
     branch_pos = np.zeros(cap, dtype=np.int32)
     chosen = np.zeros(cap, dtype=np.int32)
@@ -198,11 +222,19 @@ def _gamma_search(cover_words, cover_lists, cover_sizes, universe, best0):
                         witness[i] = chosen[i]
                 d -= 1
                 continue
+            if d + 1 >= best:
+                d -= 1
+                continue
             maxcov = np.int64(0)
+            for i in range(w):
+                reach[i] = 0
             for v in range(n):
+                if (excluded[d, v >> 6] >> np.uint64(v & 63)) & np.uint64(1):
+                    continue
                 c = np.int64(0)
                 for i in range(w):
                     x = cover_words[v, i] & universe[i] & ~cov[d, i]
+                    reach[i] |= x
                     x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
                     x = (x & np.uint64(0x3333333333333333)) + (
                         (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
@@ -214,7 +246,12 @@ def _gamma_search(cover_words, cover_lists, cover_sizes, universe, best0):
                     c += np.int64(x & np.uint64(0x7F))
                 if c > maxcov:
                     maxcov = c
-            if maxcov == 0:
+            stranded = False
+            for i in range(w):
+                if universe[i] & ~cov[d, i] & ~reach[i]:
+                    stranded = True
+                    break
+            if stranded:
                 d -= 1
                 continue
             lb = (remaining + maxcov - 1) // maxcov
@@ -231,38 +268,58 @@ def _gamma_search(cover_words, cover_lists, cover_sizes, universe, best0):
                     bu = u
             branch_point[d] = bu
             branch_pos[d] = 0
+            for i in range(w):
+                tried[d, i] = 0
             continue
         u = branch_point[d]
-        if branch_pos[d] >= cover_sizes[u]:
+        v = -1
+        while branch_pos[d] < cover_sizes[u]:
+            v = cover_lists[u, branch_pos[d]]
+            branch_pos[d] += 1
+            if ((excluded[d, v >> 6] >> np.uint64(v & 63)) & np.uint64(1)) == 0:
+                break
+            v = -1
+        if v < 0:
             d -= 1
             continue
-        v = cover_lists[u, branch_pos[d]]
-        branch_pos[d] += 1
         chosen[d] = v
         for i in range(w):
             cov[d + 1, i] = cov[d, i] | cover_words[v, i]
+            excluded[d + 1, i] = excluded[d, i] | tried[d, i]
+        tried[d, v >> 6] |= np.uint64(1) << np.uint64(v & 63)
         d += 1
         pending = True
     return best, improved, witness, nodes
 
 
-def _nu2_search(line_points, line_sizes, num_points):
+def _nu2_search(line_points, line_sizes, num_points, meet):
     """Branch and bound for the maximum 2-packing.
 
+    meet: (m, m) int32, the point shared by lines i and j, or -1 when they
+    are disjoint (and on the diagonal).
+
     Lines are decided in index order, include branch first. A line is
-    selectable while all its points are covered at most once. Prune when
-    current size plus remaining selectable lines cannot beat the incumbent.
-    Returns (best, witness_buffer, nodes); the first `best` entries of the
-    buffer are the chosen line indices (ascending).
+    selectable while all its points are covered at most once. Meet bound:
+    a line added below a node either misses a chosen line l or meets it at
+    a once-covered point of l, and no two added lines share such a point.
+    So at most (selectable lines missing l) + (points of l on a selectable
+    line) lines can still be added, for every chosen l, and at most the
+    number of selectable lines. For an intersecting system this gives
+    nu2 <= rank + 1. Prune when current size plus the least of these cannot
+    beat the incumbent. Returns (best, witness_buffer, nodes); the first
+    `best` entries of the buffer are the chosen line indices (ascending).
     """
     m = line_sizes.shape[0]
     counts = np.zeros(num_points, dtype=np.uint8)
+    stamp = np.zeros(num_points, dtype=np.int64)
     phase = np.zeros(m + 2, dtype=np.uint8)
     chosen = np.zeros(m + 1, dtype=np.int32)
     witness = np.zeros(m + 1, dtype=np.int32)
+    selectable = np.zeros(m, dtype=np.int32)
     best = np.int64(0)
     nodes = np.int64(0)
     size = np.int64(0)
+    tick = np.int64(0)
 
     d = 0
     phase[0] = 0
@@ -285,16 +342,28 @@ def _nu2_search(line_points, line_sizes, num_points):
                         ok = False
                         break
                 if ok:
+                    selectable[sel] = j
                     sel += 1
-            if size + sel <= best:
+            ub = sel
+            for c in range(size):
+                if size + ub <= best:
+                    break
+                l = chosen[c]
+                tick += 1
+                b = np.int64(0)
+                for k in range(sel):
+                    p = meet[l, selectable[k]]
+                    if p < 0:
+                        b += 1
+                    elif stamp[p] != tick:
+                        stamp[p] = tick
+                        b += 1
+                if b < ub:
+                    ub = b
+            if size + ub <= best:
                 phase[d] = 2
                 continue
-            ok = True
-            for t in range(line_sizes[d]):
-                if counts[line_points[d, t]] > 1:
-                    ok = False
-                    break
-            if ok:
+            if sel > 0 and selectable[0] == d:
                 phase[d] = 1
                 for t in range(line_sizes[d]):
                     counts[line_points[d, t]] += 1

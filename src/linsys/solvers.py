@@ -64,6 +64,24 @@ def _padded_lines(sys: LinearSystem) -> Tuple[np.ndarray, np.ndarray]:
     return pts, sizes
 
 
+def _meeting_points(sys: LinearSystem) -> np.ndarray:
+    """(m, m) int32 table: the point shared by lines i and j, or -1 when
+    they are disjoint and on the diagonal. Filled from the lines through
+    each point, so it costs O(sum of squared degrees) after the allocation."""
+    m = sys.num_lines
+    through = [[] for _ in range(sys.num_points)]
+    for i, l in enumerate(sys.line_tuples):
+        for v in l:
+            through[v].append(i)
+    meet = np.full((m, m), -1, dtype=np.int32)
+    for v, lines in enumerate(through):
+        for i in lines:
+            for j in lines:
+                meet[i, j] = v
+    np.fill_diagonal(meet, -1)
+    return meet
+
+
 def greedy_transversal(sys: LinearSystem) -> Tuple[int, ...]:
     """Pick the point hitting the most uncovered lines (lowest index on
     ties) until every line is hit."""
@@ -93,13 +111,12 @@ def transversal_number(
 
     seed = greedy_transversal(sys)
     line_points, line_sizes = _padded_lines(sys)
-    full_cover = bitsets.pack_one(range(sys.num_lines), sys.num_lines)
     best, improved, wit, nodes = ks.tau_search(
         sys.point_lines,
         line_points,
         line_sizes,
         sys.line_words,
-        full_cover,
+        int(sys.degrees.max()),
         len(seed),
     )
     witness = (
@@ -176,7 +193,9 @@ def two_packing_number(
     t0 = time.perf_counter()
 
     line_points, line_sizes = _padded_lines(sys)
-    best, wit, nodes = ks.nu2_search(line_points, line_sizes, sys.num_points)
+    best, wit, nodes = ks.nu2_search(
+        line_points, line_sizes, sys.num_points, _meeting_points(sys)
+    )
     witness = tuple(int(i) for i in wit[: int(best)])
     dt = time.perf_counter() - t0
     return SolveResult(KIND_TWO_PACKING, int(best), witness, int(nodes), dt)
@@ -184,6 +203,8 @@ def two_packing_number(
 
 def verify_transversal(sys: LinearSystem, points: Iterable[int]) -> bool:
     pts = set(points)
+    if not all(0 <= v < sys.num_points for v in pts):
+        return False
     return all(pts & l for l in sys.lines)
 
 

@@ -1,11 +1,16 @@
 """Corpus-wide checks: solver results equal brute force, and the proved
-inequalities hold on every instance satisfying their hypotheses."""
+inequalities hold on every instance satisfying their hypotheses. A
+hypothesis test does the same brute-force comparison on random small
+systems, to check that no search bound cuts off an optimum."""
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linsys import (
+    LinearSystem,
     degree_profile,
     domination_number,
     is_intersecting,
@@ -16,6 +21,7 @@ from linsys import (
     verify_transversal,
     verify_two_packing,
 )
+from linsys import solvers
 
 from corpus import MAX_LINES, MAX_POINTS, build_corpus
 from oracles import brute_domination, brute_transversal, brute_two_packing
@@ -89,3 +95,61 @@ def test_line_count_bound_forces_packing_gap(sys_):
     if sys_.num_lines > bound:
         pytest.skip("hypothesis: line count within degree bound")
     assert transversal_number(sys_).value <= nu2 - 1
+
+
+@st.composite
+def small_linear_systems(draw):
+    """Up to 9 points and 8 lines. Each drawn line keeps, in ascending
+    order, only the points that leave it meeting every kept line in at most
+    one point, and is kept when nonempty and new; most systems drawn are
+    not intersecting."""
+    n = draw(st.integers(2, 9))
+    drawn = draw(
+        st.lists(
+            st.frozensets(st.integers(0, n - 1), min_size=1, max_size=min(n, 4)),
+            min_size=2,
+            max_size=8,
+        )
+    )
+    lines = []
+    for cand in drawn:
+        line = set()
+        for v in sorted(cand):
+            if all(len(line & l) + (v in l) <= 1 for l in lines):
+                line.add(v)
+        if line and line not in lines:
+            lines.append(line)
+    return LinearSystem(n, lines)
+
+
+def _solve_all(sys_):
+    n, rows = sys_.num_points, sys_.line_tuples
+    tau = transversal_number(sys_)
+    assert tau.value == brute_transversal(n, rows)
+    assert verify_transversal(sys_, tau.witness)
+    assert len(tau.witness) == tau.value
+
+    gamma = domination_number(sys_)
+    assert gamma.value == brute_domination(n, rows)
+    assert verify_domination(sys_, gamma.witness)
+    assert len(gamma.witness) == gamma.value
+
+    nu2 = two_packing_number(sys_)
+    assert nu2.value == brute_two_packing(n, rows)
+    assert verify_two_packing(sys_, nu2.witness)
+    assert len(nu2.witness) == nu2.value
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(small_linear_systems())
+def test_search_bounds_match_brute_force(sys_):
+    # every pruning bound must leave the optimum reachable, on intersecting
+    # and non-intersecting systems alike
+    _solve_all(sys_)
+    # the greedy seeds are optimal on most small systems, which would hide
+    # a bound that prunes too much; from the trivial incumbent (every
+    # support point) the bounds alone must lead the search to the optimum
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "greedy_transversal", lambda s: tuple(sorted(s.support)))
+        mp.setattr(solvers, "_greedy_domination", lambda hoods, support: list(support))
+        _solve_all(sys_)

@@ -9,9 +9,11 @@ from linsys import (
     SizeLimit,
     check_packing_gap,
     domination_number,
+    extend_with_pendant_points,
     greedy_transversal,
     projective_plane,
     transversal_number,
+    triangular_system,
     two_packing_number,
     verify_domination,
     verify_transversal,
@@ -147,6 +149,8 @@ def test_caps_enforced(fano):
 
 def test_verifiers_reject_bad_witnesses(fano):
     assert not verify_transversal(fano, (0,))
+    assert not verify_transversal(fano, [0, 1, 2, 99])
+    assert not verify_transversal(fano, [0, 1, 2, -1])
     assert not verify_two_packing(fano, (0, 1, 2, 3, 4))
     assert not verify_domination(LinearSystem(4, [[0, 1], [2, 3]]), (0,))
     assert verify_domination(LinearSystem(4, [[0, 1], [2, 3]]), (0, 2))
@@ -189,3 +193,107 @@ def test_witnesses_match_oracle_sizes():
         assert transversal_number(sys_).value == brute_transversal(n, rows)
         assert domination_number(sys_).value == brute_domination(n, rows)
         assert two_packing_number(sys_).value == brute_two_packing(n, rows)
+
+
+def _plane(q):
+    return projective_plane(q).system
+
+
+def _extended_plane(q):
+    return extend_with_pendant_points(projective_plane(q).system)
+
+
+# (value, witness) of tau, gamma and nu2, recorded before the degree, meet
+# and tried-candidate bounds went in. A bound may only cut subtrees that
+# cannot hold a strictly better incumbent, so these must never move.
+PINNED = {
+    "PG(2,3)": (lambda: _plane(3), {
+        "tau": (4, (0, 1, 2, 3)),
+        "gamma": (1, (0,)),
+        "nu2": (4, (0, 1, 4, 8)),
+    }),
+    "PG(2,4)": (lambda: _plane(4), {
+        "tau": (5, (0, 1, 2, 3, 4)),
+        "gamma": (1, (0,)),
+        "nu2": (6, (0, 1, 5, 10, 16, 19)),
+    }),
+    "PG(2,5)": (lambda: _plane(5), {
+        "tau": (6, (0, 1, 2, 3, 4, 5)),
+        "gamma": (1, (0,)),
+        "nu2": (6, (0, 1, 6, 12, 19, 25)),
+    }),
+    "ext-PG(2,3)": (lambda: _extended_plane(3), {
+        "tau": (4, (0, 1, 2, 3)),
+        "gamma": (4, (0, 1, 2, 3)),
+        "nu2": (4, (0, 1, 4, 8)),
+    }),
+    "ext-PG(2,4)": (lambda: _extended_plane(4), {
+        "tau": (5, (0, 1, 2, 3, 4)),
+        "gamma": (5, (0, 1, 2, 3, 4)),
+        "nu2": (6, (0, 1, 5, 10, 16, 19)),
+    }),
+    "triangular-9": (lambda: triangular_system(9), {
+        "tau": (5, (0, 7, 15, 26, 33)),
+        "gamma": (4, (0, 15, 26, 33)),
+        "nu2": (9, (0, 1, 2, 3, 4, 5, 6, 7, 8)),
+    }),
+    "triangular-10": (lambda: triangular_system(10), {
+        "tau": (5, (0, 17, 30, 39, 44)),
+        "gamma": (5, (0, 7, 17, 30, 39)),
+        "nu2": (10, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)),
+    }),
+}
+
+PINNED_SOLVERS = {
+    "tau": transversal_number,
+    "gamma": domination_number,
+    "nu2": two_packing_number,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_values_and_witnesses(name):
+    build, expected = PINNED[name]
+    sys_ = build()
+    for kind, answer in expected.items():
+        res = PINNED_SOLVERS[kind](sys_)
+        assert (res.value, res.witness) == answer, kind
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_plane_tau_settles_at_root(q):
+    # the degree bound ceil((q^2+q+1)/(q+1)) = q+1 meets the greedy line
+    res = transversal_number(_plane(q))
+    assert res.value == q + 1
+    assert res.nodes_explored == 1
+
+
+def test_plane_nu2_order_eight():
+    plane = _plane(8)
+    res = two_packing_number(plane)
+    assert res.value == 10
+    assert verify_two_packing(plane, res.witness)
+
+
+def test_pinned_deep_random_system():
+    # 30 points, 17 lines, not intersecting: gamma revisits branch points at
+    # several depths, so stale tried-candidate exclusions would show here
+    sys_ = LinearSystem(
+        30,
+        [
+            [9, 11, 13, 27], [5, 15, 19, 20, 23, 26], [8, 11, 16, 17, 23, 28],
+            [4, 16], [10], [12, 15, 18], [1, 10, 13, 21, 22], [4, 7, 8, 25, 29],
+            [3], [6, 14, 17, 26, 27], [12, 19, 22, 24, 27, 28], [23],
+            [0, 3, 10, 17, 24, 25], [19], [0, 1, 16], [1, 2, 3, 12, 26],
+            [5, 9, 25],
+        ],
+    )
+    tau = transversal_number(sys_)
+    assert (tau.value, tau.witness) == (8, (3, 10, 12, 16, 19, 23, 25, 27))
+    gamma = domination_number(sys_)
+    assert (gamma.value, gamma.witness) == (4, (1, 15, 17, 25))
+    nu2 = two_packing_number(sys_)
+    assert (nu2.value, nu2.witness) == (
+        13,
+        (0, 1, 3, 4, 5, 6, 7, 8, 9, 11, 13, 14, 16),
+    )
