@@ -34,10 +34,21 @@ from .errors import (
     OddOrder,
     SizeLimit,
 )
-from .geometry import projective_plane
-from .kernels import KernelSet
+from .geometry import (
+    dual_hyperoval_lines,
+    hyperoval,
+    is_arc,
+    projective_plane,
+    verify_plane_axioms,
+)
 from .limits import DEFAULT_CAPS, Caps
-from .solvers import domination_number, transversal_number, two_packing_number
+from .solvers import (
+    check_packing_gap,
+    domination_number,
+    transversal_number,
+    two_packing_number,
+    verify_two_packing,
+)
 
 
 @dataclass(frozen=True)
@@ -53,14 +64,11 @@ class MembershipReport:
 
 
 def check_extremal_family(
-    sys: LinearSystem,
-    r: int,
-    caps: Caps = DEFAULT_CAPS,
-    kernels: KernelSet = None,
+    sys: LinearSystem, r: int, caps: Caps = DEFAULT_CAPS
 ) -> MembershipReport:
     rk = rank(sys)
     inter = is_intersecting(sys)
-    gamma = domination_number(sys, caps=caps, kernels=kernels).value
+    gamma = domination_number(sys, caps=caps).value
     return MembershipReport(
         target_rank=r,
         rank=rk,
@@ -103,18 +111,13 @@ def _subset_is_valid(sys: LinearSystem, combo, r: int) -> bool:
     return all(any(deg[v] == 1 for v in sys.lines[i]) for i in combo)
 
 
-def derive(
-    sys: LinearSystem,
-    r: int,
-    caps: Caps = DEFAULT_CAPS,
-    kernels: KernelSet = None,
-) -> Derivation:
+def derive(sys: LinearSystem, r: int, caps: Caps = DEFAULT_CAPS) -> Derivation:
     """Extract the spanning subsystem and its pendant-deleted reduction.
 
     Searches r-sized line subsets in decreasing cardinality, lexicographic
     order; existence is guaranteed for family members, so exhausting the
     search raises DerivationFailed."""
-    report = check_extremal_family(sys, r, caps=caps, kernels=kernels)
+    report = check_extremal_family(sys, r, caps=caps)
     if not report.member:
         raise NotMember(
             f"rank {report.rank} (want {r}), intersecting={report.is_intersecting},"
@@ -151,16 +154,10 @@ def derive(
     reduced = delete_points(spanning, pendant_map.values())
 
     chain = {
-        "gamma_source": domination_number(sys, caps=caps, kernels=kernels).value,
-        "gamma_spanning": domination_number(
-            spanning, caps=caps, kernels=kernels
-        ).value,
-        "tau_spanning": transversal_number(
-            spanning, caps=caps, kernels=kernels
-        ).value,
-        "tau_reduced": transversal_number(
-            reduced, caps=caps, kernels=kernels
-        ).value,
+        "gamma_source": report.gamma,
+        "gamma_spanning": domination_number(spanning, caps=caps).value,
+        "tau_spanning": transversal_number(spanning, caps=caps).value,
+        "tau_reduced": transversal_number(reduced, caps=caps).value,
         "target": r - 1,
     }
     values = {v for k, v in chain.items() if k != "target"}
@@ -240,9 +237,7 @@ class SaturatedPackingReport:
 
 
 def check_saturated_packing(
-    sys: LinearSystem,
-    caps: Caps = DEFAULT_CAPS,
-    kernels: KernelSet = None,
+    sys: LinearSystem, caps: Caps = DEFAULT_CAPS
 ) -> SaturatedPackingReport:
     r = rank(sys)
     if not is_uniform(sys, r):
@@ -254,8 +249,8 @@ def check_saturated_packing(
     if r % 2 != 0:
         raise ValueError(f"saturated-packing check needs even rank, got {r}")
 
-    nu2 = two_packing_number(sys, caps=caps, kernels=kernels).value
-    tau = transversal_number(sys, caps=caps, kernels=kernels).value
+    nu2 = two_packing_number(sys, caps=caps).value
+    tau = transversal_number(sys, caps=caps).value
     hypothesis = nu2 == r + 1
     clauses = []
     if hypothesis:
@@ -289,10 +284,7 @@ class ReconstructionReport:
 
 
 def check_plane_reconstruction(
-    sys: LinearSystem,
-    q: int,
-    caps: Caps = DEFAULT_CAPS,
-    kernels: KernelSet = None,
+    sys: LinearSystem, q: int, caps: Caps = DEFAULT_CAPS
 ) -> ReconstructionReport:
     """Verify, clause by clause, that the reduced system derived from sys
     at rank q+2 is a spanning (q+1)-uniform subsystem of the order-q plane
@@ -301,7 +293,7 @@ def check_plane_reconstruction(
     if q % 2 != 0:
         raise OddOrder(f"reconstruction is proved for even q, got {q}")
 
-    derivation = derive(sys, q + 2, caps=caps, kernels=kernels)
+    derivation = derive(sys, q + 2, caps=caps)
     red = derivation.reduced
     n_expected = q * q + q + 1
 
@@ -342,8 +334,8 @@ def check_plane_reconstruction(
             max_deg2 <= 1 and delta_ok,
         )
     )
-    tau = transversal_number(red, caps=caps, kernels=kernels).value
-    nu2 = two_packing_number(red, caps=caps, kernels=kernels).value
+    tau = derivation.chain["tau_reduced"]
+    nu2 = two_packing_number(red, caps=caps).value
     clauses.append(
         ClauseCheck(
             "tau-nu2",
@@ -363,7 +355,7 @@ def check_plane_reconstruction(
         )
     )
     compacted, _ = drop_isolated(red)
-    gamma = domination_number(compacted, caps=caps, kernels=kernels).value
+    gamma = domination_number(compacted, caps=caps).value
     clauses.append(ClauseCheck("domination-one", 1, gamma, gamma == 1))
 
     return ReconstructionReport(order=q, derivation=derivation, clauses=tuple(clauses))
@@ -383,20 +375,10 @@ def _row(name: str, ok: bool, detail: str) -> CheckRow:
     return CheckRow(name, "pass" if ok else "fail", detail)
 
 
-def verification_battery(
-    q: int, caps: Caps = DEFAULT_CAPS, kernels: KernelSet = None
-) -> list:
+def verification_battery(q: int, caps: Caps = DEFAULT_CAPS) -> list:
     """All order-q checks the package can machine-verify, as a flat list
     of pass/fail/skip rows. Rows that exceed the configured size caps are
     reported as skipped rather than failed."""
-    from .geometry import (
-        dual_hyperoval_lines,
-        hyperoval,
-        is_arc,
-        verify_plane_axioms,
-    )
-    from .solvers import verify_two_packing
-
     rows = []
     plane = projective_plane(q, caps=caps)
     psys = plane.system
@@ -419,19 +401,16 @@ def verification_battery(
     )
 
     try:
-        tau = transversal_number(psys, caps=caps, kernels=kernels).value
-        nu2 = two_packing_number(psys, caps=caps, kernels=kernels).value
-        rows.append(_row("plane-transversal", tau == q + 1, f"tau={tau}"))
+        gap = check_packing_gap(psys, caps=caps)
+        rows.append(_row("plane-transversal", gap.tau == q + 1, f"tau={gap.tau}"))
         nu2_want = q + 2 if q % 2 == 0 else q + 1
-        rows.append(_row("plane-two-packing", nu2 == nu2_want, f"nu2={nu2}"))
-        profile = degree_profile(psys)
-        bound = profile.max_degree + profile.second_max_degree + nu2 - 3
-        hyp = psys.num_lines <= bound
+        rows.append(_row("plane-two-packing", gap.nu2 == nu2_want, f"nu2={gap.nu2}"))
+        hyp = gap.hypothesis_holds
         rows.append(
             _row(
                 "packing-gap-implication",
-                (not hyp) or tau <= nu2 - 1,
-                f"m={psys.num_lines}, bound={bound}, hypothesis={hyp}",
+                (not hyp) or gap.conclusion_holds,
+                f"m={gap.num_lines}, bound={gap.bound}, hypothesis={hyp}",
             )
         )
     except SizeLimit as e:
@@ -463,7 +442,7 @@ def verification_battery(
     if q % 2 == 0:
         try:
             ext = extend_with_pendant_points(psys)
-            report = check_plane_reconstruction(ext, q, caps=caps, kernels=kernels)
+            report = check_plane_reconstruction(ext, q, caps=caps)
             for c in report.clauses:
                 rows.append(
                     _row(
@@ -480,7 +459,7 @@ def verification_battery(
     try:
         tri = triangular_system(q + 3)
         if (q + 2) % 2 == 0:
-            rep = check_saturated_packing(tri, caps=caps, kernels=kernels)
+            rep = check_saturated_packing(tri, caps=caps)
             ok = rep.hypothesis_holds and rep.all_pass
             rows.append(
                 _row(

@@ -22,7 +22,6 @@ from .errors import (
     NoLines,
     SizeLimit,
 )
-from .kernels import ACTIVE
 from .limits import DEFAULT_CAPS, Caps
 
 
@@ -49,6 +48,7 @@ class LinearSystem:
         "degrees",
         "support",
         "pair_line",
+        "lines_through",
     )
 
     def __init__(
@@ -81,30 +81,30 @@ class LinearSystem:
 
         m = len(cleaned)
         self.line_words = bitsets.pack_sets(self.line_tuples, n)
-        if m > 1:
-            counts = ACTIVE.pairwise_intersections(self.line_words)
-            bad = np.argwhere(np.triu(counts, 1) > 1)
-            if bad.size:
-                i, j = int(bad[0, 0]), int(bad[0, 1])
-                shared = sorted(self.lines[i] & self.lines[j])
-                raise LinearityViolation(i, j, shared)
 
-        degs = np.zeros(n, dtype=np.int32)
+        # Linearity: no point pair lies on two lines. A pair met again on
+        # line i clashes with its first holder h, and every violating line
+        # pair through that point pair starts at h or later, so the least
+        # (h, i) clash is the least violating line pair.
         incident = [[] for _ in range(n)]
+        pair = {}
+        clash = None
         for i, l in enumerate(self.line_tuples):
-            for v in l:
-                degs[v] += 1
-                incident[v].append(i)
+            for a, u in enumerate(l):
+                incident[u].append(i)
+                for v in l[a + 1 :]:
+                    h = pair.setdefault((u, v), i)
+                    if h != i and (clash is None or (h, i) < clash):
+                        clash = (h, i)
+        if clash is not None:
+            h, i = clash
+            raise LinearityViolation(h, i, self.lines[h] & self.lines[i])
+        self.lines_through: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, incident))
+        degs = np.fromiter(map(len, incident), dtype=np.int32, count=n)
         degs.setflags(write=False)
         self.degrees = degs
-        self.point_lines = bitsets.pack_sets(incident, m)
+        self.point_lines = bitsets.pack_sets(self.lines_through, m)
         self.support = frozenset(int(v) for v in np.nonzero(degs)[0])
-
-        pair = {}
-        for i, l in enumerate(self.line_tuples):
-            for a in range(len(l)):
-                for b in range(a + 1, len(l)):
-                    pair[(l[a], l[b])] = i
         self.pair_line = pair
 
     @property
@@ -147,13 +147,12 @@ def rank(sys: LinearSystem) -> int:
 
 
 def is_intersecting(sys: LinearSystem) -> bool:
-    """True when every pair of distinct lines shares exactly one point."""
+    """True when every pair of distinct lines shares exactly one point.
+    Lines meet at most once, so the sum over points of C(deg, 2) counts
+    the meeting line pairs, and it reaches C(m, 2) only when all meet."""
     m = sys.num_lines
-    if m <= 1:
-        return True
-    counts = ACTIVE.pairwise_intersections(sys.line_words)
-    iu = np.triu_indices(m, 1)
-    return bool((counts[iu] == 1).all())
+    d = sys.degrees.astype(np.int64)
+    return int((d * (d - 1)).sum()) == m * (m - 1)
 
 
 def is_uniform(sys: LinearSystem, r: int) -> bool:
@@ -225,9 +224,8 @@ def collinearity_adjacent(sys: LinearSystem, u: int, v: int) -> bool:
 def closed_neighborhood(sys: LinearSystem, v: int) -> frozenset:
     p = _as_point(v, sys.num_points, "closed_neighborhood")
     out = {p}
-    for l in sys.lines:
-        if p in l:
-            out |= l
+    for i in sys.lines_through[p]:
+        out |= sys.lines[i]
     return frozenset(out)
 
 
@@ -283,7 +281,10 @@ def _refine_colors(sys: LinearSystem) -> Tuple[Dict[int, int], Dict[int, int]]:
     pts = sorted(sys.support)
     lns = range(sys.num_lines)
     pcol = {
-        v: (int(sys.degrees[v]), tuple(sorted(len(l) for l in sys.lines if v in l)))
+        v: (
+            int(sys.degrees[v]),
+            tuple(sorted(len(sys.lines[i]) for i in sys.lines_through[v])),
+        )
         for v in pts
     }
     lcol = {i: (len(sys.lines[i]),) for i in lns}
@@ -302,12 +303,7 @@ def _refine_colors(sys: LinearSystem) -> Tuple[Dict[int, int], Dict[int, int]]:
             for i in lns
         }
         npc = {
-            v: (
-                pcol[v],
-                tuple(
-                    sorted(nl[i] for i in range(sys.num_lines) if v in sys.lines[i])
-                ),
-            )
+            v: (pcol[v], tuple(sorted(nl[i] for i in sys.lines_through[v])))
             for v in pts
         }
         npc, nl = canon(npc), canon(nl)
@@ -410,9 +406,7 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
         return best
 
     def feasible(u: int, w: int) -> bool:
-        for i in range(sub.num_lines):
-            if u not in sub.lines[i]:
-                continue
+        for i in sub.lines_through[u]:
             imgs = [mapping[v] for v in sub.lines[i] if v in mapping]
             if not imgs:
                 continue
@@ -445,13 +439,7 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
         for i in singles:
             (x,) = sub.line_tuples[i]
             w = mapping[x]
-            cands.append(
-                [
-                    j
-                    for j in range(host.num_lines)
-                    if j not in taken and w in host.lines[j]
-                ]
-            )
+            cands.append([j for j in host.lines_through[w] if j not in taken])
         assign = _match_single_lines(singles, cands)
         if assign is None:
             return None

@@ -227,13 +227,11 @@ def is_arc(plane: PlaneModel, points: Iterable[int]) -> bool:
 def dual_plane(plane: PlaneModel) -> PlaneModel:
     """Swap points and lines: dual point i is primal line i, dual line j
     collects the primal lines through primal point j."""
-    m = plane.system.num_lines
-    dual_lines = []
-    for j in range(plane.system.num_points):
-        dual_lines.append(
-            [i for i in range(m) if j in plane.system.lines[i]]
-        )
-    system = LinearSystem(m, dual_lines, name=f"dual-PG(2,{plane.order})")
+    system = LinearSystem(
+        plane.system.num_lines,
+        plane.system.lines_through,
+        name=f"dual-PG(2,{plane.order})",
+    )
     return PlaneModel(
         system=system,
         point_coords=plane.line_coords,

@@ -69,12 +69,8 @@ def _meeting_points(sys: LinearSystem) -> np.ndarray:
     they are disjoint and on the diagonal. Filled from the lines through
     each point, so it costs O(sum of squared degrees) after the allocation."""
     m = sys.num_lines
-    through = [[] for _ in range(sys.num_points)]
-    for i, l in enumerate(sys.line_tuples):
-        for v in l:
-            through[v].append(i)
     meet = np.full((m, m), -1, dtype=np.int32)
-    for v, lines in enumerate(through):
+    for v, lines in enumerate(sys.lines_through):
         for i in lines:
             for j in lines:
                 meet[i, j] = v
@@ -92,11 +88,11 @@ def greedy_transversal(sys: LinearSystem) -> Tuple[int, ...]:
     while uncovered:
         best, best_hits = -1, 0
         for v in range(sys.num_points):
-            hits = sum(1 for i in uncovered if v in sys.lines[i])
+            hits = sum(1 for i in sys.lines_through[v] if i in uncovered)
             if hits > best_hits:
                 best, best_hits = v, hits
         chosen.append(best)
-        uncovered = {i for i in uncovered if best not in sys.lines[i]}
+        uncovered.difference_update(sys.lines_through[best])
     return tuple(sorted(chosen))
 
 
@@ -263,13 +259,13 @@ class PackingGapReport:
 
 
 def check_packing_gap(
-    sys: LinearSystem, caps: Caps = DEFAULT_CAPS, kernels: KernelSet = None
+    sys: LinearSystem, caps: Caps = DEFAULT_CAPS
 ) -> PackingGapReport:
     """Evaluate the degree-sum condition relating line count to the
     2-packing number, and whether tau stays below nu2."""
     profile = degree_profile(sys)
-    tau = transversal_number(sys, caps=caps, kernels=kernels).value
-    nu2 = two_packing_number(sys, caps=caps, kernels=kernels).value
+    tau = transversal_number(sys, caps=caps).value
+    nu2 = two_packing_number(sys, caps=caps).value
     bound = profile.max_degree + profile.second_max_degree + nu2 - 3
     return PackingGapReport(
         num_lines=sys.num_lines,

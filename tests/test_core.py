@@ -1,5 +1,7 @@
 import functools
 import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -63,6 +65,23 @@ def test_validation_rejects_shared_pair():
         LinearSystem(4, [[0, 1, 2], [0, 1, 3]])
     assert info.value.shared == (0, 1)
     assert (info.value.first, info.value.second) == (0, 1)
+    # the least violating line pair is reported, not the first one met
+    # in line order (lines 1 and 2 share 1 and 2)
+    with pytest.raises(LinearityViolation) as info:
+        LinearSystem(5, [[0, 4], [1, 2, 3], [1, 2, 4], [0, 3, 4]])
+    assert (info.value.first, info.value.second, info.value.shared) == (0, 3, (0, 4))
+
+
+def test_construction_memory_is_not_quadratic_in_lines():
+    # 2,000 single-point lines: an m x m intersection matrix alone would
+    # take 16 MB, and its blockwise temporaries far more
+    tracemalloc.start()
+    try:
+        LinearSystem(2000, [[i] for i in range(2000)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_validation_rejects_duplicates_and_empties():
@@ -96,6 +115,18 @@ def test_rank_errors_without_lines():
     with pytest.raises(NoLines):
         rank(LinearSystem(3, []))
     assert rank(LinearSystem(5, [[0, 1, 2], [3, 4]])) == 3
+
+
+def test_incidence_indexes_match_line_tuples():
+    for sys_ in build_corpus():
+        through = [[] for _ in range(sys_.num_points)]
+        for i, l in enumerate(sys_.line_tuples):
+            for v in l:
+                through[v].append(i)
+        assert sys_.lines_through == tuple(map(tuple, through))
+        assert is_intersecting(sys_) == all(
+            len(a & b) == 1 for a, b in combinations(sys_.lines, 2)
+        )
 
 
 def test_is_intersecting_cases(fano_input):
