@@ -14,31 +14,18 @@ def word_count(size: int) -> int:
 
 
 def pack_sets(sets, size: int) -> np.ndarray:
-    """Pack an iterable of index sets into an (m, W) uint64 matrix."""
-    rows = len(sets)
-    out = np.zeros((rows, word_count(size)), dtype=np.uint64)
-    for i, members in enumerate(sets):
+    """Pack an iterable of index sets into an (m, W) uint64 matrix. Each
+    row is built as one Python int, then split into little-endian words."""
+    words = word_count(size)
+    bit = [1 << i for i in range(size)]
+    buf = bytearray()
+    for members in sets:
+        row = 0
         for x in members:
-            out[i, x >> 6] |= np.uint64(1) << np.uint64(x & 63)
-    return out
+            row |= bit[x]
+        buf += row.to_bytes(8 * words, "little")
+    return np.frombuffer(buf, dtype="<u8").reshape(-1, words).astype(np.uint64)
 
 
 def pack_one(members, size: int) -> np.ndarray:
     return pack_sets([members], size)[0]
-
-
-def unpack(words: np.ndarray) -> list:
-    """Indices of the set bits, ascending."""
-    out = []
-    for w, value in enumerate(words):
-        v = int(value)
-        base = w << 6
-        while v:
-            low = v & -v
-            out.append(base + low.bit_length() - 1)
-            v ^= low
-    return out
-
-
-def popcount(words: np.ndarray) -> int:
-    return int(np.bitwise_count(words).sum())

@@ -153,9 +153,14 @@ def derive(sys: LinearSystem, r: int, caps: Caps = DEFAULT_CAPS) -> Derivation:
 
     reduced = delete_points(spanning, pendant_map.values())
 
+    # a spanning subsystem that keeps every line is the source itself
+    if spanning == sys:
+        gamma_spanning = report.gamma
+    else:
+        gamma_spanning = domination_number(spanning, caps=caps).value
     chain = {
         "gamma_source": report.gamma,
-        "gamma_spanning": domination_number(spanning, caps=caps).value,
+        "gamma_spanning": gamma_spanning,
         "tau_spanning": transversal_number(spanning, caps=caps).value,
         "tau_reduced": transversal_number(reduced, caps=caps).value,
         "target": r - 1,

@@ -13,7 +13,6 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import bitsets
 from .errors import (
     BadIndex,
     DuplicateLine,
@@ -43,8 +42,6 @@ class LinearSystem:
         "lines",
         "name",
         "line_tuples",
-        "line_words",
-        "point_lines",
         "degrees",
         "support",
         "pair_line",
@@ -79,9 +76,6 @@ class LinearSystem:
             tuple(sorted(l)) for l in cleaned
         )
 
-        m = len(cleaned)
-        self.line_words = bitsets.pack_sets(self.line_tuples, n)
-
         # Linearity: no point pair lies on two lines. A pair met again on
         # line i clashes with its first holder h, and every violating line
         # pair through that point pair starts at h or later, so the least
@@ -103,7 +97,6 @@ class LinearSystem:
         degs = np.fromiter(map(len, incident), dtype=np.int32, count=n)
         degs.setflags(write=False)
         self.degrees = degs
-        self.point_lines = bitsets.pack_sets(self.lines_through, m)
         self.support = frozenset(int(v) for v in np.nonzero(degs)[0])
         self.pair_line = pair
 
@@ -211,14 +204,17 @@ def is_spanning_subsystem(sub: LinearSystem, sys: LinearSystem) -> bool:
     return all(l in host for l in sub.lines)
 
 
+def _collinear(sys: LinearSystem, u: int, v: int) -> bool:
+    """Distinct points u and v lie on a common line."""
+    return (min(u, v), max(u, v)) in sys.pair_line
+
+
 def collinearity_adjacent(sys: LinearSystem, u: int, v: int) -> bool:
     """Two points are adjacent when some line contains both. A point is
     adjacent to itself by convention."""
     a = _as_point(u, sys.num_points, "collinearity_adjacent")
     b = _as_point(v, sys.num_points, "collinearity_adjacent")
-    if a == b:
-        return True
-    return bool((sys.point_lines[a] & sys.point_lines[b]).any())
+    return a == b or _collinear(sys, a, b)
 
 
 def closed_neighborhood(sys: LinearSystem, v: int) -> frozenset:
@@ -319,10 +315,6 @@ def _histogram(col: Dict[int, int]) -> Dict[int, int]:
     return out
 
 
-def _adjacent(sys: LinearSystem, u: int, v: int) -> bool:
-    return bool((sys.point_lines[u] & sys.point_lines[v]).any())
-
-
 def are_isomorphic(a: LinearSystem, b: LinearSystem, caps: Caps = DEFAULT_CAPS) -> IsoCertificate:
     """Hypergraph isomorphism after pendant reduction of both systems.
     With equal support sizes, line counts and line-size multisets, any
@@ -397,7 +389,7 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
             if u in mapping:
                 continue
             k = (
-                -sum(1 for v in mapping if _adjacent(sub, u, v)),
+                -sum(1 for v in mapping if _collinear(sub, u, v)),
                 priority[u],
                 u,
             )

@@ -12,6 +12,7 @@ from typing import FrozenSet, Iterable, Optional, Tuple
 
 import numpy as np
 
+from . import bitsets
 from .core import LinearSystem
 from .errors import NotPrimePower, OddOrder, SizeLimit
 from .field import FieldTable, is_prime, make_field
@@ -127,7 +128,9 @@ def verify_plane_axioms(sys: LinearSystem) -> PlaneReport:
                     )
 
     if m > 1:
-        counts = ACTIVE.pairwise_intersections(sys.line_words)
+        counts = ACTIVE.pairwise_intersections(
+            bitsets.pack_sets(sys.line_tuples, n)
+        )
         iu = np.triu_indices(m, 1)
         flat = counts[iu]
         if (flat == 0).any():

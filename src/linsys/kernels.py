@@ -1,5 +1,10 @@
 """Hot loops: pairwise intersection counts and the three exact searches.
 
+Kernels take plain numpy arrays. Their callers build them right before the
+call: the solvers pack point and line sets into uint64 bitsets with
+``bitsets.pack_sets`` and pad line lists, and the plane-axiom check packs
+the lines it counts. ``LinearSystem`` itself holds no packed arrays.
+
 Each search kernel is written once in numba-compatible form. When numba is
 importable and ``LINSYS_PURE_NUMPY`` is unset, jitted copies run; otherwise
 the same functions execute as plain Python over numpy arrays. Both paths
@@ -67,11 +72,13 @@ def _tau_search(point_lines, line_points, line_sizes, line_words, max_degree, be
     best0:       incumbent size (from the greedy transversal).
 
     Branch rule: uncovered line of minimum size, lowest index; its points in
-    ascending order. Bounds, tried in this order at a node with U uncovered
-    lines: one more point is needed; the degree bound ceil(U / max_degree),
-    since one point hits at most max_degree lines; greedy pairwise-disjoint
-    uncovered lines, scanned in index order. A node is pruned once a bound
-    shows that its subtree holds no transversal smaller than the incumbent.
+    ascending order. Bounds, tried in this order at a node with U >= 1
+    uncovered lines: the degree bound ceil(U / max_degree), since one point
+    hits at most max_degree lines (it is at least 1, so it also prunes
+    every node where one more point cannot beat the incumbent); greedy
+    pairwise-disjoint uncovered lines, scanned in index order. A node is
+    pruned once a bound shows that its subtree holds no transversal smaller
+    than the incumbent.
     Returns (best, improved, witness_buffer, nodes); the first `best`
     witness entries are meaningful only when improved == 1.
     """
@@ -114,9 +121,6 @@ def _tau_search(point_lines, line_points, line_sizes, line_words, max_degree, be
                     improved = 1
                     for i in range(d):
                         witness[i] = chosen[i]
-                d -= 1
-                continue
-            if d + 1 >= best:
                 d -= 1
                 continue
             if d + (m - covered + max_degree - 1) // max_degree >= best:

@@ -108,10 +108,10 @@ def transversal_number(
     seed = greedy_transversal(sys)
     line_points, line_sizes = _padded_lines(sys)
     best, improved, wit, nodes = ks.tau_search(
-        sys.point_lines,
+        bitsets.pack_sets(sys.lines_through, sys.num_lines),
         line_points,
         line_sizes,
-        sys.line_words,
+        bitsets.pack_sets(sys.line_tuples, sys.num_points),
         int(sys.degrees.max()),
         len(seed),
     )

@@ -93,6 +93,34 @@ def test_derive_from_extended_fragment(fano):
     assert set(d.chain.values()) == {3}
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_derive_solves_gamma_once_on_extended_planes(q, monkeypatch):
+    # the spanning subsystem of a pendant-extended plane keeps every line,
+    # so its gamma is the source's and is not solved a second time
+    import linsys.constructions as constructions
+
+    calls = []
+    solve = constructions.domination_number
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "domination_number", counted)
+    ext = extend_with_pendant_points(projective_plane(q).system)
+    d = derive(ext, q + 2)
+    assert len(calls) == 1
+    assert d.spanning == ext
+    # the chain that two gamma solves gave
+    assert d.chain == {
+        "gamma_source": q + 1,
+        "gamma_spanning": q + 1,
+        "tau_spanning": q + 1,
+        "tau_reduced": q + 1,
+        "target": q + 1,
+    }
+
+
 def test_derive_rejects_non_members(fano):
     with pytest.raises(NotMember):
         derive(fano, 3)

@@ -211,6 +211,14 @@ def test_adjacency(fano_input):
     assert closed_neighborhood(lonely, 7) == frozenset({7})
 
 
+def test_adjacency_matches_line_scan():
+    for sys_ in build_corpus():
+        for u in range(sys_.num_points):
+            for v in range(sys_.num_points):
+                expected = u == v or any(u in l and v in l for l in sys_.lines)
+                assert collinearity_adjacent(sys_, u, v) == expected
+
+
 def test_pendant_reduction_path():
     # endpoints go; the shrunken 1-point lines keep 1 and 2 at degree 2
     path = LinearSystem(4, [[0, 1], [1, 2], [2, 3]])

@@ -7,6 +7,7 @@ import pytest
 
 from linsys import (
     LinearSystem,
+    bitsets,
     domination_number,
     projective_plane,
     transversal_number,
@@ -29,7 +30,7 @@ def test_active_backend_selection():
 
 @pytest.mark.skipif(JIT_KERNELS is None, reason="numba unavailable")
 def test_pairwise_backends_agree(fano):
-    words = fano.line_words
+    words = bitsets.pack_sets(fano.line_tuples, fano.num_points)
     a = PY_KERNELS.pairwise_intersections(words)
     b = JIT_KERNELS.pairwise_intersections(words)
     assert np.array_equal(a, b)
@@ -41,8 +42,43 @@ def test_pairwise_backends_agree(fano):
     )
 
 
+def _pack_per_bit(sets, size):
+    out = np.zeros((len(sets), bitsets.word_count(size)), dtype=np.uint64)
+    for i, members in enumerate(sets):
+        for x in members:
+            out[i, int(x) >> 6] |= np.uint64(1) << np.uint64(int(x) & 63)
+    return out
+
+
+@pytest.mark.parametrize(
+    "sets, size",
+    [
+        ([[0], [63], [64], [127], [0, 63, 64, 127]], 128),
+        ([[], [5], []], 10),
+        ([[], []], 200),
+        ([], 64),
+        ([], 0),
+        ([[]], 0),
+        ([[0, 1, 2], [65, 64, 1]], 66),
+        ([np.array([0, 63, 64, 127], dtype=np.int32), [np.int64(70)]], 128),
+        ([{np.uint16(3), np.int8(100)}, (np.intp(127),)], 128),
+        ([range(129)], 129),
+    ],
+)
+def test_pack_sets_matches_per_bit_reference(sets, size):
+    got = bitsets.pack_sets(sets, size)
+    want = _pack_per_bit(sets, size)
+    assert got.dtype == np.uint64
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    if sets:
+        assert np.array_equal(bitsets.pack_one(sets[0], size), want[0])
+
+
 def test_pairwise_matches_set_arithmetic(fano):
-    counts = ACTIVE.pairwise_intersections(fano.line_words)
+    counts = ACTIVE.pairwise_intersections(
+        bitsets.pack_sets(fano.line_tuples, fano.num_points)
+    )
     for i in range(7):
         for j in range(7):
             assert counts[i, j] == len(fano.lines[i] & fano.lines[j])
