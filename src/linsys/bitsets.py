@@ -1,7 +1,8 @@
 """Fixed-width bitsets stored as little arrays of uint64 words.
 
-Every point/line set that reaches a hot kernel is packed this way, so
-intersections and coverage tests cost O(size/64) words.
+Only the tau kernel and the plane-axiom check's pairwise intersection
+count take packed words, so their coverage tests and intersections cost
+O(size/64) words. The gamma kernel takes dense uint8 masks instead.
 """
 
 import numpy as np
@@ -25,7 +26,3 @@ def pack_sets(sets, size: int) -> np.ndarray:
             row |= bit[x]
         buf += row.to_bytes(8 * words, "little")
     return np.frombuffer(buf, dtype="<u8").reshape(-1, words).astype(np.uint64)
-
-
-def pack_one(members, size: int) -> np.ndarray:
-    return pack_sets([members], size)[0]

@@ -1,9 +1,19 @@
 """Hot loops: pairwise intersection counts and the three exact searches.
 
 Kernels take plain numpy arrays. Their callers build them right before the
-call: the solvers pack point and line sets into uint64 bitsets with
-``bitsets.pack_sets`` and pad line lists, and the plane-axiom check packs
+call: the tau solver packs point and line sets into uint64 bitsets with
+``bitsets.pack_sets``, the gamma solver builds a dense (n, n) uint8
+closed-neighbourhood matrix and a uint8 mask of the points to dominate,
+the tau and nu2 solvers pad line lists, and the plane-axiom check packs
 the lines it counts. ``LinearSystem`` itself holds no packed arrays.
+
+The gamma kernel does each node in a fixed number of whole-array steps
+over 0/1 uint8 masks, so the pure-numpy path runs no per-candidate Python
+loop. It keeps to what numba compiles for integer arrays: elementwise
+ufuncs with broadcasting, ``.sum(axis=1)``, ``.max()``, ``.any()``,
+``.argmin()`` and three-array ``np.where``; no ``@``/``np.dot``
+(float-only in numba), no ``np.bitwise_count`` and no boolean fancy
+indexing.
 
 Each search kernel is written once in numba-compatible form. When numba is
 importable and ``LINSYS_PURE_NUMPY`` is unset, jitted copies run; otherwise
@@ -168,13 +178,15 @@ def _tau_search(point_lines, line_points, line_sizes, line_words, max_degree, be
     return best, improved, witness, nodes
 
 
-def _gamma_search(cover_words, cover_lists, cover_sizes, universe, best0):
+def _gamma_search(cover, cover_lists, cover_sizes, universe, best0):
     """Branch and bound for minimum set cover by closed neighborhoods.
 
-    cover_words: (n, W) uint64, closed neighborhood of each candidate point.
+    cover:       (n, n) uint8, cover[v, u] = 1 when u is in the closed
+                 neighborhood of v; symmetric, so row u also lists the
+                 candidates that cover u.
     cover_lists: (n, cmax) int32, neighborhood members ascending, -1 padded.
     cover_sizes: (n,) int32.
-    universe:    (W,) uint64, points still needing domination (nonempty).
+    universe:    (n,) uint8, 1 at points still needing domination (nonempty).
 
     Branch rule: uncovered point with the fewest covering candidates, lowest
     index; candidates in ascending order. Tried-candidate exclusion: once
@@ -183,22 +195,27 @@ def _gamma_search(cover_words, cover_lists, cover_sizes, universe, best0):
     u's later candidates. Bounds over the candidates not excluded: a node
     where some uncovered point has no such candidate is pruned; otherwise
     ceil(remaining / best residual cover).
+
+    Each depth keeps 0/1 uint8 masks over the points (uncovered, excluded,
+    tried), so a node costs a fixed number of whole-array steps: two
+    masked row sums of `cover`, a max and an argmin, all within the numba
+    subset named in the module docstring.
     """
-    n = cover_words.shape[0]
-    w = universe.shape[0]
+    n = cover.shape[0]
     nodes = np.int64(0)
     best = np.int64(best0)
     improved = np.int64(0)
 
     cap = best0 + 2
     witness = np.full(cap, -1, dtype=np.int32)
-    cov = np.zeros((cap, w), dtype=np.uint64)
-    excluded = np.zeros((cap, w), dtype=np.uint64)
-    tried = np.zeros((cap, w), dtype=np.uint64)
-    reach = np.zeros(w, dtype=np.uint64)
+    uncovered = np.zeros((cap, n), dtype=np.uint8)
+    excluded = np.zeros((cap, n), dtype=np.uint8)
+    tried = np.zeros((cap, n), dtype=np.uint8)
+    no_branch = np.full(n, n + 1, dtype=np.int32)
     branch_point = np.zeros(cap, dtype=np.int32)
     branch_pos = np.zeros(cap, dtype=np.int32)
     chosen = np.zeros(cap, dtype=np.int32)
+    uncovered[0] = universe
 
     d = 0
     pending = True
@@ -206,18 +223,8 @@ def _gamma_search(cover_words, cover_lists, cover_sizes, universe, best0):
         if pending:
             nodes += 1
             pending = False
-            remaining = np.int64(0)
-            for i in range(w):
-                x = universe[i] & ~cov[d, i]
-                x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-                x = (x & np.uint64(0x3333333333333333)) + (
-                    (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-                )
-                x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-                x = x + (x >> np.uint64(8))
-                x = x + (x >> np.uint64(16))
-                x = x + (x >> np.uint64(32))
-                remaining += np.int64(x & np.uint64(0x7F))
+            uncov = uncovered[d]
+            remaining = np.int64(uncov.sum())
             if remaining == 0:
                 if d < best:
                     best = d
@@ -229,68 +236,41 @@ def _gamma_search(cover_words, cover_lists, cover_sizes, universe, best0):
             if d + 1 >= best:
                 d -= 1
                 continue
-            maxcov = np.int64(0)
-            for i in range(w):
-                reach[i] = 0
-            for v in range(n):
-                if (excluded[d, v >> 6] >> np.uint64(v & 63)) & np.uint64(1):
-                    continue
-                c = np.int64(0)
-                for i in range(w):
-                    x = cover_words[v, i] & universe[i] & ~cov[d, i]
-                    reach[i] |= x
-                    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-                    x = (x & np.uint64(0x3333333333333333)) + (
-                        (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-                    )
-                    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-                    x = x + (x >> np.uint64(8))
-                    x = x + (x >> np.uint64(16))
-                    x = x + (x >> np.uint64(32))
-                    c += np.int64(x & np.uint64(0x7F))
-                if c > maxcov:
-                    maxcov = c
-            stranded = False
-            for i in range(w):
-                if universe[i] & ~cov[d, i] & ~reach[i]:
-                    stranded = True
-                    break
-            if stranded:
+            allowed = excluded[d] == 0
+            # by symmetry, row u of cover & allowed counts u's candidates
+            reach = (cover & allowed).sum(axis=1)
+            if ((reach == 0) & (uncov == 1)).any():
                 d -= 1
                 continue
+            residual = (cover & uncov).sum(axis=1)
+            maxcov = np.int64((residual * allowed).max())
             lb = (remaining + maxcov - 1) // maxcov
             if d + lb >= best:
                 d -= 1
                 continue
-            bu = -1
-            for u in range(n):
-                if ((universe[u >> 6] >> np.uint64(u & 63)) & np.uint64(1)) == 0:
-                    continue
-                if (cov[d, u >> 6] >> np.uint64(u & 63)) & np.uint64(1):
-                    continue
-                if bu < 0 or cover_sizes[u] < cover_sizes[bu]:
-                    bu = u
-            branch_point[d] = bu
+            branch_point[d] = np.where(
+                uncov == 1, cover_sizes, no_branch
+            ).argmin()
             branch_pos[d] = 0
-            for i in range(w):
-                tried[d, i] = 0
+            tried[d] = 0
             continue
         u = branch_point[d]
         v = -1
         while branch_pos[d] < cover_sizes[u]:
             v = cover_lists[u, branch_pos[d]]
             branch_pos[d] += 1
-            if ((excluded[d, v >> 6] >> np.uint64(v & 63)) & np.uint64(1)) == 0:
+            if excluded[d, v] == 0:
                 break
             v = -1
         if v < 0:
             d -= 1
             continue
         chosen[d] = v
-        for i in range(w):
-            cov[d + 1, i] = cov[d, i] | cover_words[v, i]
-            excluded[d + 1, i] = excluded[d, i] | tried[d, i]
-        tried[d, v >> 6] |= np.uint64(1) << np.uint64(v & 63)
+        # ~ turns cover's 1s into 0xFE and its 0s into 0xFF, so the & clears
+        # exactly the points v covers
+        uncovered[d + 1] = uncovered[d] & ~cover[v]
+        excluded[d + 1] = excluded[d] | tried[d]
+        tried[d, v] = 1
         d += 1
         pending = True
     return best, improved, witness, nodes

@@ -1,6 +1,8 @@
 """Exact transversal, domination and 2-packing numbers with witnesses.
 
-Each solver prepares packed arrays, seeds an incumbent with a deterministic
+Each solver prepares its kernel's arrays (packed uint64 bitsets for tau,
+a dense uint8 closed-neighbourhood matrix and point mask for gamma, padded
+line lists for tau and nu2), seeds an incumbent with a deterministic
 greedy, and runs the matching branch-and-bound kernel. Tie-breaking is by
 lowest index throughout, so identical inputs always give identical
 witnesses. Witnesses are re-verified by independent set-logic checkers that
@@ -156,18 +158,21 @@ def domination_number(
     for l in sys.lines:
         for v in l:
             hoods[v] |= l
-    cover_words = bitsets.pack_sets(hoods, n)
     cmax = max(len(h) for h in hoods)
-    cover_lists = np.full((n, cmax), -1, dtype=np.int32)
-    cover_sizes = np.zeros(n, dtype=np.int32)
-    for v, h in enumerate(hoods):
-        cover_lists[v, : len(h)] = sorted(h)
-        cover_sizes[v] = len(h)
-    universe = bitsets.pack_one(support, n)
+    cover_lists = np.array(
+        [sorted(h) + [-1] * (cmax - len(h)) for h in hoods], dtype=np.int32
+    )
+    cover_sizes = np.array([len(h) for h in hoods], dtype=np.int32)
+    cover = np.zeros((n, n), dtype=np.uint8)
+    # the unpadded entries of cover_lists, row after row
+    rows = np.repeat(np.arange(n), cover_sizes)
+    cover[rows, cover_lists[cover_lists >= 0]] = 1
+    universe = np.zeros(n, dtype=np.uint8)
+    universe[support] = 1
 
     seed = _greedy_domination(hoods, support)
     best, improved, wit, nodes = ks.gamma_search(
-        cover_words, cover_lists, cover_sizes, universe, len(seed)
+        cover, cover_lists, cover_sizes, universe, len(seed)
     )
     inner = (
         [int(v) for v in wit[: int(best)]] if improved else list(seed)

@@ -71,8 +71,6 @@ def test_pack_sets_matches_per_bit_reference(sets, size):
     assert got.dtype == np.uint64
     assert got.shape == want.shape
     assert np.array_equal(got, want)
-    if sets:
-        assert np.array_equal(bitsets.pack_one(sets[0], size), want[0])
 
 
 def test_pairwise_matches_set_arithmetic(fano):

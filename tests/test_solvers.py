@@ -260,6 +260,30 @@ def test_pinned_values_and_witnesses(name):
         assert (res.value, res.witness) == answer, kind
 
 
+# (value, witness, nodes) of gamma. No search bound changed since these
+# were recorded, so the node counts are fixed too: a faster kernel must do
+# the same traversal. ext-PG(2,8) has 146 points, past the default solver
+# cap and past one 64-bit word.
+PINNED_GAMMA_NODES = {
+    "triangular-9": (lambda: triangular_system(9), (4, (0, 15, 26, 33), 166)),
+    "triangular-10": (
+        lambda: triangular_system(10), (5, (0, 7, 17, 30, 39), 2041)
+    ),
+    "ext-PG(2,3)": (lambda: _extended_plane(3), (4, (0, 1, 2, 3), 10)),
+    "ext-PG(2,4)": (lambda: _extended_plane(4), (5, (0, 1, 2, 3, 4), 17)),
+    "ext-PG(2,8)": (lambda: _extended_plane(8), (9, tuple(range(9)), 56)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GAMMA_NODES))
+def test_pinned_gamma_nodes(name):
+    build, answer = PINNED_GAMMA_NODES[name]
+    res = domination_number(
+        build(), caps=Caps(solver_points=1000, solver_lines=1000)
+    )
+    assert (res.value, res.witness, res.nodes_explored) == answer
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
 def test_plane_tau_settles_at_root(q):
     # the degree bound ceil((q^2+q+1)/(q+1)) = q+1 meets the greedy line
