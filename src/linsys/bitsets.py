@@ -1,8 +1,8 @@
 """Fixed-width bitsets stored as little arrays of uint64 words.
 
-Only the tau kernel and the plane-axiom check's pairwise intersection
-count take packed words, so their coverage tests and intersections cost
-O(size/64) words. The gamma kernel takes dense uint8 masks instead.
+Only the plane-axiom check's pairwise intersection count takes packed
+words, so each intersection costs O(size/64) words. The search kernels
+take dense uint8 masks instead.
 """
 
 import numpy as np

@@ -1,13 +1,20 @@
-"""Hot loops: pairwise intersection counts and the three exact searches.
+"""Hot loops: pairwise intersection counts and the exact searches.
 
-Kernels take plain numpy arrays. Their callers build them right before the
-call: the tau solver packs point and line sets into uint64 bitsets with
-``bitsets.pack_sets``, the gamma solver builds a dense (n, n) uint8
-closed-neighbourhood matrix and a uint8 mask of the points to dominate,
-the tau and nu2 solvers pad line lists, and the plane-axiom check packs
-the lines it counts. ``LinearSystem`` itself holds no packed arrays.
+Kernels take plain numpy arrays that their callers build right before the
+call; ``LinearSystem`` itself holds no packed arrays. Two searches cover
+all three invariants:
 
-The gamma kernel does each node in a fixed number of whole-array steps
+- ``_cover_search`` finds a minimum set cover, given as a (k, e) uint8
+  matrix ``covers`` of k candidates over e elements and its transpose.
+  For tau the candidates are the points and the elements the lines; for
+  gamma both are the points, a point covering its closed neighbourhood,
+  so the matrix is symmetric and is passed as its own transpose.
+- ``_nu2_search`` finds a maximum 2-packing over padded line lists and
+  the (m, m) table of the points where two lines meet.
+
+The plane-axiom check packs the lines it counts into uint64 words.
+
+The cover search does each node in a fixed number of whole-array steps
 over 0/1 uint8 masks, so the pure-numpy path runs no per-candidate Python
 loop. It keeps to what numba compiles for integer arrays: elementwise
 ufuncs with broadcasting, ``.sum(axis=1)``, ``.max()``, ``.any()``,
@@ -19,7 +26,7 @@ Each search kernel is written once in numba-compatible form. When numba is
 importable and ``LINSYS_PURE_NUMPY`` is unset, jitted copies run; otherwise
 the same functions execute as plain Python over numpy arrays. Both paths
 perform the identical traversal, so values, witnesses and node counts match
-bit for bit (``benchmarks/bench_kernels.py`` compares their speed).
+bit for bit.
 
 All kernels are self-contained on purpose: no calls into module helpers, so
 the uncompiled fallback never leaks into jitted code or vice versa.
@@ -71,148 +78,49 @@ def _pairwise_loop(words):
     return out
 
 
-def _tau_search(point_lines, line_points, line_sizes, line_words, max_degree, best0):
-    """Branch and bound for the minimum transversal.
+def _cover_search(covers, covered_by, cand_lists, cand_sizes, universe, best0):
+    """Branch and bound for a minimum set cover.
 
-    point_lines: (n, MW) uint64, lines through each point packed over lines.
-    line_points: (m, rmax) int32, points of each line ascending, -1 padded.
-    line_sizes:  (m,) int32.
-    line_words:  (m, W) uint64, point set of each line.
-    max_degree:  largest number of lines through one point (>= 1).
-    best0:       incumbent size (from the greedy transversal).
+    covers:      (k, e) uint8, covers[v, u] = 1 when candidate v covers
+                 element u.
+    covered_by:  (e, k) uint8, the C-contiguous transpose of covers.
+    cand_lists:  (e, cmax) int32, the candidates covering each element,
+                 ascending, -1 padded.
+    cand_sizes:  (e,) int32, the number of candidates covering each element.
+    universe:    (e,) uint8, 1 at the elements to cover (at least one).
+    best0:       incumbent size (from a greedy cover).
 
-    Branch rule: uncovered line of minimum size, lowest index; its points in
-    ascending order. Bounds, tried in this order at a node with U >= 1
-    uncovered lines: the degree bound ceil(U / max_degree), since one point
-    hits at most max_degree lines (it is at least 1, so it also prunes
-    every node where one more point cannot beat the incumbent); greedy
-    pairwise-disjoint uncovered lines, scanned in index order. A node is
-    pruned once a bound shows that its subtree holds no transversal smaller
-    than the incumbent.
+    tau passes the points as candidates over the lines; gamma passes its
+    symmetric closed-neighbourhood matrix as both covers and covered_by.
+
+    Branch rule: the uncovered element with the fewest candidates, lowest
+    index on ties; its candidates in ascending order. Tried-candidate
+    exclusion: once the subtree of candidate v of the branch element is
+    finished, every cover containing v has been searched, so v is excluded
+    from the subtrees of the later candidates. Bounds, in this order, over
+    the candidates not excluded: a node is pruned when one more candidate
+    cannot beat the incumbent, when some uncovered element has no such
+    candidate left (stranded), or when ceil(remaining / maxcov) more are
+    needed, maxcov being the largest residual cover of one candidate.
+
+    Each depth keeps 0/1 uint8 masks over the elements (uncovered) and over
+    the candidates (excluded, tried), so a node costs a fixed number of
+    whole-array steps: two masked row sums, a max and an argmin.
     Returns (best, improved, witness_buffer, nodes); the first `best`
     witness entries are meaningful only when improved == 1.
     """
-    m = line_sizes.shape[0]
-    mw = point_lines.shape[1]
-    w = line_words.shape[1]
+    k, e = covers.shape
     nodes = np.int64(0)
     best = np.int64(best0)
     improved = np.int64(0)
 
     cap = best0 + 2
     witness = np.full(cap, -1, dtype=np.int32)
-    cov = np.zeros((cap, mw), dtype=np.uint64)
-    branch_line = np.zeros(cap, dtype=np.int32)
-    branch_pos = np.zeros(cap, dtype=np.int32)
-    chosen = np.zeros(cap, dtype=np.int32)
-    used = np.zeros(w, dtype=np.uint64)
-
-    d = 0
-    pending = True
-    while d >= 0:
-        if pending:
-            nodes += 1
-            pending = False
-            covered = np.int64(0)
-            for i in range(mw):
-                x = cov[d, i]
-                x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-                x = (x & np.uint64(0x3333333333333333)) + (
-                    (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-                )
-                x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-                x = x + (x >> np.uint64(8))
-                x = x + (x >> np.uint64(16))
-                x = x + (x >> np.uint64(32))
-                covered += np.int64(x & np.uint64(0x7F))
-            if covered == m:
-                if d < best:
-                    best = d
-                    improved = 1
-                    for i in range(d):
-                        witness[i] = chosen[i]
-                d -= 1
-                continue
-            if d + (m - covered + max_degree - 1) // max_degree >= best:
-                d -= 1
-                continue
-            # greedy disjoint-line matching among uncovered lines
-            for i in range(w):
-                used[i] = 0
-            lb = 0
-            for j in range(m):
-                if (cov[d, j >> 6] >> np.uint64(j & 63)) & np.uint64(1):
-                    continue
-                disjoint = True
-                for i in range(w):
-                    if line_words[j, i] & used[i]:
-                        disjoint = False
-                        break
-                if disjoint:
-                    lb += 1
-                    for i in range(w):
-                        used[i] |= line_words[j, i]
-            if d + lb >= best:
-                d -= 1
-                continue
-            bl = -1
-            for j in range(m):
-                if (cov[d, j >> 6] >> np.uint64(j & 63)) & np.uint64(1):
-                    continue
-                if bl < 0 or line_sizes[j] < line_sizes[bl]:
-                    bl = j
-            branch_line[d] = bl
-            branch_pos[d] = 0
-            continue
-        j = branch_line[d]
-        if branch_pos[d] >= line_sizes[j]:
-            d -= 1
-            continue
-        p = line_points[j, branch_pos[d]]
-        branch_pos[d] += 1
-        chosen[d] = p
-        for i in range(mw):
-            cov[d + 1, i] = cov[d, i] | point_lines[p, i]
-        d += 1
-        pending = True
-    return best, improved, witness, nodes
-
-
-def _gamma_search(cover, cover_lists, cover_sizes, universe, best0):
-    """Branch and bound for minimum set cover by closed neighborhoods.
-
-    cover:       (n, n) uint8, cover[v, u] = 1 when u is in the closed
-                 neighborhood of v; symmetric, so row u also lists the
-                 candidates that cover u.
-    cover_lists: (n, cmax) int32, neighborhood members ascending, -1 padded.
-    cover_sizes: (n,) int32.
-    universe:    (n,) uint8, 1 at points still needing domination (nonempty).
-
-    Branch rule: uncovered point with the fewest covering candidates, lowest
-    index; candidates in ascending order. Tried-candidate exclusion: once
-    the subtree of candidate v of branch point u is finished, every cover
-    containing v has been searched, so v is excluded from the subtrees of
-    u's later candidates. Bounds over the candidates not excluded: a node
-    where some uncovered point has no such candidate is pruned; otherwise
-    ceil(remaining / best residual cover).
-
-    Each depth keeps 0/1 uint8 masks over the points (uncovered, excluded,
-    tried), so a node costs a fixed number of whole-array steps: two
-    masked row sums of `cover`, a max and an argmin, all within the numba
-    subset named in the module docstring.
-    """
-    n = cover.shape[0]
-    nodes = np.int64(0)
-    best = np.int64(best0)
-    improved = np.int64(0)
-
-    cap = best0 + 2
-    witness = np.full(cap, -1, dtype=np.int32)
-    uncovered = np.zeros((cap, n), dtype=np.uint8)
-    excluded = np.zeros((cap, n), dtype=np.uint8)
-    tried = np.zeros((cap, n), dtype=np.uint8)
-    no_branch = np.full(n, n + 1, dtype=np.int32)
-    branch_point = np.zeros(cap, dtype=np.int32)
+    uncovered = np.zeros((cap, e), dtype=np.uint8)
+    excluded = np.zeros((cap, k), dtype=np.uint8)
+    tried = np.zeros((cap, k), dtype=np.uint8)
+    no_branch = np.full(e, k + 1, dtype=np.int32)
+    branch_elem = np.zeros(cap, dtype=np.int32)
     branch_pos = np.zeros(cap, dtype=np.int32)
     chosen = np.zeros(cap, dtype=np.int32)
     uncovered[0] = universe
@@ -237,27 +145,26 @@ def _gamma_search(cover, cover_lists, cover_sizes, universe, best0):
                 d -= 1
                 continue
             allowed = excluded[d] == 0
-            # by symmetry, row u of cover & allowed counts u's candidates
-            reach = (cover & allowed).sum(axis=1)
+            reach = (covered_by & allowed).sum(axis=1)
             if ((reach == 0) & (uncov == 1)).any():
                 d -= 1
                 continue
-            residual = (cover & uncov).sum(axis=1)
+            residual = (covers & uncov).sum(axis=1)
             maxcov = np.int64((residual * allowed).max())
             lb = (remaining + maxcov - 1) // maxcov
             if d + lb >= best:
                 d -= 1
                 continue
-            branch_point[d] = np.where(
-                uncov == 1, cover_sizes, no_branch
+            branch_elem[d] = np.where(
+                uncov == 1, cand_sizes, no_branch
             ).argmin()
             branch_pos[d] = 0
             tried[d] = 0
             continue
-        u = branch_point[d]
+        u = branch_elem[d]
         v = -1
-        while branch_pos[d] < cover_sizes[u]:
-            v = cover_lists[u, branch_pos[d]]
+        while branch_pos[d] < cand_sizes[u]:
+            v = cand_lists[u, branch_pos[d]]
             branch_pos[d] += 1
             if excluded[d, v] == 0:
                 break
@@ -266,9 +173,9 @@ def _gamma_search(cover, cover_lists, cover_sizes, universe, best0):
             d -= 1
             continue
         chosen[d] = v
-        # ~ turns cover's 1s into 0xFE and its 0s into 0xFF, so the & clears
-        # exactly the points v covers
-        uncovered[d + 1] = uncovered[d] & ~cover[v]
+        # ~ turns covers' 1s into 0xFE and its 0s into 0xFF, so the & clears
+        # exactly the elements v covers
+        uncovered[d + 1] = uncovered[d] & ~covers[v]
         excluded[d + 1] = excluded[d] | tried[d]
         tried[d, v] = 1
         d += 1
@@ -382,8 +289,8 @@ class KernelSet:
 PY_KERNELS = KernelSet(
     name="numpy",
     pairwise_intersections=_pairwise_numpy,
-    tau_search=_tau_search,
-    gamma_search=_gamma_search,
+    tau_search=_cover_search,
+    gamma_search=_cover_search,
     nu2_search=_nu2_search,
 )
 
@@ -402,11 +309,12 @@ if not _pure_requested:
         pass
     else:
         _jit = njit(cache=True)
+        _jit_cover = _jit(_cover_search)
         JIT_KERNELS = KernelSet(
             name="numba",
             pairwise_intersections=_jit(_pairwise_loop),
-            tau_search=_jit(_tau_search),
-            gamma_search=_jit(_gamma_search),
+            tau_search=_jit_cover,
+            gamma_search=_jit_cover,
             nu2_search=_jit(_nu2_search),
         )
 

@@ -1,12 +1,15 @@
 """Exact transversal, domination and 2-packing numbers with witnesses.
 
-Each solver prepares its kernel's arrays (packed uint64 bitsets for tau,
-a dense uint8 closed-neighbourhood matrix and point mask for gamma, padded
-line lists for tau and nu2), seeds an incumbent with a deterministic
-greedy, and runs the matching branch-and-bound kernel. Tie-breaking is by
-lowest index throughout, so identical inputs always give identical
-witnesses. Witnesses are re-verified by independent set-logic checkers that
-share no code with the search.
+tau and gamma are minimum set covers and share one kernel: tau covers the
+lines with points, through a uint8 point-line incidence matrix and its
+transpose; gamma covers the points of the support with closed
+neighbourhoods, through a dense symmetric uint8 matrix that is its own
+transpose. nu2 runs its own kernel over padded line lists and a table of
+meeting points. Each solver prepares its kernel's arrays, seeds an
+incumbent with a deterministic greedy, and runs the search. Tie-breaking
+is by lowest index throughout, so identical inputs always give identical
+witnesses. Witnesses are re-verified by independent set-logic checkers
+that share no code with the search.
 """
 
 import time
@@ -15,7 +18,6 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import bitsets
 from .core import LinearSystem, degree_profile
 from .errors import NoLines, SizeLimit
 from .kernels import ACTIVE, KernelSet
@@ -66,6 +68,15 @@ def _padded_lines(sys: LinearSystem) -> Tuple[np.ndarray, np.ndarray]:
     return pts, sizes
 
 
+def _incidence(lists: np.ndarray, sizes: np.ndarray, width: int) -> np.ndarray:
+    """(rows, width) uint8 matrix with a 1 at each entry of the -1 padded
+    row lists."""
+    out = np.zeros((lists.shape[0], width), dtype=np.uint8)
+    # the unpadded entries of lists, row after row
+    out[np.repeat(np.arange(lists.shape[0]), sizes), lists[lists >= 0]] = 1
+    return out
+
+
 def _meeting_points(sys: LinearSystem) -> np.ndarray:
     """(m, m) int32 table: the point shared by lines i and j, or -1 when
     they are disjoint and on the diagonal. Filled from the lines through
@@ -108,13 +119,15 @@ def transversal_number(
     t0 = time.perf_counter()
 
     seed = greedy_transversal(sys)
+    # points are the candidates and lines the elements to cover
     line_points, line_sizes = _padded_lines(sys)
+    line_cover = _incidence(line_points, line_sizes, sys.num_points)
     best, improved, wit, nodes = ks.tau_search(
-        bitsets.pack_sets(sys.lines_through, sys.num_lines),
+        np.ascontiguousarray(line_cover.T),
+        line_cover,
         line_points,
         line_sizes,
-        bitsets.pack_sets(sys.line_tuples, sys.num_points),
-        int(sys.degrees.max()),
+        np.ones(sys.num_lines, dtype=np.uint8),
         len(seed),
     )
     witness = (
@@ -163,16 +176,14 @@ def domination_number(
         [sorted(h) + [-1] * (cmax - len(h)) for h in hoods], dtype=np.int32
     )
     cover_sizes = np.array([len(h) for h in hoods], dtype=np.int32)
-    cover = np.zeros((n, n), dtype=np.uint8)
-    # the unpadded entries of cover_lists, row after row
-    rows = np.repeat(np.arange(n), cover_sizes)
-    cover[rows, cover_lists[cover_lists >= 0]] = 1
+    cover = _incidence(cover_lists, cover_sizes, n)
     universe = np.zeros(n, dtype=np.uint8)
     universe[support] = 1
 
     seed = _greedy_domination(hoods, support)
+    # cover is symmetric, so it is its own transpose
     best, improved, wit, nodes = ks.gamma_search(
-        cover, cover_lists, cover_sizes, universe, len(seed)
+        cover, cover, cover_lists, cover_sizes, universe, len(seed)
     )
     inner = (
         [int(v) for v in wit[: int(best)]] if improved else list(seed)

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from linsys import (
     transversal_number,
     two_packing_number,
 )
+from linsys import kernels
 from linsys.kernels import ACTIVE, JIT_KERNELS, PURE_NUMPY_ENV, PY_KERNELS
 
 from corpus import build_corpus
@@ -131,3 +134,32 @@ def test_pure_numpy_env_flag():
 def test_domination_on_lineless_system_needs_no_kernels():
     res = domination_number(LinearSystem(3, []), kernels=PY_KERNELS)
     assert res.value == 3
+
+
+# What the jitted kernels may use of numpy; numba is absent from some test
+# environments, so this keeps the shared source inside the subset it
+# compiles even where no test can run the jitted path.
+NUMBA_NP_ATTRS = {"full", "zeros", "where", "int32", "int64", "uint8", "uint64"}
+
+
+@pytest.mark.parametrize(
+    "name", ["_cover_search", "_nu2_search", "_pairwise_loop"]
+)
+def test_kernel_source_stays_in_numba_subset(name):
+    tree = ast.parse(inspect.getsource(getattr(kernels, name)))
+    func = tree.body[0]
+    bound = {a.arg for a in func.args.args}
+    loaded = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Store):
+                bound.add(node.id)
+            else:
+                loaded.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Name) and node.value.id == "np":
+                assert node.attr in NUMBA_NP_ATTRS, f"np.{node.attr}"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+            assert not isinstance(node.op, ast.MatMult), "@ operator"
+    # self-contained: no module helpers, builtins other than range
+    assert loaded - bound <= {"np", "range"}

@@ -8,6 +8,7 @@ from linsys import (
     NoLines,
     SizeLimit,
     check_packing_gap,
+    delete_point,
     domination_number,
     extend_with_pendant_points,
     greedy_transversal,
@@ -284,9 +285,71 @@ def test_pinned_gamma_nodes(name):
     assert (res.value, res.witness, res.nodes_explored) == answer
 
 
+def _deep_random_system():
+    # 30 points, 17 lines, not intersecting: gamma revisits branch points at
+    # several depths, so stale tried-candidate exclusions would show here
+    return LinearSystem(
+        30,
+        [
+            [9, 11, 13, 27], [5, 15, 19, 20, 23, 26], [8, 11, 16, 17, 23, 28],
+            [4, 16], [10], [12, 15, 18], [1, 10, 13, 21, 22], [4, 7, 8, 25, 29],
+            [3], [6, 14, 17, 26, 27], [12, 19, 22, 24, 27, 28], [23],
+            [0, 3, 10, 17, 24, 25], [19], [0, 1, 16], [1, 2, 3, 12, 26],
+            [5, 9, 25],
+        ],
+    )
+
+
+# (value, witness, nodes) of tau on systems where its search branches. A
+# change of search bound may move the node counts (never the value or the
+# witness); it must say so and re-record them here.
+PINNED_TAU_NODES = {
+    "deep-random-30": (
+        _deep_random_system, (8, (3, 10, 12, 16, 19, 23, 25, 27), 28)
+    ),
+    "PG(2,3)-minus-point": (
+        lambda: delete_point(_plane(3), 0), (4, (1, 4, 7, 10), 13)
+    ),
+    "random-28a": (
+        lambda: LinearSystem(
+            28,
+            [
+                [4, 5, 8], [7, 13, 15, 16, 17], [3, 5, 10, 23, 26, 27],
+                [19, 22], [1, 2, 4, 18, 24, 25], [20], [10, 15, 20],
+                [2, 8, 9, 19, 20, 21, 27], [17, 18], [6, 10], [12],
+                [0, 1, 6, 20, 23], [7], [14, 21], [0, 13], [6, 16, 22],
+                [6, 15, 21], [11, 20, 22], [23], [27], [10, 11, 21], [4, 21],
+            ],
+        ),
+        (11, (0, 4, 6, 7, 12, 17, 19, 20, 21, 23, 27), 34),
+    ),
+    "random-28b": (
+        lambda: LinearSystem(
+            28,
+            [
+                [3, 16, 18, 21, 24], [7, 22], [0, 8, 16, 17, 23],
+                [0, 1, 3, 12], [5, 6, 15, 18], [2, 15, 19, 26],
+                [1, 14, 24, 27], [1, 17], [27], [7, 12, 13, 20, 23], [26],
+                [12, 25, 27], [14, 25], [1, 10, 16, 26], [10, 19, 24],
+                [4, 7, 10, 25], [22, 23],
+            ],
+        ),
+        (8, (1, 7, 10, 14, 18, 23, 26, 27), 23),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TAU_NODES))
+def test_pinned_tau_nodes(name):
+    build, answer = PINNED_TAU_NODES[name]
+    res = transversal_number(build())
+    assert (res.value, res.witness, res.nodes_explored) == answer
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
 def test_plane_tau_settles_at_root(q):
-    # the degree bound ceil((q^2+q+1)/(q+1)) = q+1 meets the greedy line
+    # the residual-cover bound ceil((q^2+q+1)/(q+1)) = q+1 meets the greedy
+    # line
     res = transversal_number(_plane(q))
     assert res.value == q + 1
     assert res.nodes_explored == 1
@@ -300,18 +363,7 @@ def test_plane_nu2_order_eight():
 
 
 def test_pinned_deep_random_system():
-    # 30 points, 17 lines, not intersecting: gamma revisits branch points at
-    # several depths, so stale tried-candidate exclusions would show here
-    sys_ = LinearSystem(
-        30,
-        [
-            [9, 11, 13, 27], [5, 15, 19, 20, 23, 26], [8, 11, 16, 17, 23, 28],
-            [4, 16], [10], [12, 15, 18], [1, 10, 13, 21, 22], [4, 7, 8, 25, 29],
-            [3], [6, 14, 17, 26, 27], [12, 19, 22, 24, 27, 28], [23],
-            [0, 3, 10, 17, 24, 25], [19], [0, 1, 16], [1, 2, 3, 12, 26],
-            [5, 9, 25],
-        ],
-    )
+    sys_ = _deep_random_system()
     tau = transversal_number(sys_)
     assert (tau.value, tau.witness) == (8, (3, 10, 12, 16, 19, 23, 25, 27))
     gamma = domination_number(sys_)
