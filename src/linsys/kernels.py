@@ -9,18 +9,19 @@ all three invariants:
   For tau the candidates are the points and the elements the lines; for
   gamma both are the points, a point covering its closed neighbourhood,
   so the matrix is symmetric and is passed as its own transpose.
-- ``_nu2_search`` finds a maximum 2-packing over padded line lists and
-  the (m, m) table of the points where two lines meet.
+- ``_nu2_search`` finds a maximum 2-packing, given as the (m, n) uint8
+  line-point incidence and its transpose. Its state is one row per depth,
+  O(m * n) in all; it needs no (m, m) table of meeting points.
 
 The plane-axiom check packs the lines it counts into uint64 words.
 
-The cover search does each node in a fixed number of whole-array steps
-over 0/1 uint8 masks, so the pure-numpy path runs no per-candidate Python
-loop. It keeps to what numba compiles for integer arrays: elementwise
-ufuncs with broadcasting, ``.sum(axis=1)``, ``.max()``, ``.any()``,
-``.argmin()`` and three-array ``np.where``; no ``@``/``np.dot``
-(float-only in numba), no ``np.bitwise_count`` and no boolean fancy
-indexing.
+Both searches do each node in a fixed number of whole-array steps over
+0/1 uint8 masks and small integer rows, so the pure-numpy path runs no
+Python loop over candidates, lines or points. They keep to what numba
+compiles for integer arrays: elementwise ufuncs with broadcasting,
+``.sum(axis=1)``, ``.max()``, ``.any()``, ``.argmin()`` and three-array
+``np.where``; no ``@``/``np.dot`` (float-only in numba), no
+``np.bitwise_count`` and no boolean fancy indexing.
 
 Each search kernel is written once in numba-compatible form. When numba is
 importable and ``LINSYS_PURE_NUMPY`` is unset, jitted copies run; otherwise
@@ -183,97 +184,104 @@ def _cover_search(covers, covered_by, cand_lists, cand_sizes, universe, best0):
     return best, improved, witness, nodes
 
 
-def _nu2_search(line_points, line_sizes, num_points, meet):
+def _nu2_search(lines, through):
     """Branch and bound for the maximum 2-packing.
 
-    meet: (m, m) int32, the point shared by lines i and j, or -1 when they
-    are disjoint (and on the diagonal).
+    lines: (m, n) uint8 line-point incidence; through: its C-contiguous
+    (n, m) transpose.
 
-    Lines are decided in index order, include branch first. A line is
-    selectable while all its points are covered at most once. Meet bound:
-    a line added below a node either misses a chosen line l or meets it at
-    a once-covered point of l, and no two added lines share such a point.
-    So at most (selectable lines missing l) + (points of l on a selectable
-    line) lines can still be added, for every chosen l, and at most the
-    number of selectable lines. For an intersecting system this gives
-    nu2 <= rank + 1. Prune when current size plus the least of these cannot
-    beat the incumbent. Returns (best, witness_buffer, nodes); the first
-    `best` entries of the buffer are the chosen line indices (ascending).
+    Lines are decided in index order, include branch first. Below depth d
+    a line is selectable while its index is at least d and none of its
+    points is covered twice. Meet bound: a line added below a node misses
+    a chosen line l or meets it at a once-covered point of l, and no two
+    added lines share such a point. A line meets l at most once, so with
+    deg[p] the number of selectable lines through p and sel their number,
+    at most b_l = (sel - sum_{p in l} deg[p]) + #{p in l: deg[p] > 0}
+    = sel - sum_{p in l} max(deg[p] - 1, 0) lines can still be added. On
+    an intersecting system this gives nu2 <= rank + 1. Prune when the size
+    plus min(sel, min_l b_l) cannot beat the incumbent.
+
+    Depth d keeps its own cover count per point, blocked lines (the lines
+    below d among them), deg and sel, written from depth d - 1 on the way
+    down, so backtracking undoes nothing; a stack holds the chosen lines'
+    rows. deg and sel are recounted only when a chosen line covers some
+    point twice. Returns (best, witness_buffer, nodes); the first `best`
+    entries of the buffer are the chosen line indices (ascending).
     """
-    m = line_sizes.shape[0]
-    counts = np.zeros(num_points, dtype=np.uint8)
-    stamp = np.zeros(num_points, dtype=np.int64)
-    phase = np.zeros(m + 2, dtype=np.uint8)
+    m, n = lines.shape
+    counts = np.zeros((m + 1, n), dtype=np.uint8)
+    blocked = np.zeros((m + 1, m), dtype=np.uint8)
+    deg = np.zeros((m + 1, n), dtype=np.int32)
+    sel = np.zeros(m + 1, dtype=np.int64)
+    rows = np.zeros((m + 1, n), dtype=np.int32)
+    phase = np.zeros(m + 1, dtype=np.uint8)
     chosen = np.zeros(m + 1, dtype=np.int32)
     witness = np.zeros(m + 1, dtype=np.int32)
-    selectable = np.zeros(m, dtype=np.int32)
     best = np.int64(0)
     nodes = np.int64(0)
     size = np.int64(0)
-    tick = np.int64(0)
+    deg[0] = through.sum(axis=1)
+    sel[0] = m
 
     d = 0
-    phase[0] = 0
     while d >= 0:
         ph = phase[d]
         if ph == 0:
             nodes += 1
             if size > best:
                 best = size
-                for i in range(size):
-                    witness[i] = chosen[i]
+                witness[:size] = chosen[:size]
             if d == m:
-                phase[d] = 2
+                d -= 1
                 continue
-            sel = np.int64(0)
-            for j in range(d, m):
-                ok = True
-                for t in range(line_sizes[j]):
-                    if counts[line_points[j, t]] > 1:
-                        ok = False
-                        break
-                if ok:
-                    selectable[sel] = j
-                    sel += 1
-            ub = sel
-            for c in range(size):
-                if size + ub <= best:
-                    break
-                l = chosen[c]
-                tick += 1
-                b = np.int64(0)
-                for k in range(sel):
-                    p = meet[l, selectable[k]]
-                    if p < 0:
-                        b += 1
-                    elif stamp[p] != tick:
-                        stamp[p] = tick
-                        b += 1
-                if b < ub:
-                    ub = b
+            ub = sel[d]
+            if size > 0 and size + ub > best:
+                # dg - (dg > 0) is max(deg - 1, 0)
+                dg = deg[d]
+                ub -= (rows[:size] * (dg - (dg > 0))).sum(axis=1).max()
             if size + ub <= best:
-                phase[d] = 2
+                d -= 1
                 continue
-            if sel > 0 and selectable[0] == d:
+            if blocked[d, d] == 0:
+                # include line d
                 phase[d] = 1
-                for t in range(line_sizes[d]):
-                    counts[line_points[d, t]] += 1
+                row = lines[d]
+                full = counts[d] & row
+                counts[d + 1] = counts[d] + row
+                blocked[d + 1] = blocked[d]
+                blocked[d + 1, d] = 1
+                if full.any():
+                    blocked[d + 1] |= (lines & full).sum(axis=1) > 0
+                    open_lines = blocked[d + 1] == 0
+                    deg[d + 1] = (through & open_lines).sum(axis=1)
+                    sel[d + 1] = open_lines.sum()
+                else:
+                    deg[d + 1] = deg[d] - row
+                    sel[d + 1] = sel[d] - 1
+                rows[size] = row
                 chosen[size] = d
                 size += 1
-            else:
-                phase[d] = 2
-            d += 1
-            phase[d] = 0
-            continue
-        if ph == 1:
+                d += 1
+                phase[d] = 0
+                continue
+        elif ph == 1:
             size -= 1
-            for t in range(line_sizes[d]):
-                counts[line_points[d, t]] -= 1
-            phase[d] = 2
-            d += 1
-            phase[d] = 0
+        else:
+            d -= 1
             continue
-        d -= 1
+        # exclude line d
+        phase[d] = 2
+        counts[d + 1] = counts[d]
+        blocked[d + 1] = blocked[d]
+        blocked[d + 1, d] = 1
+        if blocked[d, d] == 0:
+            deg[d + 1] = deg[d] - lines[d]
+            sel[d + 1] = sel[d] - 1
+        else:
+            deg[d + 1] = deg[d]
+            sel[d + 1] = sel[d]
+        d += 1
+        phase[d] = 0
     return best, witness, nodes
 
 

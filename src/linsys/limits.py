@@ -42,5 +42,9 @@ def caps_from_env(env: str | None = None) -> Caps:
         key = key.strip()
         if not sep or key not in _FIELD_NAMES:
             raise ValueError(f"bad {CAPS_ENV} entry {item!r}")
-        caps = replace(caps, **{key: int(value)})
+        try:
+            caps = replace(caps, **{key: int(value)})
+        except ValueError:
+            # int() rejects non-integers, Caps rejects values below 1
+            raise ValueError(f"bad {CAPS_ENV} entry {item!r}") from None
     return caps

@@ -4,12 +4,12 @@ tau and gamma are minimum set covers and share one kernel: tau covers the
 lines with points, through a uint8 point-line incidence matrix and its
 transpose; gamma covers the points of the support with closed
 neighbourhoods, through a dense symmetric uint8 matrix that is its own
-transpose. nu2 runs its own kernel over padded line lists and a table of
-meeting points. Each solver prepares its kernel's arrays, seeds an
-incumbent with a deterministic greedy, and runs the search. Tie-breaking
-is by lowest index throughout, so identical inputs always give identical
-witnesses. Witnesses are re-verified by independent set-logic checkers
-that share no code with the search.
+transpose. nu2 runs its own kernel over the line-point incidence and its
+transpose. Each solver prepares its kernel's arrays and runs the search,
+from a greedy incumbent for tau and gamma and the empty packing for nu2.
+Tie-breaking is by lowest index throughout, so identical inputs always
+give identical witnesses. Witnesses are re-verified by independent
+set-logic checkers that share no code with the search.
 """
 
 import time
@@ -75,20 +75,6 @@ def _incidence(lists: np.ndarray, sizes: np.ndarray, width: int) -> np.ndarray:
     # the unpadded entries of lists, row after row
     out[np.repeat(np.arange(lists.shape[0]), sizes), lists[lists >= 0]] = 1
     return out
-
-
-def _meeting_points(sys: LinearSystem) -> np.ndarray:
-    """(m, m) int32 table: the point shared by lines i and j, or -1 when
-    they are disjoint and on the diagonal. Filled from the lines through
-    each point, so it costs O(sum of squared degrees) after the allocation."""
-    m = sys.num_lines
-    meet = np.full((m, m), -1, dtype=np.int32)
-    for v, lines in enumerate(sys.lines_through):
-        for i in lines:
-            for j in lines:
-                meet[i, j] = v
-    np.fill_diagonal(meet, -1)
-    return meet
 
 
 def greedy_transversal(sys: LinearSystem) -> Tuple[int, ...]:
@@ -205,8 +191,9 @@ def two_packing_number(
     t0 = time.perf_counter()
 
     line_points, line_sizes = _padded_lines(sys)
+    incidence = _incidence(line_points, line_sizes, sys.num_points)
     best, wit, nodes = ks.nu2_search(
-        line_points, line_sizes, sys.num_points, _meeting_points(sys)
+        incidence, np.ascontiguousarray(incidence.T)
     )
     witness = tuple(int(i) for i in wit[: int(best)])
     dt = time.perf_counter() - t0

@@ -10,6 +10,7 @@ import pytest
 import linsys
 from linsys import LinearSystem, dumps_text, loads_json, loads_text
 from linsys.cli import main
+from linsys.limits import Caps
 
 
 def run_cli(capsys, *argv):
@@ -258,6 +259,18 @@ def test_caps_env_unknown_key(capsys, monkeypatch):
     monkeypatch.setenv("LINSYS_CAPS", "bogus_key=3")
     code, _, err = run_cli(capsys, "check-paper", "--q", "2")
     assert code == 2
+
+
+def test_caps_env_bad_value_names_entry(capsys, monkeypatch):
+    for entry in ("solver_points=abc", "solver_points=0"):
+        monkeypatch.setenv("LINSYS_CAPS", f"iso_points=8, {entry}")
+        code, _, err = run_cli(capsys, "check-paper", "--q", "2")
+        assert code == 2
+        assert "LINSYS_CAPS" in err
+        assert f"'{entry}'" in err
+    # a Caps built in code still names the field
+    with pytest.raises(ValueError, match="solver_points must be positive"):
+        Caps(solver_points=0)
 
 
 def _declared_console_script(name):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from linsys import (
@@ -22,6 +24,7 @@ from linsys import (
 )
 from linsys.limits import Caps
 
+from corpus import build_corpus
 from oracles import brute_domination, brute_transversal, brute_two_packing
 
 
@@ -344,6 +347,43 @@ def test_pinned_tau_nodes(name):
     build, answer = PINNED_TAU_NODES[name]
     res = transversal_number(build())
     assert (res.value, res.witness, res.nodes_explored) == answer
+
+
+# (value, witness, nodes) of nu2. No search bound changed since these were
+# recorded, so the node counts are fixed too: a faster kernel must do the
+# same traversal.
+PINNED_NU2_NODES = {
+    "PG(2,3)": (lambda: _plane(3), (4, (0, 1, 4, 8), 220)),
+    "PG(2,4)": (lambda: _plane(4), (6, (0, 1, 5, 10, 16, 19), 55)),
+    "PG(2,5)": (lambda: _plane(5), (6, (0, 1, 6, 12, 19, 25), 6298)),
+    "PG(2,8)": (
+        lambda: _plane(8), (10, (0, 1, 9, 18, 28, 38, 43, 56, 61, 71), 208)
+    ),
+    "ext-PG(2,4)": (
+        lambda: _extended_plane(4), (6, (0, 1, 5, 10, 16, 19), 55)
+    ),
+    "triangular-9": (
+        lambda: triangular_system(9), (9, tuple(range(9)), 19)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_NU2_NODES))
+def test_pinned_nu2_nodes(name):
+    build, answer = PINNED_NU2_NODES[name]
+    res = two_packing_number(build())
+    assert (res.value, res.witness, res.nodes_explored) == answer
+
+
+def test_pinned_nu2_nodes_on_corpus():
+    # the sha256 of the repr of the (value, witness) list in corpus order,
+    # and the node total over the 110 systems
+    results = [two_packing_number(s) for s in build_corpus()]
+    pairs = repr([(r.value, r.witness) for r in results]).encode()
+    assert hashlib.sha256(pairs).hexdigest() == (
+        "002463d7a1993b52119e0f058f9136d0e5b3eea3d77a3d89d211a63abd275a66"
+    )
+    assert sum(r.nodes_explored for r in results) == 1985
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
