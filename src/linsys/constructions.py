@@ -244,6 +244,10 @@ class SaturatedPackingReport:
 def check_saturated_packing(
     sys: LinearSystem, caps: Caps = DEFAULT_CAPS
 ) -> SaturatedPackingReport:
+    """On an r-uniform intersecting system of even rank r with nu2 = r + 1,
+    check that it has r + 1 lines and tau = (r + 2) / 2. The line-count
+    clause is the solver's parity bound: with m >= r + 2 lines nu2 <= r,
+    so the hypothesis fails, and nu2 <= m leaves m = r + 1."""
     r = rank(sys)
     if not is_uniform(sys, r):
         raise NotUniform("saturated-packing check needs an r-uniform input")

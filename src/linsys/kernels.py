@@ -10,8 +10,10 @@ all three invariants:
   gamma both are the points, a point covering its closed neighbourhood,
   so the matrix is symmetric and is passed as its own transpose.
 - ``_nu2_search`` finds a maximum 2-packing, given as the (m, n) uint8
-  line-point incidence and its transpose. Its state is one row per depth,
-  O(m * n) in all; it needs no (m, m) table of meeting points.
+  line-point incidence and its transpose, and stops when it reaches an
+  upper bound that the caller proved (the meet and parity rules on
+  intersecting systems). Its state is one row per depth, O(m * n) in
+  all; it needs no (m, m) table of meeting points.
 
 The plane-axiom check packs the lines it counts into uint64 words.
 
@@ -184,11 +186,12 @@ def _cover_search(covers, covered_by, cand_lists, cand_sizes, universe, best0):
     return best, improved, witness, nodes
 
 
-def _nu2_search(lines, through):
+def _nu2_search(lines, through, top):
     """Branch and bound for the maximum 2-packing.
 
     lines: (m, n) uint8 line-point incidence; through: its C-contiguous
-    (n, m) transpose.
+    (n, m) transpose; top: an upper bound on nu2 proved by the caller
+    (m + 1 or more never stops the search early).
 
     Lines are decided in index order, include branch first. Below depth d
     a line is selectable while its index is at least d and none of its
@@ -197,9 +200,25 @@ def _nu2_search(lines, through):
     added lines share such a point. A line meets l at most once, so with
     deg[p] the number of selectable lines through p and sel their number,
     at most b_l = (sel - sum_{p in l} deg[p]) + #{p in l: deg[p] > 0}
-    = sel - sum_{p in l} max(deg[p] - 1, 0) lines can still be added. On
-    an intersecting system this gives nu2 <= rank + 1. Prune when the size
-    plus min(sel, min_l b_l) cannot beat the incumbent.
+    = sel - sum_{p in l} max(deg[p] - 1, 0) lines can still be added.
+    Prune when the size plus min(sel, min_l b_l) cannot beat the
+    incumbent.
+
+    Root bound: the search returns as soon as the incumbent reaches top.
+    Up to that node the traversal is the full one, so the witness is the
+    same. Two rules give top on an intersecting system of rank r with m
+    lines (any two lines meet in exactly one point):
+    - meet rule, nu2 <= r + 1: the other lines of a 2-packing R meet a
+      line l of R, and at distinct points, since a point of l on two of
+      them would be covered three times; so |R| - 1 <= |l| <= r.
+    - parity rule, nu2 <= r when r is even and m >= r + 2 (the dual of
+      Bose 1947 and Qvist 1952: a plane of odd order has no (q+2)-arc):
+      if |R| = r + 1, the meet rule holds with equality for each l in R,
+      so every line of R has r points and every point they cover is
+      covered exactly twice. As m > |R|, some line M is not in R; M meets
+      each line of R exactly once, so |R| is the sum over p in M of the
+      number of lines of R through p, each 0 or 2. Then |R| is even,
+      while r + 1 is odd.
 
     Depth d keeps its own cover count per point, blocked lines (the lines
     below d among them), deg and sel, written from depth d - 1 on the way
@@ -231,6 +250,8 @@ def _nu2_search(lines, through):
             if size > best:
                 best = size
                 witness[:size] = chosen[:size]
+                if best >= top:
+                    break
             if d == m:
                 d -= 1
                 continue

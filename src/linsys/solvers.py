@@ -5,8 +5,11 @@ lines with points, through a uint8 point-line incidence matrix and its
 transpose; gamma covers the points of the support with closed
 neighbourhoods, through a dense symmetric uint8 matrix that is its own
 transpose. nu2 runs its own kernel over the line-point incidence and its
-transpose. Each solver prepares its kernel's arrays and runs the search,
-from a greedy incumbent for tau and gamma and the empty packing for nu2.
+transpose, and stops at a root bound: r + 1 on an intersecting system
+of rank r, and r when r is also even and there are at least r + 2 lines
+(both proved in ``kernels._nu2_search``). Each solver prepares its
+kernel's arrays and runs the search, from a greedy incumbent for tau and
+gamma and the empty packing for nu2.
 Tie-breaking is by lowest index throughout, so identical inputs always
 give identical witnesses. Witnesses are re-verified by independent
 set-logic checkers that share no code with the search.
@@ -18,7 +21,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import LinearSystem, degree_profile
+from .core import LinearSystem, degree_profile, is_intersecting
 from .errors import NoLines, SizeLimit
 from .kernels import ACTIVE, KernelSet
 from .limits import DEFAULT_CAPS, Caps
@@ -192,8 +195,14 @@ def two_packing_number(
 
     line_points, line_sizes = _padded_lines(sys)
     incidence = _incidence(line_points, line_sizes, sys.num_points)
+    # the meet and parity rules of the kernel's root bound
+    m = sys.num_lines
+    r = int(line_sizes.max())
+    top = m
+    if is_intersecting(sys):
+        top = r if r % 2 == 0 and m >= r + 2 else min(m, r + 1)
     best, wit, nodes = ks.nu2_search(
-        incidence, np.ascontiguousarray(incidence.T)
+        incidence, np.ascontiguousarray(incidence.T), top
     )
     witness = tuple(int(i) for i in wit[: int(best)])
     dt = time.perf_counter() - t0

@@ -226,3 +226,19 @@ def test_criterion_10_packing_gap_implication():
         f"PASS criterion 10: line-count bound implies tau < nu2 on"
         f" {applied} instances ({elapsed:.2f}s shared)"
     )
+
+
+def test_criterion_11_odd_plane_two_packing(capsys, monkeypatch):
+    # the parity rule settles nu2 on odd planes once a (q+1)-packing is
+    # found
+    monkeypatch.delenv("LINSYS_CAPS", raising=False)
+    start = time.perf_counter()
+    res = two_packing_number(projective_plane(7).system)
+    assert (res.value, res.witness) == (8, (0, 1, 8, 16, 25, 31, 49, 55))
+    assert main(["check-paper", "--q", "9", "--json"]) == 0
+    rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+    assert rows["plane-two-packing"]["status"] == "pass"
+    assert rows["plane-two-packing"]["detail"] == "nu2=10"
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0
+    print(f"PASS criterion 11: nu2 PG(2,7) and check-paper --q 9 ({elapsed:.2f}s)")

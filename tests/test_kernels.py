@@ -17,6 +17,7 @@ from linsys import (
 )
 from linsys import kernels
 from linsys.kernels import ACTIVE, JIT_KERNELS, PURE_NUMPY_ENV, PY_KERNELS
+from linsys.solvers import _incidence, _padded_lines
 
 from corpus import build_corpus
 
@@ -113,6 +114,22 @@ def test_solver_backends_identical_on_plane():
             b.witness,
             b.nodes_explored,
         )
+
+
+@pytest.mark.skipif(JIT_KERNELS is None, reason="numba unavailable")
+def test_nu2_kernel_backends_identical_with_caller_top():
+    # the solver tests above run the root bound the solvers pass; here
+    # top = m, which stops only when every line fits, and m + 1, which
+    # never stops early
+    for sys_ in build_corpus()[::9] + [projective_plane(3).system]:
+        m = sys_.num_lines
+        inc = _incidence(*_padded_lines(sys_), sys_.num_points)
+        inc_t = np.ascontiguousarray(inc.T)
+        for top in (m, m + 1):
+            a_best, a_wit, a_nodes = PY_KERNELS.nu2_search(inc, inc_t, top)
+            b_best, b_wit, b_nodes = JIT_KERNELS.nu2_search(inc, inc_t, top)
+            assert (a_best, a_nodes) == (b_best, b_nodes)
+            assert np.array_equal(a_wit[:a_best], b_wit[:b_best])
 
 
 def test_pure_numpy_env_flag():

@@ -4,6 +4,7 @@ hypothesis test does the same brute-force comparison on random small
 systems, to check that no search bound cuts off an optimum."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,15 @@ from hypothesis import strategies as st
 from linsys import (
     LinearSystem,
     degree_profile,
+    delete_point,
     domination_number,
+    dual_hyperoval_lines,
+    extend_with_pendant_points,
     is_intersecting,
+    projective_plane,
     rank,
     transversal_number,
+    triangular_system,
     two_packing_number,
     verify_domination,
     verify_transversal,
@@ -153,3 +159,72 @@ def test_search_bounds_match_brute_force(sys_):
         mp.setattr(solvers, "greedy_transversal", lambda s: tuple(sorted(s.support)))
         mp.setattr(solvers, "_greedy_domination", lambda hoods, support: list(support))
         _solve_all(sys_)
+
+
+def _root_bound_cases():
+    """Intersecting systems of at most 12 lines on which each rule of the
+    nu2 root bound sets the stopping size: (id, system, rule)."""
+    rng = random.Random(1947)
+    fano = projective_plane(2).system
+    pg3 = projective_plane(3).system
+    pg4 = projective_plane(4)
+    dual_arc = sorted(dual_hyperoval_lines(pg4))
+
+    def lines_of(plane, idx):
+        return LinearSystem(plane.num_points, [plane.lines[i] for i in idx])
+
+    cases = [
+        ("ext-Fano", extend_with_pendant_points(fano), "parity"),
+        ("Fano", fano, "meet"),
+        ("triangular-5", triangular_system(5), "meet"),
+        ("triangular-9", triangular_system(9), "meet"),
+    ]
+    for m in (4, 6, 8):
+        cases.append((f"triangular-{m}", triangular_system(m), "meet"))
+    for k in range(6, 13):
+        for j in range(3):
+            idx = sorted(rng.sample(range(13), k))
+            cases.append((f"PG(2,3)-{k}lines-{j}", lines_of(pg3, idx), "parity"))
+    for k in range(6, 11):
+        # deleting a point on just one chosen line leaves lines of 3 and 4
+        # points that still meet pairwise; 9 lines miss each point
+        p = rng.randrange(13)
+        missing = [i for i in range(13) if i not in pg3.lines_through[p]]
+        idx = sorted([rng.choice(pg3.lines_through[p])] + rng.sample(missing, k - 1))
+        sub = delete_point(lines_of(pg3, idx), p)
+        cases.append((f"PG(2,3)-{k}lines-minus-{p}", sub, "parity"))
+    for k in (3, 5):
+        idx = sorted(rng.sample(range(13), k))
+        cases.append((f"PG(2,3)-{k}lines", lines_of(pg3, idx), "meet"))
+    for k in range(6, 13, 2):
+        rest = sorted(set(range(21)) - set(dual_arc))
+        idx = sorted(dual_arc + rng.sample(rest, k - 6))
+        cases.append((f"PG(2,4)-arc+{k - 6}lines", lines_of(pg4.system, idx), "meet"))
+        idx = sorted(rng.sample(range(21), k))
+        cases.append((f"PG(2,4)-{k}lines", lines_of(pg4.system, idx), "meet"))
+    return cases
+
+
+ROOT_BOUND_CASES = _root_bound_cases()
+
+
+@pytest.mark.parametrize(
+    "sys_, rule",
+    [(s, rule) for _, s, rule in ROOT_BOUND_CASES],
+    ids=[name for name, _, _ in ROOT_BOUND_CASES],
+)
+def test_nu2_root_bound_rules_match_brute_force(sys_, rule):
+    # each rule is checked against the oracle on its own: the meet rule
+    # nu2 <= r + 1, and the parity rule nu2 <= r for even r and m >= r + 2;
+    # the solver, which stops at that bound, must still find the optimum
+    n, rows = sys_.num_points, sys_.line_tuples
+    r, m = rank(sys_), sys_.num_lines
+    assert is_intersecting(sys_)
+    parity = r % 2 == 0 and m >= r + 2
+    assert parity == (rule == "parity")
+    best = brute_two_packing(n, rows)
+    assert best <= (r if parity else r + 1)
+    res = two_packing_number(sys_)
+    assert res.value == best
+    assert verify_two_packing(sys_, res.witness)
+    assert len(res.witness) == res.value

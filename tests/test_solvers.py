@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from linsys import (
@@ -22,7 +23,9 @@ from linsys import (
     verify_transversal,
     verify_two_packing,
 )
+from linsys.kernels import PY_KERNELS
 from linsys.limits import Caps
+from linsys.solvers import _incidence, _padded_lines
 
 from corpus import build_corpus
 from oracles import brute_domination, brute_transversal, brute_two_packing
@@ -349,21 +352,22 @@ def test_pinned_tau_nodes(name):
     assert (res.value, res.witness, res.nodes_explored) == answer
 
 
-# (value, witness, nodes) of nu2. No search bound changed since these were
-# recorded, so the node counts are fixed too: a faster kernel must do the
-# same traversal.
+# (value, witness, nodes) of nu2, with the root bound. A change of search
+# bound may move the node counts (never the value or the witness); it must
+# say so and re-record them here. The full-traversal tests below keep the
+# counts from before the root bound.
 PINNED_NU2_NODES = {
-    "PG(2,3)": (lambda: _plane(3), (4, (0, 1, 4, 8), 220)),
-    "PG(2,4)": (lambda: _plane(4), (6, (0, 1, 5, 10, 16, 19), 55)),
-    "PG(2,5)": (lambda: _plane(5), (6, (0, 1, 6, 12, 19, 25), 6298)),
+    "PG(2,3)": (lambda: _plane(3), (4, (0, 1, 4, 8), 10)),
+    "PG(2,4)": (lambda: _plane(4), (6, (0, 1, 5, 10, 16, 19), 21)),
+    "PG(2,5)": (lambda: _plane(5), (6, (0, 1, 6, 12, 19, 25), 27)),
     "PG(2,8)": (
-        lambda: _plane(8), (10, (0, 1, 9, 18, 28, 38, 43, 56, 61, 71), 208)
+        lambda: _plane(8), (10, (0, 1, 9, 18, 28, 38, 43, 56, 61, 71), 74)
     ),
     "ext-PG(2,4)": (
-        lambda: _extended_plane(4), (6, (0, 1, 5, 10, 16, 19), 55)
+        lambda: _extended_plane(4), (6, (0, 1, 5, 10, 16, 19), 21)
     ),
     "triangular-9": (
-        lambda: triangular_system(9), (9, tuple(range(9)), 19)
+        lambda: triangular_system(9), (9, tuple(range(9)), 10)
     ),
 }
 
@@ -375,15 +379,52 @@ def test_pinned_nu2_nodes(name):
     assert (res.value, res.witness, res.nodes_explored) == answer
 
 
+CORPUS_NU2_SHA256 = (
+    "002463d7a1993b52119e0f058f9136d0e5b3eea3d77a3d89d211a63abd275a66"
+)
+
+
 def test_pinned_nu2_nodes_on_corpus():
     # the sha256 of the repr of the (value, witness) list in corpus order,
     # and the node total over the 110 systems
     results = [two_packing_number(s) for s in build_corpus()]
     pairs = repr([(r.value, r.witness) for r in results]).encode()
-    assert hashlib.sha256(pairs).hexdigest() == (
-        "002463d7a1993b52119e0f058f9136d0e5b3eea3d77a3d89d211a63abd275a66"
+    assert hashlib.sha256(pairs).hexdigest() == CORPUS_NU2_SHA256
+    assert sum(r.nodes_explored for r in results) == 1087
+
+
+def _full_nu2_search(sys_):
+    """(value, witness, nodes) of the nu2 kernel with top = m + 1, a bound
+    no packing reaches, so the search never stops early."""
+    inc = _incidence(*_padded_lines(sys_), sys_.num_points)
+    best, wit, nodes = PY_KERNELS.nu2_search(
+        inc, np.ascontiguousarray(inc.T), sys_.num_lines + 1
     )
-    assert sum(r.nodes_explored for r in results) == 1985
+    return int(best), tuple(int(i) for i in wit[: int(best)]), int(nodes)
+
+
+@pytest.mark.parametrize(
+    "name, nodes",
+    [
+        ("PG(2,3)", 220),
+        ("PG(2,5)", 6298),
+        ("ext-PG(2,4)", 55),
+        ("triangular-9", 19),
+    ],
+)
+def test_full_nu2_traversal_keeps_pre_root_bound_pins(name, nodes):
+    # without the root bound the kernel walks the tree it walked before it:
+    # the full search proves, with no appeal to the parity rule, that
+    # PG(2,3) and PG(2,5) have no 2-packing of q + 2 lines
+    build, (value, witness, _) = PINNED_NU2_NODES[name]
+    assert _full_nu2_search(build()) == (value, witness, nodes)
+
+
+def test_full_nu2_traversal_on_corpus():
+    results = [_full_nu2_search(s) for s in build_corpus()]
+    pairs = repr([(v, w) for v, w, _ in results]).encode()
+    assert hashlib.sha256(pairs).hexdigest() == CORPUS_NU2_SHA256
+    assert sum(n for _, _, n in results) == 1985
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
