@@ -393,6 +393,32 @@ def test_pinned_nu2_nodes_on_corpus():
     assert sum(r.nodes_explored for r in results) == 1087
 
 
+CORPUS_TAU_GAMMA_SHA256 = (
+    "2e9198e3a270de29ddad6ae997ec52ccf2018f1615317c42a831890d407f3882"
+)
+
+
+def test_pinned_tau_gamma_on_corpus():
+    # the sha256 of the repr of the list of ((value, witness, nodes) of tau,
+    # None on a lineless system; (value, witness, nodes) of gamma) in corpus
+    # order, and the node totals over the 110 systems
+    rows = []
+    for s in build_corpus():
+        tau = transversal_number(s) if s.lines else None
+        gamma = domination_number(s)
+        rows.append(
+            (
+                tau and (tau.value, tau.witness, tau.nodes_explored),
+                (gamma.value, gamma.witness, gamma.nodes_explored),
+            )
+        )
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        CORPUS_TAU_GAMMA_SHA256
+    )
+    assert sum(t[2] for t, _ in rows if t is not None) == 253
+    assert sum(g[2] for _, g in rows) == 144
+
+
 def _full_nu2_search(sys_):
     """(value, witness, nodes) of the nu2 kernel with top = m + 1, a bound
     no packing reaches, so the search never stops early."""
