@@ -1,15 +1,19 @@
 """Exact transversal, domination and 2-packing numbers with witnesses.
 
-tau and gamma are minimum set covers and share one kernel: tau covers the
-lines with points, through a uint8 point-line incidence matrix and its
-transpose; gamma covers the points of the support with closed
-neighbourhoods, through a dense symmetric uint8 matrix that is its own
-transpose. nu2 runs its own kernel over the line-point incidence and its
-transpose, and stops at a root bound: r + 1 on an intersecting system
-of rank r, and r when r is also even and there are at least r + 2 lines
-(both proved in ``kernels._nu2_search``). Each solver prepares its
-kernel's arrays and runs the search, from a greedy incumbent for tau and
-gamma and the empty packing for nu2.
+tau and gamma are minimum set covers and share one kernel; nu2 runs its
+own. All three take their kernel input from uint8 0/1 matrices built one
+way:
+- ``_incidence`` gives the (m, n) line-point incidence. nu2 searches it
+  and its transpose; tau covers the lines with points through the same
+  two matrices.
+- gamma covers the points of the support with closed neighbourhoods: the
+  identity plus each collinear pair of ``pair_line`` in both orientations,
+  a symmetric matrix that is its own transpose.
+- ``_rows`` lists, for the cover kernel's branch rule, the candidates of
+  each element, and ``_greedy_cover`` gives tau and gamma their incumbent.
+nu2 starts from the empty packing and stops at a root bound: r + 1 on an
+intersecting system of rank r, and r when r is also even and there are
+at least r + 2 lines (both proved in ``kernels._nu2_search``).
 Tie-breaking is by lowest index throughout, so identical inputs always
 give identical witnesses. Witnesses are re-verified by independent
 set-logic checkers that share no code with the search.
@@ -17,11 +21,12 @@ set-logic checkers that share no code with the search.
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Iterable, Tuple
 
 import numpy as np
 
-from .core import LinearSystem, degree_profile, is_intersecting
+from .core import LinearSystem, degree_profile, is_intersecting, rank
 from .errors import NoLines, SizeLimit
 from .kernels import ACTIVE, KernelSet
 from .limits import DEFAULT_CAPS, Caps
@@ -60,42 +65,50 @@ def _check_caps(sys: LinearSystem, caps: Caps) -> None:
         )
 
 
-def _padded_lines(sys: LinearSystem) -> Tuple[np.ndarray, np.ndarray]:
+def _incidence(sys: LinearSystem) -> np.ndarray:
+    """(m, n) uint8 line-point incidence matrix."""
     m = sys.num_lines
-    rmax = max(len(l) for l in sys.line_tuples)
-    pts = np.full((m, rmax), -1, dtype=np.int32)
-    sizes = np.zeros(m, dtype=np.int32)
-    for i, l in enumerate(sys.line_tuples):
-        pts[i, : len(l)] = l
-        sizes[i] = len(l)
-    return pts, sizes
-
-
-def _incidence(lists: np.ndarray, sizes: np.ndarray, width: int) -> np.ndarray:
-    """(rows, width) uint8 matrix with a 1 at each entry of the -1 padded
-    row lists."""
-    out = np.zeros((lists.shape[0], width), dtype=np.uint8)
-    # the unpadded entries of lists, row after row
-    out[np.repeat(np.arange(lists.shape[0]), sizes), lists[lists >= 0]] = 1
+    sizes = np.fromiter(map(len, sys.line_tuples), dtype=np.intp, count=m)
+    points = np.fromiter(
+        chain.from_iterable(sys.line_tuples), dtype=np.intp, count=int(sizes.sum())
+    )
+    out = np.zeros((m, sys.num_points), dtype=np.uint8)
+    out[np.repeat(np.arange(m), sizes), points] = 1
     return out
 
 
+def _rows(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The column indices of the 1s of each row of a 0/1 matrix, ascending
+    and -1 padded, as an int32 matrix, and their counts."""
+    sizes = mat.sum(axis=1, dtype=np.int32)
+    width = int(sizes.max())
+    # a stable sort on "is zero" puts each row's 1s first, in column order
+    order = np.argsort(mat == 0, axis=1, kind="stable")[:, :width]
+    lists = np.where(np.arange(width) < sizes[:, None], order, -1)
+    return lists.astype(np.int32), sizes
+
+
+def _greedy_cover(covers: np.ndarray, universe: np.ndarray) -> Tuple[int, ...]:
+    """Pick the candidate (row of covers) covering the most uncovered
+    elements of the universe, lowest index on ties, until all are covered.
+    Returns the picks in ascending order."""
+    left = universe.copy()
+    chosen = []
+    while left.any():
+        # argmax takes the first of equal counts: the lowest index
+        v = int((covers & left).sum(axis=1).argmax())
+        chosen.append(v)
+        left &= ~covers[v]
+    return tuple(sorted(chosen))
+
+
 def greedy_transversal(sys: LinearSystem) -> Tuple[int, ...]:
-    """Pick the point hitting the most uncovered lines (lowest index on
-    ties) until every line is hit."""
+    """Pick the point hitting the most unhit lines (lowest index on ties)
+    until every line is hit."""
     if not sys.lines:
         raise NoLines("a transversal needs at least one line")
-    uncovered = set(range(sys.num_lines))
-    chosen = []
-    while uncovered:
-        best, best_hits = -1, 0
-        for v in range(sys.num_points):
-            hits = sum(1 for i in sys.lines_through[v] if i in uncovered)
-            if hits > best_hits:
-                best, best_hits = v, hits
-        chosen.append(best)
-        uncovered.difference_update(sys.lines_through[best])
-    return tuple(sorted(chosen))
+    covers = np.ascontiguousarray(_incidence(sys).T)
+    return _greedy_cover(covers, np.ones(sys.num_lines, dtype=np.uint8))
 
 
 def transversal_number(
@@ -107,39 +120,20 @@ def transversal_number(
     ks = kernels if kernels is not None else ACTIVE
     t0 = time.perf_counter()
 
-    seed = greedy_transversal(sys)
     # points are the candidates and lines the elements to cover
-    line_points, line_sizes = _padded_lines(sys)
-    line_cover = _incidence(line_points, line_sizes, sys.num_points)
+    line_cover = _incidence(sys)
+    point_cover = np.ascontiguousarray(line_cover.T)
+    universe = np.ones(sys.num_lines, dtype=np.uint8)
+    seed = _greedy_cover(point_cover, universe)
+    line_points, line_sizes = _rows(line_cover)
     best, improved, wit, nodes = ks.tau_search(
-        np.ascontiguousarray(line_cover.T),
-        line_cover,
-        line_points,
-        line_sizes,
-        np.ones(sys.num_lines, dtype=np.uint8),
-        len(seed),
+        point_cover, line_cover, line_points, line_sizes, universe, len(seed)
     )
     witness = (
         tuple(sorted(int(v) for v in wit[: int(best)])) if improved else seed
     )
     dt = time.perf_counter() - t0
     return SolveResult(KIND_TRANSVERSAL, int(best), witness, int(nodes), dt)
-
-
-def _greedy_domination(hoods: list, support: list) -> list:
-    """Cover the support greedily by closed neighborhoods: most new points
-    covered first, lowest index on ties. support is sorted."""
-    left = set(support)
-    chosen = []
-    while left:
-        best, best_new = -1, 0
-        for v in support:
-            new = len(hoods[v] & left)
-            if new > best_new:
-                best, best_new = v, new
-        chosen.append(best)
-        left -= hoods[best]
-    return chosen
 
 
 def domination_number(
@@ -150,33 +144,28 @@ def domination_number(
     t0 = time.perf_counter()
 
     n = sys.num_points
-    support = sorted(sys.support)
     forced = [v for v in range(n) if v not in sys.support]
-    if not support:
+    if not sys.support:
         dt = time.perf_counter() - t0
         return SolveResult(KIND_DOMINATION, len(forced), tuple(forced), 0, dt)
 
-    hoods = [{v} for v in range(n)]
-    for l in sys.lines:
-        for v in l:
-            hoods[v] |= l
-    cmax = max(len(h) for h in hoods)
-    cover_lists = np.array(
-        [sorted(h) + [-1] * (cmax - len(h)) for h in hoods], dtype=np.int32
-    )
-    cover_sizes = np.array([len(h) for h in hoods], dtype=np.int32)
-    cover = _incidence(cover_lists, cover_sizes, n)
-    universe = np.zeros(n, dtype=np.uint8)
-    universe[support] = 1
+    # closed neighbourhoods: each point and every point collinear with it
+    cover = np.eye(n, dtype=np.uint8)
+    pairs = np.fromiter(
+        chain.from_iterable(sys.pair_line), dtype=np.intp,
+        count=2 * len(sys.pair_line),
+    ).reshape(-1, 2)
+    cover[pairs[:, 0], pairs[:, 1]] = 1
+    cover[pairs[:, 1], pairs[:, 0]] = 1
+    universe = (sys.degrees > 0).astype(np.uint8)
 
-    seed = _greedy_domination(hoods, support)
+    seed = _greedy_cover(cover, universe)
+    cover_lists, cover_sizes = _rows(cover)
     # cover is symmetric, so it is its own transpose
     best, improved, wit, nodes = ks.gamma_search(
         cover, cover, cover_lists, cover_sizes, universe, len(seed)
     )
-    inner = (
-        [int(v) for v in wit[: int(best)]] if improved else list(seed)
-    )
+    inner = [int(v) for v in wit[: int(best)]] if improved else list(seed)
     witness = tuple(sorted(forced + inner))
     dt = time.perf_counter() - t0
     return SolveResult(
@@ -193,11 +182,10 @@ def two_packing_number(
     ks = kernels if kernels is not None else ACTIVE
     t0 = time.perf_counter()
 
-    line_points, line_sizes = _padded_lines(sys)
-    incidence = _incidence(line_points, line_sizes, sys.num_points)
+    incidence = _incidence(sys)
     # the meet and parity rules of the kernel's root bound
     m = sys.num_lines
-    r = int(line_sizes.max())
+    r = rank(sys)
     top = m
     if is_intersecting(sys):
         top = r if r % 2 == 0 and m >= r + 2 else min(m, r + 1)

@@ -17,7 +17,7 @@ from linsys import (
 )
 from linsys import kernels
 from linsys.kernels import ACTIVE, JIT_KERNELS, PURE_NUMPY_ENV, PY_KERNELS
-from linsys.solvers import _incidence, _padded_lines
+from linsys.solvers import _incidence
 
 from corpus import build_corpus
 
@@ -123,7 +123,7 @@ def test_nu2_kernel_backends_identical_with_caller_top():
     # never stops early
     for sys_ in build_corpus()[::9] + [projective_plane(3).system]:
         m = sys_.num_lines
-        inc = _incidence(*_padded_lines(sys_), sys_.num_points)
+        inc = _incidence(sys_)
         inc_t = np.ascontiguousarray(inc.T)
         for top in (m, m + 1):
             a_best, a_wit, a_nodes = PY_KERNELS.nu2_search(inc, inc_t, top)

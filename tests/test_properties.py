@@ -6,6 +6,7 @@ systems, to check that no search bound cuts off an optimum."""
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,11 +155,15 @@ def test_search_bounds_match_brute_force(sys_):
     _solve_all(sys_)
     # the greedy seeds are optimal on most small systems, which would hide
     # a bound that prunes too much; from the trivial incumbent (every
-    # support point) the bounds alone must lead the search to the optimum
+    # candidate that covers something: the support points, for tau and
+    # gamma alike) the bounds alone must lead the search to the optimum
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "greedy_transversal", lambda s: tuple(sorted(s.support)))
-        mp.setattr(solvers, "_greedy_domination", lambda hoods, support: list(support))
+        mp.setattr(solvers, "_greedy_cover", _trivial_cover)
         _solve_all(sys_)
+
+
+def _trivial_cover(covers, universe):
+    return tuple(int(v) for v in np.nonzero((covers & universe).any(axis=1))[0])
 
 
 def _root_bound_cases():

@@ -25,7 +25,7 @@ from linsys import (
 )
 from linsys.kernels import PY_KERNELS
 from linsys.limits import Caps
-from linsys.solvers import _incidence, _padded_lines
+from linsys.solvers import _incidence
 
 from corpus import build_corpus
 from oracles import brute_domination, brute_transversal, brute_two_packing
@@ -422,7 +422,7 @@ def test_pinned_tau_gamma_on_corpus():
 def _full_nu2_search(sys_):
     """(value, witness, nodes) of the nu2 kernel with top = m + 1, a bound
     no packing reaches, so the search never stops early."""
-    inc = _incidence(*_padded_lines(sys_), sys_.num_points)
+    inc = _incidence(sys_)
     best, wit, nodes = PY_KERNELS.nu2_search(
         inc, np.ascontiguousarray(inc.T), sys_.num_lines + 1
     )
