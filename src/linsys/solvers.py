@@ -12,8 +12,9 @@ way:
 - ``_rows`` lists, for the cover kernel's branch rule, the candidates of
   each element, and ``_greedy_cover`` gives tau and gamma their incumbent.
 nu2 starts from the empty packing and stops at a root bound: r + 1 on an
-intersecting system of rank r, and r when r is also even and there are
-at least r + 2 lines (both proved in ``kernels._nu2_search``).
+intersecting system whose lines hold at most r points of degree >= 2
+each, and r when r is also even and there are at least r + 2 lines (both
+proved in ``kernels._nu2_search``).
 Tie-breaking is by lowest index throughout, so identical inputs always
 give identical witnesses. Witnesses are re-verified by independent
 set-logic checkers that share no code with the search.
@@ -26,7 +27,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .core import LinearSystem, degree_profile, is_intersecting, rank
+from .core import LinearSystem, degree_profile, is_intersecting
 from .errors import NoLines, SizeLimit
 from .kernels import ACTIVE, KernelSet
 from .limits import DEFAULT_CAPS, Caps
@@ -183,9 +184,10 @@ def two_packing_number(
     t0 = time.perf_counter()
 
     incidence = _incidence(sys)
-    # the meet and parity rules of the kernel's root bound
+    # the meet and parity rules of the kernel's root bound, with r the most
+    # points of degree >= 2 on one line
     m = sys.num_lines
-    r = rank(sys)
+    r = int((incidence & (sys.degrees >= 2)).sum(axis=1).max())
     top = m
     if is_intersecting(sys):
         top = r if r % 2 == 0 and m >= r + 2 else min(m, r + 1)

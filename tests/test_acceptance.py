@@ -27,6 +27,7 @@ from linsys import (
     verify_two_packing,
 )
 from linsys.cli import main
+from linsys.limits import Caps
 
 from corpus import build_corpus
 from oracles import brute_domination, brute_transversal, brute_two_packing
@@ -242,3 +243,20 @@ def test_criterion_11_odd_plane_two_packing(capsys, monkeypatch):
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(f"PASS criterion 11: nu2 PG(2,7) and check-paper --q 9 ({elapsed:.2f}s)")
+
+
+def test_criterion_12_pendant_plane_two_packing():
+    # pendant points do not count towards the root bound's r, so the
+    # extended odd planes settle like the planes; ext-PG(2,9) has 182
+    # points, over the default solver cap
+    caps = Caps(solver_points=1000, solver_lines=1000)
+    start = time.perf_counter()
+    for q in (7, 9):
+        ext = extend_with_pendant_points(projective_plane(q).system)
+        res = two_packing_number(ext, caps=caps)
+        assert res.value == q + 1
+        assert len(res.witness) == q + 1
+        assert verify_two_packing(ext, res.witness)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0
+    print(f"PASS criterion 12: nu2 ext-PG(2,7) and ext-PG(2,9) ({elapsed:.2f}s)")

@@ -168,7 +168,9 @@ def _trivial_cover(covers, universe):
 
 def _root_bound_cases():
     """Intersecting systems of at most 12 lines on which each rule of the
-    nu2 root bound sets the stopping size: (id, system, rule)."""
+    nu2 root bound sets the stopping size: (id, system, rule), the rule
+    being the one that r = rank picks. The solver reads r over points of
+    degree >= 2 only, which is below the rank on the pendant cases."""
     rng = random.Random(1947)
     fano = projective_plane(2).system
     pg3 = projective_plane(3).system
@@ -207,6 +209,17 @@ def _root_bound_cases():
         cases.append((f"PG(2,4)-arc+{k - 6}lines", lines_of(pg4.system, idx), "meet"))
         idx = sorted(rng.sample(range(21), k))
         cases.append((f"PG(2,4)-{k}lines", lines_of(pg4.system, idx), "meet"))
+    # pendant extensions: a pendant point lies on one line only, so the
+    # solver's r (points of degree >= 2 on a line) is below the line size
+    for k in (4, 5, 6):
+        idx = sorted(rng.sample(range(7), k))
+        ext = extend_with_pendant_points(lines_of(fano, idx))
+        cases.append((f"ext-Fano-{k}lines", ext, "parity" if k == 6 else "meet"))
+    for k in range(6, 13, 2):
+        for j in range(2):
+            idx = sorted(rng.sample(range(13), k))
+            ext = extend_with_pendant_points(lines_of(pg3, idx))
+            cases.append((f"ext-PG(2,3)-{k}lines-{j}", ext, "meet"))
     return cases
 
 
@@ -233,3 +246,33 @@ def test_nu2_root_bound_rules_match_brute_force(sys_, rule):
     assert res.value == best
     assert verify_two_packing(sys_, res.witness)
     assert len(res.witness) == res.value
+
+
+def _shared_rank(sys_):
+    """The most points of degree >= 2 on one line: the r of the solver's
+    nu2 root bound."""
+    return max(sum(1 for v in l if sys_.degrees[v] >= 2) for l in sys_.lines)
+
+
+@pytest.mark.parametrize(
+    "sys_",
+    [s for _, s, _ in ROOT_BOUND_CASES],
+    ids=[name for name, _, _ in ROOT_BOUND_CASES],
+)
+def test_nu2_root_bound_on_shared_points_matches_brute_force(sys_):
+    # both rules still hold when r counts only the points of degree >= 2,
+    # the r that the solver stops at
+    r, m = _shared_rank(sys_), sys_.num_lines
+    parity = r % 2 == 0 and m >= r + 2
+    best = brute_two_packing(sys_.num_points, sys_.line_tuples)
+    assert best <= (r if parity else r + 1)
+
+
+def test_root_bound_cases_include_pendant_points():
+    # some cases have a shared-point r below the rank, under each rule
+    rules = set()
+    for _, s, _ in ROOT_BOUND_CASES:
+        r, m = _shared_rank(s), s.num_lines
+        if r < rank(s):
+            rules.add("parity" if r % 2 == 0 and m >= r + 2 else "meet")
+    assert rules == {"meet", "parity"}

@@ -363,8 +363,12 @@ PINNED_NU2_NODES = {
     "PG(2,8)": (
         lambda: _plane(8), (10, (0, 1, 9, 18, 28, 38, 43, 56, 61, 71), 74)
     ),
+    "ext-PG(2,3)": (lambda: _extended_plane(3), (4, (0, 1, 4, 8), 10)),
     "ext-PG(2,4)": (
         lambda: _extended_plane(4), (6, (0, 1, 5, 10, 16, 19), 21)
+    ),
+    "ext-PG(2,5)": (
+        lambda: _extended_plane(5), (6, (0, 1, 6, 12, 19, 25), 27)
     ),
     "triangular-9": (
         lambda: triangular_system(9), (9, tuple(range(9)), 10)
@@ -390,7 +394,7 @@ def test_pinned_nu2_nodes_on_corpus():
     results = [two_packing_number(s) for s in build_corpus()]
     pairs = repr([(r.value, r.witness) for r in results]).encode()
     assert hashlib.sha256(pairs).hexdigest() == CORPUS_NU2_SHA256
-    assert sum(r.nodes_explored for r in results) == 1087
+    assert sum(r.nodes_explored for r in results) == 1073
 
 
 CORPUS_TAU_GAMMA_SHA256 = (
