@@ -6,9 +6,10 @@ way:
 - ``_incidence`` gives the (m, n) line-point incidence. nu2 searches it
   and its transpose; tau covers the lines with points through the same
   two matrices.
-- gamma covers the points of the support with closed neighbourhoods: the
-  identity plus each collinear pair of ``pair_line`` in both orientations,
-  a symmetric matrix that is its own transpose.
+- gamma covers the points of the support with closed neighbourhoods.
+  ``_closed_neighbourhoods`` gives them as the identity plus each
+  collinear pair of ``pair_line`` in both orientations, a symmetric
+  matrix that is its own transpose.
 - ``_rows`` lists, for the cover kernel's branch rule, the candidates of
   each element, and ``_greedy_cover`` gives tau and gamma their incumbent.
 nu2 starts from the empty packing and stops at a root bound: r + 1 on an
@@ -71,7 +72,9 @@ def _incidence(sys: LinearSystem) -> np.ndarray:
     m = sys.num_lines
     sizes = np.fromiter(map(len, sys.line_tuples), dtype=np.intp, count=m)
     points = np.fromiter(
-        chain.from_iterable(sys.line_tuples), dtype=np.intp, count=int(sizes.sum())
+        chain.from_iterable(sys.line_tuples),
+        dtype=np.intp,
+        count=int(sizes.sum()),
     )
     out = np.zeros((m, sys.num_points), dtype=np.uint8)
     out[np.repeat(np.arange(m), sizes), points] = 1
@@ -81,25 +84,41 @@ def _incidence(sys: LinearSystem) -> np.ndarray:
 def _rows(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The column indices of the 1s of each row of a 0/1 matrix, ascending
     and -1 padded, as an int32 matrix, and their counts."""
-    sizes = mat.sum(axis=1, dtype=np.int32)
-    width = int(sizes.max())
-    # a stable sort on "is zero" puts each row's 1s first, in column order
-    order = np.argsort(mat == 0, axis=1, kind="stable")[:, :width]
-    lists = np.where(np.arange(width) < sizes[:, None], order, -1)
-    return lists.astype(np.int32), sizes
+    # a running count along the row numbers each 1 from 1
+    pos = mat.cumsum(axis=1, dtype=np.int32)
+    sizes = pos[:, -1].copy()
+    r, c = np.nonzero(mat)
+    lists = np.full((mat.shape[0], int(sizes.max())), -1, dtype=np.int32)
+    lists[r, pos[r, c] - 1] = c
+    return lists, sizes
+
+
+def _closed_neighbourhoods(sys: LinearSystem) -> np.ndarray:
+    """(n, n) symmetric uint8 matrix: row v marks v and every point
+    collinear with it."""
+    cover = np.eye(sys.num_points, dtype=np.uint8)
+    pairs = np.fromiter(
+        chain.from_iterable(sys.pair_line),
+        dtype=np.intp,
+        count=2 * len(sys.pair_line),
+    ).reshape(-1, 2)
+    cover[pairs[:, 0], pairs[:, 1]] = 1
+    cover[pairs[:, 1], pairs[:, 0]] = 1
+    return cover
 
 
 def _greedy_cover(covers: np.ndarray, universe: np.ndarray) -> Tuple[int, ...]:
     """Pick the candidate (row of covers) covering the most uncovered
     elements of the universe, lowest index on ties, until all are covered.
     Returns the picks in ascending order."""
-    left = universe.copy()
+    # the columns of the elements still uncovered
+    left = covers[:, universe == 1]
     chosen = []
-    while left.any():
+    while left.shape[1]:
         # argmax takes the first of equal counts: the lowest index
-        v = int((covers & left).sum(axis=1).argmax())
+        v = int(left.sum(axis=1).argmax())
         chosen.append(v)
-        left &= ~covers[v]
+        left = left[:, left[v] == 0]
     return tuple(sorted(chosen))
 
 
@@ -150,14 +169,7 @@ def domination_number(
         dt = time.perf_counter() - t0
         return SolveResult(KIND_DOMINATION, len(forced), tuple(forced), 0, dt)
 
-    # closed neighbourhoods: each point and every point collinear with it
-    cover = np.eye(n, dtype=np.uint8)
-    pairs = np.fromiter(
-        chain.from_iterable(sys.pair_line), dtype=np.intp,
-        count=2 * len(sys.pair_line),
-    ).reshape(-1, 2)
-    cover[pairs[:, 0], pairs[:, 1]] = 1
-    cover[pairs[:, 1], pairs[:, 0]] = 1
+    cover = _closed_neighbourhoods(sys)
     universe = (sys.degrees > 0).astype(np.uint8)
 
     seed = _greedy_cover(cover, universe)

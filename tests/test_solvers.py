@@ -11,6 +11,7 @@ from linsys import (
     NoLines,
     SizeLimit,
     check_packing_gap,
+    closed_neighborhood,
     delete_point,
     domination_number,
     extend_with_pendant_points,
@@ -25,7 +26,7 @@ from linsys import (
 )
 from linsys.kernels import PY_KERNELS
 from linsys.limits import Caps
-from linsys.solvers import _incidence
+from linsys.solvers import _closed_neighbourhoods, _incidence, _rows
 
 from corpus import build_corpus
 from oracles import brute_domination, brute_transversal, brute_two_packing
@@ -421,6 +422,35 @@ def test_pinned_tau_gamma_on_corpus():
     )
     assert sum(t[2] for t, _ in rows if t is not None) == 253
     assert sum(g[2] for _, g in rows) == 144
+
+
+def test_incidence_rows_are_the_lines():
+    for s in build_corpus() + [_extended_plane(3)]:
+        lists, sizes = _rows(_incidence(s))
+        assert [
+            tuple(row[:k].tolist()) for row, k in zip(lists, sizes)
+        ] == list(s.line_tuples)
+
+
+def test_closed_neighbourhoods_match_set_logic():
+    # row v of gamma's matrix is N[v], {v} for an isolated point, and
+    # _rows lists its members in ascending order
+    systems = build_corpus() + [_extended_plane(q) for q in (2, 3, 4)]
+    systems.append(LinearSystem(3, []))
+    isolated = 0
+    for s in systems:
+        cover = _closed_neighbourhoods(s)
+        assert cover.dtype == np.uint8
+        assert cover.shape == (s.num_points, s.num_points)
+        lists, sizes = _rows(cover)
+        for v in range(s.num_points):
+            hood = sorted(closed_neighborhood(s, v))
+            assert np.flatnonzero(cover[v]).tolist() == hood
+            assert sizes[v] == len(hood)
+            assert lists[v, : len(hood)].tolist() == hood
+            assert (lists[v, len(hood) :] == -1).all()
+            isolated += hood == [v] and v not in s.support
+    assert isolated > 0
 
 
 def _full_nu2_search(sys_):
