@@ -206,24 +206,21 @@ def _nu2_search(lines, through, top):
 
     Root bound: the search returns as soon as the incumbent reaches top.
     Up to that node the traversal is the full one, so the witness is the
-    same. Two rules give top on an intersecting system with m lines (any
-    two lines meet in exactly one point), r being the largest number of
-    points of degree >= 2 (on two or more lines) on one line. Both use
-    that two lines of a 2-packing R meet only at such points, and that a
-    line meets each line of R at such a point.
-    - meet rule, nu2 <= r + 1: the other lines of R meet a line l of R,
-      at points of degree >= 2 of l and at distinct ones, since a point
-      of l on two of them would be covered three times; so |R| - 1 <= r.
+    same. Let r be the largest number of points of degree >= 2 on a line.
+    Two rules give top on an intersecting system with m lines (any two
+    lines meet in exactly one point); both use that lines meet only at
+    points of degree >= 2, so pendant points do not count:
+    - meet rule, nu2 <= r + 1: the other lines of a 2-packing R meet a
+      line l of R at such points of l, and at distinct ones, since a
+      point of l on two of them would be covered three times.
     - parity rule, nu2 <= r when r is even and m >= r + 2 (the dual of
       Bose 1947 and Qvist 1952: a plane of odd order has no (q+2)-arc):
       if |R| = r + 1, the meet rule holds with equality for each l in R,
-      so every point of degree >= 2 on a line of R lies on exactly two
+      so each point of degree >= 2 on a line of R is on exactly two
       lines of R. As m > |R|, some line M is not in R; M meets each line
-      of R exactly once, at a point of degree >= 2, so |R| is the sum over
-      p in M of the number of lines of R through p, each 0 or 2. Then |R|
-      is even, while r + 1 is odd.
-    Pendant points (degree 1) do not count towards r, so a pendant
-    extension keeps the bound of its source.
+      of R once, at such a point, so |R| is the sum over p in M of the
+      number of lines of R through p, each 0 or 2. Then |R| is even,
+      while r + 1 is odd.
 
     Depth d keeps its own cover count per point, blocked lines (the lines
     below d among them), deg and sel, written from depth d - 1 on the way

@@ -1,28 +1,19 @@
 """Exact transversal, domination and 2-packing numbers with witnesses.
 
 tau and gamma are minimum set covers and share one kernel; nu2 runs its
-own. All three take their kernel input from uint8 0/1 matrices built one
-way:
-- ``_incidence`` gives the (m, n) line-point incidence. nu2 searches it
-  and its transpose; tau covers the lines with points through the same
-  two matrices.
-- gamma covers the points of the support with closed neighbourhoods.
-  ``_closed_neighbourhoods`` gives them as the identity plus each
-  collinear pair of ``pair_line`` in both orientations, a symmetric
-  matrix that is its own transpose.
-- ``_rows`` lists, for the cover kernel's branch rule, the candidates of
-  each element, and ``_greedy_cover`` gives tau and gamma their incumbent.
-nu2 starts from the empty packing and stops at a root bound: r + 1 on an
-intersecting system whose lines hold at most r points of degree >= 2
-each, and r when r is also even and there are at least r + 2 lines (both
-proved in ``kernels._nu2_search``).
-Tie-breaking is by lowest index throughout, so identical inputs always
-give identical witnesses. Witnesses are re-verified by independent
-set-logic checkers that share no code with the search.
+own. The solvers build all kernel input one way, as uint8 0/1 matrices:
+the line-point incidence (``_incidence``) for tau and nu2, the symmetric
+closed-neighbourhood matrix (``_closed_neighbourhoods``) for gamma. From
+a matrix ``_rows`` lists the cover kernel's candidates of each element,
+and ``_greedy_cover`` gives tau and gamma their incumbent. nu2 stops at
+the root bound proved in ``kernels._nu2_search``. Tie-breaking is by
+lowest index throughout, so identical inputs always give identical
+witnesses. Witnesses are re-verified by independent set-logic checkers
+that share no code with the search.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Iterable, Tuple
 
@@ -69,16 +60,10 @@ def _check_caps(sys: LinearSystem, caps: Caps) -> None:
 
 def _incidence(sys: LinearSystem) -> np.ndarray:
     """(m, n) uint8 line-point incidence matrix."""
-    m = sys.num_lines
-    sizes = np.fromiter(map(len, sys.line_tuples), dtype=np.intp, count=m)
-    points = np.fromiter(
-        chain.from_iterable(sys.line_tuples),
-        dtype=np.intp,
-        count=int(sizes.sum()),
-    )
-    out = np.zeros((m, sys.num_points), dtype=np.uint8)
-    out[np.repeat(np.arange(m), sizes), points] = 1
-    return out
+    n = sys.num_points
+    out = np.zeros(sys.num_lines * n, dtype=np.uint8)
+    out[[i * n + v for i, l in enumerate(sys.line_tuples) for v in l]] = 1
+    return out.reshape(-1, n)
 
 
 def _rows(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -97,13 +82,10 @@ def _closed_neighbourhoods(sys: LinearSystem) -> np.ndarray:
     """(n, n) symmetric uint8 matrix: row v marks v and every point
     collinear with it."""
     cover = np.eye(sys.num_points, dtype=np.uint8)
-    pairs = np.fromiter(
-        chain.from_iterable(sys.pair_line),
-        dtype=np.intp,
-        count=2 * len(sys.pair_line),
-    ).reshape(-1, 2)
-    cover[pairs[:, 0], pairs[:, 1]] = 1
-    cover[pairs[:, 1], pairs[:, 0]] = 1
+    pairs = np.fromiter(chain.from_iterable(sys.pair_line), dtype=np.intp)
+    u, v = pairs.reshape(-1, 2).T
+    cover[u, v] = 1
+    cover[v, u] = 1
     return cover
 
 
@@ -260,16 +242,7 @@ class PackingGapReport:
     conclusion_holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "num_lines": self.num_lines,
-            "max_degree": self.max_degree,
-            "second_max_degree": self.second_max_degree,
-            "tau": self.tau,
-            "nu2": self.nu2,
-            "bound": self.bound,
-            "hypothesis_holds": self.hypothesis_holds,
-            "conclusion_holds": self.conclusion_holds,
-        }
+        return asdict(self)
 
 
 def check_packing_gap(
