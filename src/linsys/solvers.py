@@ -13,7 +13,7 @@ that share no code with the search.
 """
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Tuple
 
@@ -242,7 +242,16 @@ class PackingGapReport:
     conclusion_holds: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "num_lines": self.num_lines,
+            "max_degree": self.max_degree,
+            "second_max_degree": self.second_max_degree,
+            "tau": self.tau,
+            "nu2": self.nu2,
+            "bound": self.bound,
+            "hypothesis_holds": self.hypothesis_holds,
+            "conclusion_holds": self.conclusion_holds,
+        }
 
 
 def check_packing_gap(

@@ -426,7 +426,11 @@ def test_pinned_tau_gamma_on_corpus():
 
 def test_incidence_rows_are_the_lines():
     for s in build_corpus() + [_extended_plane(3)]:
-        lists, sizes = _rows(_incidence(s))
+        inc = _incidence(s)
+        assert inc.dtype == np.uint8 and inc.flags.c_contiguous
+        lists, sizes = _rows(inc)
+        # the kernels' argument types
+        assert lists.dtype == sizes.dtype == np.int32
         assert [
             tuple(row[:k].tolist()) for row, k in zip(lists, sizes)
         ] == list(s.line_tuples)
