@@ -105,8 +105,8 @@ def _greedy_cover(covers: np.ndarray, universe: np.ndarray) -> Tuple[int, ...]:
 
 
 def greedy_transversal(sys: LinearSystem) -> Tuple[int, ...]:
-    """Pick the point hitting the most unhit lines (lowest index on ties)
-    until every line is hit."""
+    """Pick the point hitting the most uncovered lines (lowest index on
+    ties) until every line is hit."""
     if not sys.lines:
         raise NoLines("a transversal needs at least one line")
     covers = np.ascontiguousarray(_incidence(sys).T)
@@ -160,7 +160,9 @@ def domination_number(
     best, improved, wit, nodes = ks.gamma_search(
         cover, cover, cover_lists, cover_sizes, universe, len(seed)
     )
-    inner = [int(v) for v in wit[: int(best)]] if improved else list(seed)
+    inner = (
+        [int(v) for v in wit[: int(best)]] if improved else list(seed)
+    )
     witness = tuple(sorted(forced + inner))
     dt = time.perf_counter() - t0
     return SolveResult(
