@@ -1,11 +1,14 @@
-"""Brute-force reference implementations for the three invariants.
+"""Brute-force reference implementations for the three invariants and
+for isomorphism and embedding.
 
-Deliberately naive: plain set arithmetic over itertools subsets, sharing
-no code with the package solvers. Only usable at small scale (the corpus
-keeps instances at <= 16 points and <= 12 lines).
+Deliberately naive: plain set arithmetic over itertools subsets and
+permutations, sharing no code with the package. Only usable at small
+scale (the corpus keeps instances at <= 16 points and <= 12 lines; the
+point-map oracles want at most about 7 points).
 """
 
 import itertools
+from collections import Counter
 
 
 def brute_transversal(num_points, lines):
@@ -57,3 +60,54 @@ def brute_two_packing(num_points, lines):
             if ok:
                 return k
     return 0
+
+
+def brute_pendant_reduction(lines):
+    """Delete every degree-1 point, round after round, until none is
+    left; emptied lines go and lines that become equal merge."""
+    cur = {frozenset(l) for l in lines}
+    while True:
+        deg = Counter(v for l in cur for v in l)
+        ones = {v for v, d in deg.items() if d == 1}
+        if not ones:
+            return cur
+        cur = {l - ones for l in cur} - {frozenset()}
+
+
+def brute_isomorphic(lines_a, lines_b):
+    """The pendant reductions are isomorphic: some bijection of their
+    point sets carries the line set of one onto the line set of the other."""
+    a = brute_pendant_reduction(lines_a)
+    b = brute_pendant_reduction(lines_b)
+    pts_a = sorted(set().union(*a))
+    pts_b = sorted(set().union(*b))
+    if len(pts_a) != len(pts_b) or len(a) != len(b):
+        return False
+    for img in itertools.permutations(pts_b):
+        phi = dict(zip(pts_a, img))
+        if {frozenset(phi[v] for v in l) for l in a} == b:
+            return True
+    return False
+
+
+def brute_embeds(sub_lines, host_lines):
+    """Some injective map of sub's points into host's points carries each
+    sub line inside a host line, with distinct sub lines in distinct host
+    lines."""
+    sub = sorted((frozenset(l) for l in sub_lines), key=len, reverse=True)
+    host = [frozenset(l) for l in host_lines]
+    inside = {
+        frozenset(part)
+        for h in host
+        for k in range(1, len(h) + 1)
+        for part in itertools.combinations(h, k)
+    }
+    pts = sorted(set().union(*sub))
+    for img in itertools.permutations(sorted(set().union(*host)), len(pts)):
+        phi = dict(zip(pts, img))
+        if not all(frozenset(phi[v] for v in l) in inside for l in sub):
+            continue
+        cands = [[j for j, h in enumerate(host) if {phi[v] for v in l} <= h] for l in sub]
+        if any(len(set(c)) == len(c) for c in itertools.product(*cands)):
+            return True
+    return False

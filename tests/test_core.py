@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 import tracemalloc
 from itertools import combinations
@@ -28,11 +29,13 @@ from linsys import (
     is_spanning_subsystem,
     is_uniform,
     pendant_reduction,
+    projective_plane,
     rank,
 )
 from linsys.limits import Caps
 
 from corpus import build_corpus
+from oracles import brute_embeds, brute_isomorphic, brute_pendant_reduction
 
 FANO_LINES = [
     [0, 1, 2],
@@ -314,3 +317,80 @@ def test_drop_isolated(fano_input):
 def test_within_line_duplicates_collapse():
     sys_ = LinearSystem(3, [[0, 0, 1]])
     assert sys_.lines == (frozenset({0, 1}),)
+
+
+def _relabelled(sys_, rng):
+    perm = list(range(sys_.num_points))
+    rng.shuffle(perm)
+    return LinearSystem(sys_.num_points, [[perm[v] for v in l] for l in sys_.line_tuples])
+
+
+def _embedding_key(emb):
+    return None if emb is None else (sorted(emb.point_map.items()), sorted(emb.line_map.items()))
+
+
+def _sha(x):
+    return hashlib.sha256(repr(x).encode()).hexdigest()
+
+
+def test_pinned_point_maps():
+    # the first map found is the witness; these digests pin every map
+    # the search returns on the corpus and on the planes up to q = 8
+    corpus = build_corpus()
+    rng = random.Random(12)
+    iso = [
+        sorted(are_isomorphic(s, _relabelled(s, rng)).point_bijection.items())
+        for s in corpus
+    ]
+    assert _sha(iso) == "740b5747f95701e6378efa0a26a29227f059581b436382d14aa9bbc97189241e"
+
+    emb = [_embedding_key(embeds_in(a, b)) for a in corpus for b in corpus[:13]]
+    assert sum(e is not None for e in emb) == 669
+    assert _sha(emb) == "dfc96af673980d56b8050a971e2b4c80e631159d275d494571da553cd16c6076"
+
+    caps = Caps(iso_points=1000)
+    planes = []
+    for q in (2, 3, 4, 5, 7, 8):
+        plane = projective_plane(q).system
+        reduced, _ = pendant_reduction(extend_with_pendant_points(plane))
+        planes.append(
+            (
+                _embedding_key(embeds_in(plane, plane, caps=caps)),
+                _embedding_key(embeds_in(reduced, plane, caps=caps)),
+            )
+        )
+    assert _sha(planes) == "4867554cd8bcd3bc26628f53415de2c53450c5cfb4dd1f2c8d1006bd3168ae85"
+
+
+def test_point_maps_match_brute_force():
+    corpus = build_corpus()
+    small = [s for s in corpus if len(s.support) <= 7]
+    hosts = corpus[0:2] + corpus[8:9] + [s for s in small if len(s.support) <= 5]
+    found = 0
+    for i, a in enumerate(small):
+        for b in small[i:]:
+            cert = are_isomorphic(a, b)
+            assert cert.isomorphic == brute_isomorphic(a.line_tuples, b.line_tuples)
+            if not cert.isomorphic:
+                continue
+            found += 1
+            lines_a = brute_pendant_reduction(a.line_tuples)
+            lines_b = brute_pendant_reduction(b.line_tuples)
+            phi = cert.point_bijection
+            assert set(phi) == set().union(*lines_a)
+            assert set(phi.values()) == set().union(*lines_b)
+            assert {frozenset(phi[v] for v in l) for l in lines_a} == lines_b
+        for host in hosts:
+            emb = embeds_in(a, host)
+            assert (emb is not None) == brute_embeds(a.line_tuples, host.line_tuples)
+            if emb is None:
+                continue
+            found += 1
+            pm, lm = emb.point_map, emb.line_map
+            assert set(pm) == a.support
+            assert len(set(pm.values())) == len(pm)
+            assert set(lm) == set(range(a.num_lines))
+            assert len(set(lm.values())) == len(lm)
+            for k, l in enumerate(a.lines):
+                assert {pm[v] for v in l} <= host.lines[lm[k]]
+    assert found == 922
