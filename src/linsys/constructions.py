@@ -93,17 +93,14 @@ class Derivation:
     chain: Dict[str, int]
 
 
-def _subset_is_valid(sys: LinearSystem, combo, r: int) -> bool:
-    # spanning, pairwise intersecting, and a degree-one point on each line
+def _subset_is_valid(sys: LinearSystem, combo) -> bool:
+    # spanning, and a degree-one point on each line; derive has required
+    # sys to be intersecting, so any subset of its lines meets pairwise
     union = set()
     for i in combo:
         union |= sys.lines[i]
     if union != sys.support:
         return False
-    for a in range(len(combo)):
-        for b in range(a + 1, len(combo)):
-            if len(sys.lines[combo[a]] & sys.lines[combo[b]]) != 1:
-                return False
     deg: Dict[int, int] = {}
     for i in combo:
         for v in sys.lines[i]:
@@ -135,7 +132,7 @@ def derive(sys: LinearSystem, r: int, caps: Caps = DEFAULT_CAPS) -> Derivation:
                     f"derivation explored {tried} line subsets,"
                     f" cap is {caps.derive_subsets}"
                 )
-            if _subset_is_valid(sys, combo, r):
+            if _subset_is_valid(sys, combo):
                 found = combo
                 break
         if found:

@@ -8,6 +8,7 @@ derivations. All systems are immutable once built.
 """
 
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -204,17 +205,12 @@ def is_spanning_subsystem(sub: LinearSystem, sys: LinearSystem) -> bool:
     return all(l in host for l in sub.lines)
 
 
-def _collinear(sys: LinearSystem, u: int, v: int) -> bool:
-    """Distinct points u and v lie on a common line."""
-    return (min(u, v), max(u, v)) in sys.pair_line
-
-
 def collinearity_adjacent(sys: LinearSystem, u: int, v: int) -> bool:
     """Two points are adjacent when some line contains both. A point is
     adjacent to itself by convention."""
     a = _as_point(u, sys.num_points, "collinearity_adjacent")
     b = _as_point(v, sys.num_points, "collinearity_adjacent")
-    return a == b or _collinear(sys, a, b)
+    return a == b or (min(a, b), max(a, b)) in sys.pair_line
 
 
 def closed_neighborhood(sys: LinearSystem, v: int) -> frozenset:
@@ -308,13 +304,6 @@ def _refine_colors(sys: LinearSystem) -> Tuple[Dict[int, int], Dict[int, int]]:
         pcol, lcol = npc, nl
 
 
-def _histogram(col: Dict[int, int]) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    for c in col.values():
-        out[c] = out.get(c, 0) + 1
-    return out
-
-
 def are_isomorphic(a: LinearSystem, b: LinearSystem, caps: Caps = DEFAULT_CAPS) -> IsoCertificate:
     """Hypergraph isomorphism after pendant reduction of both systems.
     With equal support sizes, line counts and line-size multisets, any
@@ -336,7 +325,7 @@ def are_isomorphic(a: LinearSystem, b: LinearSystem, caps: Caps = DEFAULT_CAPS) 
 
     pcol_a, _ = _refine_colors(ra)
     pcol_b, _ = _refine_colors(rb)
-    if _histogram(pcol_a) != _histogram(pcol_b):
+    if Counter(pcol_a.values()) != Counter(pcol_b.values()):
         return no
 
     b_by_color: Dict[int, list] = {}
@@ -378,60 +367,49 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
     carrying every line of sub into a distinct host line. candidates[u]
     lists the host points u may map to, ascending. The next point to map
     has the most mapped neighbours, then the lowest priority[u], then the
-    lowest index, so the first map found is deterministic."""
+    lowest index, so the first map found is deterministic.
+
+    The state is updated on map and undone on unmap: near[v] counts the
+    mapped points collinear with an unmapped v; per sub line, count is its
+    number of mapped points, first the image of the first of them, and
+    image the host line the first two fix (read only while count >= 2).
+    """
     a_pts = sorted(sub.support)
     mapping: Dict[int, int] = {}
     used = set()
-
-    def next_point():
-        best, key = -1, None
-        for u in a_pts:
-            if u in mapping:
-                continue
-            k = (
-                -sum(1 for v in mapping if _collinear(sub, u, v)),
-                priority[u],
-                u,
-            )
-            if key is None or k < key:
-                best, key = u, k
-        return best
+    near = [0] * sub.num_points
+    count = [0] * sub.num_lines
+    first = [0] * sub.num_lines
+    image = [0] * sub.num_lines
 
     def feasible(u: int, w: int) -> bool:
         for i in sub.lines_through[u]:
-            imgs = [mapping[v] for v in sub.lines[i] if v in mapping]
-            if not imgs:
-                continue
-            key = (min(imgs[0], w), max(imgs[0], w))
-            j = host.pair_line.get(key)
-            if j is None or len(host.lines[j]) < len(sub.lines[i]):
+            if count[i] >= 2 and w not in host.lines[image[i]]:
                 return False
-            if any(x not in host.lines[j] for x in imgs):
-                return False
+            if count[i] == 1:
+                x = first[i]
+                j = host.pair_line.get((min(x, w), max(x, w)))
+                if j is None or len(host.lines[j]) < len(sub.lines[i]):
+                    return False
         return True
 
     def finish() -> Optional[Dict[int, int]]:
-        # lines with two or more points are forced through image pairs
+        # feasible kept every line of two or more points on its image
         line_map: Dict[int, int] = {}
         taken = set()
         singles = []
-        for i, l in enumerate(sub.line_tuples):
+        for i, l in enumerate(sub.lines):
             if len(l) == 1:
                 singles.append(i)
                 continue
-            x, y = mapping[l[0]], mapping[l[1]]
-            j = host.pair_line.get((min(x, y), max(x, y)))
-            if j is None or j in taken:
+            if image[i] in taken:
                 return None
-            if any(mapping[v] not in host.lines[j] for v in l):
-                return None
-            taken.add(j)
-            line_map[i] = j
-        cands = []
-        for i in singles:
-            (x,) = sub.line_tuples[i]
-            w = mapping[x]
-            cands.append([j for j in host.lines_through[w] if j not in taken])
+            taken.add(image[i])
+            line_map[i] = image[i]
+        cands = [
+            [j for j in host.lines_through[mapping[sub.line_tuples[i][0]]] if j not in taken]
+            for i in singles
+        ]
         assign = _match_single_lines(singles, cands)
         if assign is None:
             return None
@@ -442,17 +420,30 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
     def rec() -> Optional[Dict[int, int]]:
         if len(mapping) == len(a_pts):
             return finish()
-        u = next_point()
+        _, _, u = min((-near[v], priority[v], v) for v in a_pts if v not in mapping)
         for w in candidates[u]:
             if w in used or not feasible(u, w):
                 continue
             mapping[u] = w
             used.add(w)
+            for i in sub.lines_through[u]:
+                for v in sub.lines[i]:
+                    near[v] += 1
+                count[i] += 1
+                if count[i] == 1:
+                    first[i] = w
+                elif count[i] == 2:
+                    x = first[i]
+                    image[i] = host.pair_line[(min(x, w), max(x, w))]
             line_map = rec()
             if line_map is not None:
                 return line_map
             del mapping[u]
             used.discard(w)
+            for i in sub.lines_through[u]:
+                for v in sub.lines[i]:
+                    near[v] -= 1
+                count[i] -= 1
         return None
 
     line_map = rec()

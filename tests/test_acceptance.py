@@ -23,6 +23,7 @@ from linsys import (
     transversal_number,
     triangular_system,
     two_packing_number,
+    verification_battery,
     verify_plane_axioms,
     verify_two_packing,
 )
@@ -260,3 +261,18 @@ def test_criterion_12_pendant_plane_two_packing():
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(f"PASS criterion 12: nu2 ext-PG(2,7) and ext-PG(2,9) ({elapsed:.2f}s)")
+
+
+def test_criterion_13_order_sixteen_battery():
+    # the reconstruction row embeds the 273-point reduced system into
+    # PG(2,16), which the default caps skip
+    caps = Caps(solver_points=1000, solver_lines=1000, iso_points=1000)
+    start = time.perf_counter()
+    rows = verification_battery(16, caps=caps)
+    elapsed = time.perf_counter() - start
+    assert len(rows) == 15
+    assert all(r.status == "pass" for r in rows), [
+        (r.name, r.detail) for r in rows if r.status != "pass"
+    ]
+    assert elapsed < 1.5
+    print(f"PASS criterion 13: verification_battery(16), raised caps ({elapsed:.2f}s)")
