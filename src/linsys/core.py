@@ -372,8 +372,8 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
     The state is updated on map and undone on unmap: near[v] counts the
     mapped points collinear with an unmapped v; per sub line, count is its
     number of mapped points, first the image of the first of them, and
-    image the host line the first two fix (read only while count >= 2).
-    """
+    image the host line the first two fix. first and image are read only
+    while count is at least 1 and 2, so unmapping just lowers count."""
     a_pts = sorted(sub.support)
     mapping: Dict[int, int] = {}
     used = set()
@@ -398,7 +398,7 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
         line_map: Dict[int, int] = {}
         taken = set()
         singles = []
-        for i, l in enumerate(sub.lines):
+        for i, l in enumerate(sub.line_tuples):
             if len(l) == 1:
                 singles.append(i)
                 continue
@@ -406,10 +406,11 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
                 return None
             taken.add(image[i])
             line_map[i] = image[i]
-        cands = [
-            [j for j in host.lines_through[mapping[sub.line_tuples[i][0]]] if j not in taken]
-            for i in singles
-        ]
+        cands = []
+        for i in singles:
+            (x,) = sub.line_tuples[i]
+            w = mapping[x]
+            cands.append([j for j in host.lines_through[w] if j not in taken])
         assign = _match_single_lines(singles, cands)
         if assign is None:
             return None
