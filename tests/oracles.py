@@ -1,10 +1,11 @@
 """Brute-force reference implementations for the three invariants and
-for isomorphism and embedding.
+for isomorphism, embedding and the projective-plane axioms.
 
 Deliberately naive: plain set arithmetic over itertools subsets and
 permutations, sharing no code with the package. Only usable at small
 scale (the corpus keeps instances at <= 16 points and <= 12 lines; the
-point-map oracles want at most about 7 points).
+point-map oracles want at most about 7 points, the plane-axiom oracle
+at most about 21).
 """
 
 import itertools
@@ -111,3 +112,48 @@ def brute_embeds(sub_lines, host_lines):
         if any(len(set(c)) == len(c) for c in itertools.product(*cands)):
             return True
     return False
+
+
+def brute_plane_axioms(num_points, lines):
+    """The projective-plane axioms in a fixed order, with the first
+    failure's detail: point-pairs, line-pairs, general-position (some four
+    points with no three on a line), uniformity (one line size, equal to
+    every degree) and counts (n = m = q^2+q+1). Returns the tuple
+    (is_plane, order, failed_axiom, detail)."""
+    line_sets = [set(l) for l in lines]
+    n, m = num_points, len(line_sets)
+
+    def fail(axiom, detail):
+        return (False, None, axiom, detail)
+
+    for u, v in itertools.combinations(range(n), 2):
+        if not any(u in l and v in l for l in line_sets):
+            return fail("point-pairs", f"points {u} and {v} lie on no common line")
+    for i, j in itertools.combinations(range(m), 2):
+        if not line_sets[i] & line_sets[j]:
+            return fail("line-pairs", f"lines {i} and {j} are disjoint")
+
+    def collinear(triple):
+        return any(set(triple) <= l for l in line_sets)
+
+    if not any(
+        not any(collinear(t) for t in itertools.combinations(quad, 3))
+        for quad in itertools.combinations(range(n), 4)
+    ):
+        return fail("general-position", "no four points in general position")
+
+    sizes = sorted({len(l) for l in line_sets})
+    if len(sizes) != 1:
+        return fail("uniformity", f"line sizes {sizes} differ")
+    r = sizes[0]
+    degs = sorted({sum(v in l for l in line_sets) for v in range(n)})
+    if degs != [r]:
+        return fail("uniformity", f"degrees {degs} differ from line size {r}")
+    q = r - 1
+    expected = q * q + q + 1
+    if n != expected or m != expected:
+        return fail(
+            "counts",
+            f"{n} points and {m} lines, expected {expected} for order {q}",
+        )
+    return (True, q, None, None)

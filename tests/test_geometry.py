@@ -1,12 +1,19 @@
+import itertools
+import random
+
 import pytest
 
 from linsys import (
     LinearSystem,
     NotPrimePower,
     OddOrder,
+    PlaneReport,
     SizeLimit,
     are_isomorphic,
     conic_points,
+    delete_line,
+    delete_point,
+    drop_isolated,
     dual_hyperoval_lines,
     dual_plane,
     hyperoval,
@@ -16,6 +23,9 @@ from linsys import (
     verify_plane_axioms,
 )
 from linsys.limits import Caps
+
+from corpus import build_corpus
+from oracles import brute_plane_axioms
 
 PLANE_ORDERS = [2, 3, 4, 5, 7, 8]
 
@@ -146,3 +156,78 @@ def test_dual_hyperoval_lines_pack(q):
     for v in range(plane.system.num_points):
         hits = sum(1 for i in chosen if v in plane.system.lines[i])
         assert hits <= 2
+
+
+def _near_pencil(n):
+    """One line on points 0..n-2 and a two-point line from each of them to
+    point n-1; a single line or nothing below two points."""
+    if n < 2:
+        return LinearSystem(n, [range(n)] if n else [])
+    return LinearSystem(n, [range(n - 1)] + [[i, n - 1] for i in range(n - 1)])
+
+
+def _nearly_joined(rng):
+    """A plane, a near-pencil or a random linear space with its other pairs
+    joined by two-point lines, perturbed up to twice (a line split into its
+    pairs, a line dropped, a one-point line added), then relabelled and
+    shuffled. Only such systems get past point-pairs and line-pairs."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        base = projective_plane(rng.choice([2, 2, 3, 4])).system
+        n, lines = base.num_points, [set(l) for l in base.lines]
+    elif kind == 1:
+        n = rng.randint(3, 12)
+        lines = [set(l) for l in _near_pencil(n).lines]
+    else:
+        n = rng.randint(4, 12)
+        lines = []
+        for _ in range(rng.randint(0, 6)):
+            cand = set(rng.sample(range(n), rng.randint(3, min(5, n))))
+            if all(len(cand & l) <= 1 for l in lines):
+                lines.append(cand)
+        lines += [
+            {u, v}
+            for u, v in itertools.combinations(range(n), 2)
+            if not any(u in l and v in l for l in lines)
+        ]
+    for _ in range(rng.choice([0, 0, 1, 1, 2])):
+        op = rng.randrange(3)
+        if op == 0 and lines:
+            l = lines.pop(rng.randrange(len(lines)))
+            lines += [set(p) for p in itertools.combinations(l, 2)]
+        elif op == 1 and lines:
+            lines.pop(rng.randrange(len(lines)))
+        else:
+            lines.append({rng.randrange(n)})
+    perm = rng.sample(range(n), n)
+    relabelled = list(dict.fromkeys(frozenset(perm[v] for v in l) for l in lines))
+    rng.shuffle(relabelled)
+    return LinearSystem(n, relabelled)
+
+
+def _axiom_cases():
+    out = list(build_corpus())
+    for q in (2, 3, 4):
+        plane = projective_plane(q)
+        out += [plane.system, dual_plane(plane).system]
+        out.append(LinearSystem(plane.system.num_points, plane.system.lines + ({0},)))
+        for i in range(plane.system.num_lines):
+            out.append(delete_line(plane.system, i))
+        for v in range(plane.system.num_points):
+            gone = delete_point(plane.system, v)
+            out += [gone, drop_isolated(gone)[0]]
+    for n in range(11):
+        out += [_near_pencil(n), LinearSystem(n, [range(n)] if n else []), LinearSystem(n, [])]
+    rng = random.Random(20261018)
+    out += [_nearly_joined(rng) for _ in range(300)]
+    return out
+
+
+def test_plane_axioms_match_brute_force():
+    outcomes = set()
+    for sys_ in _axiom_cases():
+        expected = PlaneReport(*brute_plane_axioms(sys_.num_points, sys_.line_tuples))
+        assert verify_plane_axioms(sys_) == expected, sys_
+        outcomes.add(expected.failed_axiom)
+    # every axiom the first three leave reachable is exercised
+    assert outcomes == {None, "point-pairs", "line-pairs", "general-position"}
