@@ -95,13 +95,19 @@ def _smallest_irreducible(p: int, k: int) -> tuple:
 
 def make_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FieldTable:
     """Build GF(p^k) tables. p must be prime, k >= 1, p**k within caps."""
+    cap = caps.field_order
+    # p**k > cap is certain here: refuse before testing p, and build p**k
+    # for the message only when k is small enough for that to be cheap
+    if p >= 2 and k >= 1 and (p > cap or k > cap.bit_length()):
+        order = p**k if k <= cap.bit_length() else f"{p}^{k}"
+        raise SizeLimit(f"field order {order} exceeds cap {cap}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
     q = p**k
-    if q > caps.field_order:
-        raise SizeLimit(f"field order {q} exceeds cap {caps.field_order}")
+    if q > cap:
+        raise SizeLimit(f"field order {q} exceeds cap {cap}")
 
     modulus = _smallest_irreducible(p, k)
 

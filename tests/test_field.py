@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -92,3 +93,20 @@ def test_tables_are_read_only():
     F = make_field(2, 2)
     with pytest.raises(ValueError):
         F.add_table[0, 0] = 1
+
+
+def test_field_cap_comes_before_primality_and_power():
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit, match=r"field order 2\^1000000000 exceeds cap 256"):
+        make_field(2, 10**9)
+    assert time.perf_counter() - start < 1.0
+    # p above the cap is refused before it is tested for primality
+    with pytest.raises(SizeLimit, match="field order 258 exceeds cap 256"):
+        make_field(258, 1)
+    with pytest.raises(SizeLimit):
+        make_field(10**18, 2)
+    # below the cap, primality and the degree are still checked first
+    with pytest.raises(NotPrime):
+        make_field(4, 0)
+    with pytest.raises(NotPrime):
+        make_field(-7, 10**9)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -231,3 +232,24 @@ def test_plane_axioms_match_brute_force():
         outcomes.add(expected.failed_axiom)
     # every axiom the first three leave reachable is exercised
     assert outcomes == {None, "point-pairs", "line-pairs", "general-position"}
+
+
+def test_near_pencil_fails_general_position_fast():
+    # one 399-point line and a two-point line from each of its points to
+    # point 399: points are joined and lines meet, so only general
+    # position can fail, and a search over point quadruples is cubic
+    pencil = _near_pencil(400)
+    start = time.perf_counter()
+    report = verify_plane_axioms(pencil)
+    assert time.perf_counter() - start < 0.5
+    assert report.failed_axiom == "general-position"
+
+
+def test_plane_order_cap_comes_before_factoring():
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit, match="plane order 1000000000000000003 exceeds cap 16"):
+        projective_plane(10**18 + 3)
+    assert time.perf_counter() - start < 1.0
+    # a non-prime-power above the cap is refused by the cap
+    with pytest.raises(SizeLimit):
+        projective_plane(18)
