@@ -265,19 +265,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        caps = caps_from_env()
-    except ValueError as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return 2
-    try:
-        return args.func(args, caps)
+        return args.func(args, caps_from_env())
     except LinsysError as e:
         print(f"error: {type(e).__name__}: {e}", file=_sys.stderr)
         return 2
-    except OSError as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return 2
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 2
 

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -327,3 +328,12 @@ def test_module_invocation():
         text=True,
     )
     assert proc.returncode == 0
+
+
+def test_gen_plane_order_above_cap_exits_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "gen", "plane", "--q", "1000000000000000003")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == "error: SizeLimit: plane order 1000000000000000003 exceeds cap 16\n"
