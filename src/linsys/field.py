@@ -96,8 +96,8 @@ def _smallest_irreducible(p: int, k: int) -> tuple:
 def make_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FieldTable:
     """Build GF(p^k) tables. p must be prime, k >= 1, p**k within caps."""
     cap = caps.field_order
-    # p**k > cap is certain here: refuse before testing p, and build p**k
-    # for the message only when k is small enough for that to be cheap
+    # where p**k > cap is certain, refuse before testing p, and build p**k
+    # for the message only while k is small enough for that to be cheap
     if p >= 2 and k >= 1 and (p > cap or k > cap.bit_length()):
         order = p**k if k <= cap.bit_length() else f"{p}^{k}"
         raise SizeLimit(f"field order {order} exceeds cap {cap}")
