@@ -337,3 +337,49 @@ def test_gen_plane_order_above_cap_exits_fast(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: SizeLimit: plane order 1000000000000000003 exceeds cap 16\n"
+
+
+# check-paper rows at the default caps: q = 8 skips the reconstruction
+# (146 points), q = 11 and q = 16 the plane solvers, q = 16 also the
+# reconstruction and saturated packing; odd q skips the even-q rows
+CHECK_PAPER_ROWS = {
+    "11": [
+        ("plane-axioms", "pass", "order=11"),
+        ("plane-counts", "pass", "133 points, 133 lines"),
+        ("plane-solvers", "skip", "size cap: 133 points exceeds solver cap 128"),
+        ("hyperoval", "skip", "even q required"),
+        ("reconstruction", "skip", "even q required"),
+        ("saturated-packing", "skip", "even rank required"),
+    ],
+    "8": [
+        ("plane-axioms", "pass", "order=8"),
+        ("plane-counts", "pass", "73 points, 73 lines"),
+        ("plane-transversal", "pass", "tau=9"),
+        ("plane-two-packing", "pass", "nu2=10"),
+        ("packing-gap-implication", "pass", "m=73, bound=25, hypothesis=False"),
+        ("hyperoval-arc", "pass", "10 points"),
+        ("hyperoval-dual-packing", "pass", "10 lines"),
+        ("reconstruction", "skip", "size cap: 146 points exceeds solver cap 128"),
+        ("saturated-packing", "pass", "rank=10, nu2=11, tau=6, lines=11"),
+    ],
+    "16": [
+        ("plane-axioms", "pass", "order=16"),
+        ("plane-counts", "pass", "273 points, 273 lines"),
+        ("plane-solvers", "skip", "size cap: 273 points exceeds solver cap 128"),
+        ("hyperoval-arc", "pass", "18 points"),
+        ("hyperoval-dual-packing", "pass", "18 lines"),
+        ("reconstruction", "skip", "size cap: 546 points exceeds solver cap 128"),
+        ("saturated-packing", "skip", "size cap: 171 points exceeds solver cap 128"),
+    ],
+}
+
+
+@pytest.mark.parametrize("q", sorted(CHECK_PAPER_ROWS))
+def test_check_paper_rows_at_default_caps(capsys, monkeypatch, q):
+    monkeypatch.delenv("LINSYS_CAPS", raising=False)
+    code, out, _ = run_cli(capsys, "check-paper", "--q", q, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["q"] == int(q)
+    rows = [(r["name"], r["status"], r["detail"]) for r in data["rows"]]
+    assert rows == CHECK_PAPER_ROWS[q]

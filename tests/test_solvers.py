@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -351,6 +352,61 @@ def test_pinned_tau_nodes(name):
     build, answer = PINNED_TAU_NODES[name]
     res = transversal_number(build())
     assert (res.value, res.witness, res.nodes_explored) == answer
+
+
+# (value, witness, nodes) of tau and gamma on systems where the search
+# reaches a node with an uncovered element whose candidates are all
+# excluded (each was tried at an earlier branch). Such a node has no cover
+# below it; the residual bound prunes it or the branch finds no candidate.
+PINNED_EXCLUDED_ELEMENT_NODES = {
+    "tau-9a": (
+        transversal_number,
+        LinearSystem(
+            9, [[0, 5], [1, 4, 7], [4, 8], [1, 3, 8], [2, 6], [0, 4],
+                [3, 5, 7], [5, 6]],
+        ),
+        (4, (1, 2, 4, 5), 5),
+    ),
+    "tau-9b": (
+        transversal_number,
+        LinearSystem(
+            9, [[1, 2], [0, 4, 5, 6], [1, 6, 7], [2, 5], [0, 3], [4, 8],
+                [2, 4], [0, 1]],
+        ),
+        (4, (0, 1, 2, 4), 7),
+    ),
+    "gamma-12": (
+        domination_number,
+        LinearSystem(
+            12, [[0, 8], [2, 9], [1, 11], [1, 5], [2, 7, 11], [3, 6, 8, 10],
+                 [4, 9], [4, 11], [0, 5]],
+        ),
+        (4, (0, 2, 8, 11), 9),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EXCLUDED_ELEMENT_NODES))
+def test_pinned_nodes_with_excluded_element(name):
+    solve, sys_, answer = PINNED_EXCLUDED_ELEMENT_NODES[name]
+    res = solve(sys_)
+    assert (res.value, res.witness, res.nodes_explored) == answer
+
+
+def _relabelled_triangular(m, seed):
+    perm = list(range(m * (m - 1) // 2))
+    random.Random(seed).shuffle(perm)
+    base = triangular_system(m)
+    return LinearSystem(
+        base.num_points, [[perm[v] for v in l] for l in base.line_tuples]
+    )
+
+
+def test_pinned_gamma_on_relabelled_triangular():
+    # the search meets many nodes with an uncovered element whose
+    # candidates are all excluded
+    res = domination_number(_relabelled_triangular(10, 0))
+    assert (res.value, res.witness) == (5, (0, 2, 4, 6, 10))
 
 
 # (value, witness, nodes) of nu2, with the root bound. A change of search
