@@ -5,10 +5,9 @@ call; ``LinearSystem`` itself holds no packed arrays. Two searches cover
 all three invariants:
 
 - ``_cover_search`` finds a minimum set cover, given as a (k, e) uint8
-  matrix ``covers`` of k candidates over e elements and its transpose.
-  For tau the candidates are the points and the elements the lines; for
-  gamma both are the points, a point covering its closed neighbourhood,
-  so the matrix is symmetric and is passed as its own transpose.
+  matrix ``covers`` of k candidates over e elements. For tau the
+  candidates are the points and the elements the lines; for gamma both
+  are the points, a point covering its closed neighbourhood.
 - ``_nu2_search`` finds a maximum 2-packing, given as the (m, n) uint8
   line-point incidence and its transpose, and stops when it reaches an
   upper bound that the caller proved (the meet and parity rules on
@@ -81,12 +80,11 @@ def _pairwise_loop(words):
     return out
 
 
-def _cover_search(covers, covered_by, cand_lists, cand_sizes, universe, best0):
+def _cover_search(covers, cand_lists, cand_sizes, universe, best0):
     """Branch and bound for a minimum set cover.
 
     covers:      (k, e) uint8, covers[v, u] = 1 when candidate v covers
                  element u.
-    covered_by:  (e, k) uint8, the C-contiguous transpose of covers.
     cand_lists:  (e, cmax) int32, the candidates covering each element,
                  ascending, -1 padded.
     cand_sizes:  (e,) int32, the number of candidates covering each element.
@@ -94,21 +92,22 @@ def _cover_search(covers, covered_by, cand_lists, cand_sizes, universe, best0):
     best0:       incumbent size (from a greedy cover).
 
     tau passes the points as candidates over the lines; gamma passes its
-    symmetric closed-neighbourhood matrix as both covers and covered_by.
+    symmetric closed-neighbourhood matrix.
 
     Branch rule: the uncovered element with the fewest candidates, lowest
     index on ties; its candidates in ascending order. Tried-candidate
     exclusion: once the subtree of candidate v of the branch element is
     finished, every cover containing v has been searched, so v is excluded
-    from the subtrees of the later candidates. Bounds, in this order, over
-    the candidates not excluded: a node is pruned when one more candidate
-    cannot beat the incumbent, when some uncovered element has no such
-    candidate left (stranded), or when ceil(remaining / maxcov) more are
-    needed, maxcov being the largest residual cover of one candidate.
+    from the subtrees of the later candidates. Bounds, in this order: a
+    node at depth d is pruned when one more candidate cannot beat the
+    incumbent, or when remaining > (best - d - 1) * maxcov, maxcov being
+    the largest residual cover of a candidate not excluded. For maxcov >= 1
+    that is d + ceil(remaining / maxcov) >= best; maxcov = 0 always prunes,
+    rightly, as no allowed candidate covers an uncovered element.
 
     Each depth keeps 0/1 uint8 masks over the elements (uncovered) and over
     the candidates (excluded, tried), so a node costs a fixed number of
-    whole-array steps: two masked row sums, a max and an argmin.
+    whole-array steps: one masked row sum, a max and an argmin.
     Returns (best, improved, witness_buffer, nodes); the first `best`
     witness entries are meaningful only when improved == 1.
     """
@@ -147,15 +146,9 @@ def _cover_search(covers, covered_by, cand_lists, cand_sizes, universe, best0):
             if d + 1 >= best:
                 d -= 1
                 continue
-            allowed = excluded[d] == 0
-            reach = (covered_by & allowed).sum(axis=1)
-            if ((reach == 0) & (uncov == 1)).any():
-                d -= 1
-                continue
             residual = (covers & uncov).sum(axis=1)
-            maxcov = np.int64((residual * allowed).max())
-            lb = (remaining + maxcov - 1) // maxcov
-            if d + lb >= best:
+            maxcov = np.int64((residual * (excluded[d] == 0)).max())
+            if remaining > (best - d - 1) * maxcov:
                 d -= 1
                 continue
             branch_elem[d] = np.where(

@@ -129,7 +129,7 @@ def transversal_number(
     seed = _greedy_cover(point_cover, universe)
     line_points, line_sizes = _rows(line_cover)
     best, improved, wit, nodes = ks.tau_search(
-        point_cover, line_cover, line_points, line_sizes, universe, len(seed)
+        point_cover, line_points, line_sizes, universe, len(seed)
     )
     witness = (
         tuple(sorted(int(v) for v in wit[: int(best)])) if improved else seed
@@ -156,9 +156,8 @@ def domination_number(
 
     seed = _greedy_cover(cover, universe)
     cover_lists, cover_sizes = _rows(cover)
-    # cover is symmetric, so it is its own transpose
     best, improved, wit, nodes = ks.gamma_search(
-        cover, cover, cover_lists, cover_sizes, universe, len(seed)
+        cover, cover_lists, cover_sizes, universe, len(seed)
     )
     inner = (
         [int(v) for v in wit[: int(best)]] if improved else list(seed)
