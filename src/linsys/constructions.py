@@ -54,12 +54,15 @@ from .solvers import (
 @dataclass(frozen=True)
 class MembershipReport:
     """Does the system have rank = target, pairwise intersecting lines,
-    and domination number target-1?"""
+    no isolated points, and domination number target-1? gamma counts each
+    isolated point, which every dominating set must hold, while the bound
+    gamma <= r - 1 holds only when every point is on a line."""
 
     target_rank: int
     rank: int
     is_intersecting: bool
     gamma: int
+    isolated: Tuple[int, ...]
     member: bool
 
 
@@ -69,12 +72,14 @@ def check_extremal_family(
     rk = rank(sys)
     inter = is_intersecting(sys)
     gamma = domination_number(sys, caps=caps).value
+    isolated = tuple(v for v in range(sys.num_points) if v not in sys.support)
     return MembershipReport(
         target_rank=r,
         rank=rk,
         is_intersecting=inter,
         gamma=gamma,
-        member=(rk == r and inter and gamma == r - 1),
+        isolated=isolated,
+        member=(rk == r and inter and not isolated and gamma == r - 1),
     )
 
 
@@ -116,9 +121,12 @@ def derive(sys: LinearSystem, r: int, caps: Caps = DEFAULT_CAPS) -> Derivation:
     search raises DerivationFailed."""
     report = check_extremal_family(sys, r, caps=caps)
     if not report.member:
+        isolated = (
+            f", isolated points {list(report.isolated)}" if report.isolated else ""
+        )
         raise NotMember(
             f"rank {report.rank} (want {r}), intersecting={report.is_intersecting},"
-            f" domination {report.gamma} (want {r - 1})"
+            f" domination {report.gamma} (want {r - 1}){isolated}"
         )
 
     candidates = [i for i, l in enumerate(sys.lines) if len(l) == r]

@@ -159,6 +159,19 @@ def test_derive_non_member_exits_one(capsys, plane_file):
     assert "not a family member" in out
 
 
+def test_derive_with_isolated_points_exits_one(capsys, tmp_path):
+    path = tmp_path / "isolated.json"
+    path.write_text(
+        json.dumps({"num_points": 9, "lines": [[1, 3, 5, 7], [0, 5, 6, 8]]})
+    )
+    code, out, err = run_cli(capsys, "derive", str(path), "--r", "4")
+    assert (code, err) == (1, "")
+    assert out == (
+        "not a family member: rank 4 (want 4), intersecting=True,"
+        " domination 3 (want 3), isolated points [2, 4]\n"
+    )
+
+
 def test_derive_text_output(capsys, ext_file):
     code, out, _ = run_cli(capsys, "derive", str(ext_file), "--r", "4")
     assert code == 0

@@ -67,6 +67,22 @@ def test_membership_negative(fano):
     assert report.rank == 3 and report.is_intersecting
 
 
+def test_isolated_points_bar_membership():
+    # gamma = 1 + the two isolated points 2 and 4, which reaches r - 1 = 3
+    # only because every dominating set must hold them
+    sys_ = LinearSystem(9, [[1, 3, 5, 7], [0, 5, 6, 8]])
+    report = check_extremal_family(sys_, 4)
+    assert (report.rank, report.is_intersecting, report.gamma) == (4, True, 3)
+    assert report.isolated == (2, 4)
+    assert not report.member
+    with pytest.raises(NotMember) as info:
+        derive(sys_, 4)
+    assert str(info.value) == (
+        "rank 4 (want 4), intersecting=True, domination 3 (want 3),"
+        " isolated points [2, 4]"
+    )
+
+
 def test_derive_from_extended_fano(fano, ext_fano):
     d = derive(ext_fano, 4)
     assert d.source is ext_fano
