@@ -110,3 +110,27 @@ def test_field_cap_comes_before_primality_and_power():
         make_field(4, 0)
     with pytest.raises(NotPrime):
         make_field(-7, 10**9)
+
+
+def test_degree_comes_before_primality_above_the_cap():
+    # trial division of a 61-bit prime would not finish
+    start = time.perf_counter()
+    for p in (10**12 + 39, 2**61 - 1, 258):
+        with pytest.raises(ValueError, match="extension degree must be >= 1, got 0"):
+            make_field(p, 0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_messages_past_the_int_string_limit():
+    # str() refuses ints of more than 4,300 digits; the messages give the
+    # bit length instead, and the exception keeps its type
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit, match=r"^field order <16610-bit integer> exceeds cap 256$"):
+        make_field(10**5000, 1)
+    with pytest.raises(SizeLimit, match=r"^field order 2\^<16610-bit integer> exceeds"):
+        make_field(2, 10**5000)
+    with pytest.raises(NotPrime, match=r"^<16610-bit integer> is not prime$"):
+        make_field(-(10**5000), 1)
+    with pytest.raises(ValueError, match=r"got <16610-bit integer>$"):
+        make_field(2, -(10**5000))
+    assert time.perf_counter() - start < 1.0
