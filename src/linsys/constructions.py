@@ -430,63 +430,54 @@ def verification_battery(q: int, caps: Caps = DEFAULT_CAPS) -> list:
     except SizeLimit as e:
         rows.append(CheckRow("plane-solvers", "skip", f"size cap: {e}"))
 
-    if q % 2 == 0:
-        try:
-            arc = hyperoval(plane)
-            rows.append(
-                _row(
-                    "hyperoval-arc",
-                    len(arc.points) == q + 2 and is_arc(plane, arc.points),
-                    f"{len(arc.points)} points",
-                )
-            )
-            dual = dual_hyperoval_lines(plane)
-            rows.append(
-                _row(
-                    "hyperoval-dual-packing",
-                    len(dual) == q + 2 and verify_two_packing(psys, dual),
-                    f"{len(dual)} lines",
-                )
-            )
-        except SizeLimit as e:
-            rows.append(CheckRow("hyperoval", "skip", f"size cap: {e}"))
-    else:
+    if q % 2 == 1:
         rows.append(CheckRow("hyperoval", "skip", "even q required"))
-
-    if q % 2 == 0:
-        try:
-            ext = extend_with_pendant_points(psys)
-            report = check_plane_reconstruction(ext, q, caps=caps)
-            for c in report.clauses:
-                rows.append(
-                    _row(
-                        f"reconstruction-{c.clause}",
-                        c.passed,
-                        f"expected {c.expected}, got {c.actual}",
-                    )
-                )
-        except SizeLimit as e:
-            rows.append(CheckRow("reconstruction", "skip", f"size cap: {e}"))
-    else:
         rows.append(CheckRow("reconstruction", "skip", "even q required"))
+        rows.append(CheckRow("saturated-packing", "skip", "even rank required"))
+        return rows
+
+    arc = hyperoval(plane)
+    rows.append(
+        _row(
+            "hyperoval-arc",
+            len(arc.points) == q + 2 and is_arc(plane, arc.points),
+            f"{len(arc.points)} points",
+        )
+    )
+    dual = dual_hyperoval_lines(plane)
+    rows.append(
+        _row(
+            "hyperoval-dual-packing",
+            len(dual) == q + 2 and verify_two_packing(psys, dual),
+            f"{len(dual)} lines",
+        )
+    )
 
     try:
-        tri = triangular_system(q + 3)
-        if (q + 2) % 2 == 0:
-            rep = check_saturated_packing(tri, caps=caps)
-            ok = rep.hypothesis_holds and rep.all_pass
+        ext = extend_with_pendant_points(psys)
+        report = check_plane_reconstruction(ext, q, caps=caps)
+        for c in report.clauses:
             rows.append(
                 _row(
-                    "saturated-packing",
-                    ok,
-                    f"rank={rep.rank}, nu2={rep.nu2}, tau={rep.tau},"
-                    f" lines={rep.num_lines}",
+                    f"reconstruction-{c.clause}",
+                    c.passed,
+                    f"expected {c.expected}, got {c.actual}",
                 )
             )
-        else:
-            rows.append(
-                CheckRow("saturated-packing", "skip", "even rank required")
+    except SizeLimit as e:
+        rows.append(CheckRow("reconstruction", "skip", f"size cap: {e}"))
+
+    # triangular-(q+3) has rank q + 2, even with q
+    try:
+        rep = check_saturated_packing(triangular_system(q + 3), caps=caps)
+        rows.append(
+            _row(
+                "saturated-packing",
+                rep.hypothesis_holds and rep.all_pass,
+                f"rank={rep.rank}, nu2={rep.nu2}, tau={rep.tau},"
+                f" lines={rep.num_lines}",
             )
+        )
     except SizeLimit as e:
         rows.append(CheckRow("saturated-packing", "skip", f"size cap: {e}"))
 
