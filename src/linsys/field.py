@@ -93,34 +93,26 @@ def _smallest_irreducible(p: int, k: int) -> tuple:
     raise AssertionError(f"no irreducible of degree {k} over GF({p})")
 
 
-def _decimal(n: int) -> str:
-    """n in decimal, or its bit length past Python's limit on the digits
-    of an int-to-str conversion."""
+def _decimal(x) -> str:
+    """str(x), or the bit length of an int of more digits than str() takes."""
     try:
-        return str(n)
+        return str(x)
     except ValueError:
-        return f"<{n.bit_length()}-bit integer>"
+        return f"<{x.bit_length()}-bit integer>"
 
 
 def make_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FieldTable:
     """Build GF(p^k) tables. p must be prime, k >= 1, p**k within caps."""
     cap = caps.field_order
-    # where p is above the cap, test the degree and the order before p:
-    # the primality test takes up to sqrt(p) steps. p**k is built for the
-    # message only while k is small enough for that to be cheap
-    bad_degree = f"extension degree must be >= 1, got {_decimal(k)}"
-    if p > cap and k < 1:
-        raise ValueError(bad_degree)
+    # above the cap, refuse k < 1 and p**k > cap before the sqrt(p)-step
+    # primality test; build p**k for the message only while that is cheap
+    if k < 1 and (p > cap or is_prime(p)):
+        raise ValueError(f"extension degree must be >= 1, got {_decimal(k)}")
     if p >= 2 and k >= 1 and (p > cap or k > cap.bit_length()):
-        if k <= cap.bit_length():
-            order = _decimal(p**k)
-        else:
-            order = f"{_decimal(p)}^{_decimal(k)}"
-        raise SizeLimit(f"field order {order} exceeds cap {cap}")
+        order = p**k if k <= cap.bit_length() else f"{_decimal(p)}^{_decimal(k)}"
+        raise SizeLimit(f"field order {_decimal(order)} exceeds cap {cap}")
     if not is_prime(p):
         raise NotPrime(f"{_decimal(p)} is not prime")
-    if k < 1:
-        raise ValueError(bad_degree)
     q = p**k
     if q > cap:
         raise SizeLimit(f"field order {q} exceeds cap {cap}")
