@@ -92,7 +92,7 @@ def _cover_search(covers, cand_lists, cand_sizes, universe, best0):
     best0:       incumbent size (from a greedy cover).
 
     tau passes the points as candidates over the lines; gamma passes its
-    symmetric closed-neighbourhood matrix.
+    closed-neighbourhood matrix.
 
     Branch rule: the uncovered element with the fewest candidates, lowest
     index on ties; its candidates in ascending order. Tried-candidate
