@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import random
 import time
 
 import pytest
 
+from linsys import geometry
 from linsys import (
     LinearSystem,
     NotPrimePower,
@@ -232,6 +234,73 @@ def test_plane_axioms_match_brute_force():
         outcomes.add(expected.failed_axiom)
     # every axiom the first three leave reachable is exercised
     assert outcomes == {None, "point-pairs", "line-pairs", "general-position"}
+
+
+# PG(2,q) minus point v, isolated point dropped: every pair of points is
+# still joined, and two lines that met only at v are now disjoint
+PUNCTURED_PLANE_PINS = [
+    (5, 0, "lines 1 and 6 are disjoint"),
+    (5, 5, "lines 2 and 6 are disjoint"),
+    (5, 30, "lines 5 and 7 are disjoint"),
+    (7, 0, "lines 1 and 8 are disjoint"),
+    (7, 5, "lines 6 and 8 are disjoint"),
+    (7, 56, "lines 7 and 9 are disjoint"),
+    (8, 0, "lines 1 and 9 are disjoint"),
+    (8, 5, "lines 4 and 9 are disjoint"),
+    (8, 72, "lines 2 and 14 are disjoint"),
+    (9, 0, "lines 1 and 10 are disjoint"),
+    (9, 5, "lines 8 and 10 are disjoint"),
+    (9, 90, "lines 3 and 15 are disjoint"),
+    (11, 0, "lines 1 and 12 are disjoint"),
+    (11, 5, "lines 9 and 12 are disjoint"),
+    (11, 132, "lines 11 and 13 are disjoint"),
+    (13, 0, "lines 1 and 14 are disjoint"),
+    (13, 5, "lines 4 and 14 are disjoint"),
+    (13, 182, "lines 13 and 15 are disjoint"),
+    (16, 0, "lines 1 and 17 are disjoint"),
+    (16, 5, "lines 7 and 17 are disjoint"),
+    (16, 272, "lines 2 and 22 are disjoint"),
+]
+
+
+def _punctured(system, v):
+    return drop_isolated(delete_point(system, v))[0]
+
+
+@pytest.mark.parametrize("q, v, detail", PUNCTURED_PLANE_PINS)
+def test_punctured_plane_fails_line_pairs(q, v, detail):
+    report = verify_plane_axioms(_punctured(projective_plane(q).system, v))
+    assert report == PlaneReport(False, None, "line-pairs", detail)
+
+
+def test_punctured_dual_plane_pins():
+    plane = projective_plane(9)
+    report = verify_plane_axioms(_punctured(dual_plane(plane).system, 5))
+    assert report == PlaneReport(
+        False, None, "line-pairs", "lines 8 and 10 are disjoint"
+    )
+    # the dual of the punctured plane: its disjoint lines 8 and 10 become
+    # two points that no line joins
+    punctured = _punctured(plane.system, 5)
+    dual = LinearSystem(punctured.num_lines, punctured.lines_through)
+    assert verify_plane_axioms(dual) == PlaneReport(
+        False, None, "point-pairs", "points 8 and 10 lie on no common line"
+    )
+
+
+def test_plane_check_counts_no_pairs_on_a_plane(monkeypatch):
+    # the line-pairs axiom of a plane follows from its degree count, so
+    # the pairwise kernel runs only when that count fails
+    def refuse(lines):
+        raise AssertionError("pairwise count on a plane")
+
+    monkeypatch.setattr(
+        geometry,
+        "ACTIVE",
+        dataclasses.replace(geometry.ACTIVE, pairwise_intersections=refuse),
+    )
+    report = verify_plane_axioms(projective_plane(16).system)
+    assert report == PlaneReport(True, 16, None, None)
 
 
 def test_near_pencil_fails_general_position_fast():
