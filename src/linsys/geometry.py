@@ -13,12 +13,12 @@ from typing import FrozenSet, Iterable, Optional, Tuple
 
 import numpy as np
 
-from . import bitsets
-from .core import LinearSystem
+from .core import LinearSystem, is_intersecting
 from .errors import NotPrimePower, OddOrder, SizeLimit
 from .field import FieldTable, make_field
 from .kernels import ACTIVE
 from .limits import DEFAULT_CAPS, Caps
+from .solvers import _incidence
 
 Triple = Tuple[int, int, int]
 
@@ -108,10 +108,13 @@ def projective_plane(q: int, caps: Caps = DEFAULT_CAPS) -> PlaneModel:
 
 
 def verify_plane_axioms(sys: LinearSystem) -> PlaneReport:
-    """Check the three projective-plane axioms on a linear system: the
-    first two by exhaustive pair checks, general position by the size of
-    the longest line. Uniformity and the counts follow from them."""
-    n, m = sys.num_points, sys.num_lines
+    """Check the three projective-plane axioms on a linear system:
+    point-pairs by the pair count, line-pairs by the degree count, general
+    position by the size of the longest line. Uniformity and the counts
+    follow from them. Only a failing system pays for naming its witness:
+    the least missing point pair, or the least disjoint line pair from the
+    pairwise intersection counts."""
+    n = sys.num_points
 
     # two distinct points on exactly one common line; linearity already
     # rules out two, so only missing pairs can occur
@@ -127,18 +130,14 @@ def verify_plane_axioms(sys: LinearSystem) -> PlaneReport:
                         f"points {u} and {v} lie on no common line",
                     )
 
-    if m > 1:
-        counts = ACTIVE.pairwise_intersections(
-            bitsets.pack_sets(sys.line_tuples, n)
+    # lines meet at most once, so the C(deg, 2) line pairs through each
+    # point add up to C(m, 2) exactly when every pair meets
+    if not is_intersecting(sys):
+        counts = ACTIVE.pairwise_intersections(_incidence(sys))
+        i, j = np.argwhere(np.triu(counts == 0, 1))[0]
+        return PlaneReport(
+            False, None, "line-pairs", f"lines {i} and {j} are disjoint"
         )
-        iu = np.triu_indices(m, 1)
-        flat = counts[iu]
-        if (flat == 0).any():
-            where = int(np.nonzero(flat == 0)[0][0])
-            i, j = int(iu[0][where]), int(iu[1][where])
-            return PlaneReport(
-                False, None, "line-pairs", f"lines {i} and {j} are disjoint"
-            )
 
     # Once points are joined and lines meet, four points in general
     # position exist iff n >= 4 and the longest line L, with r points,

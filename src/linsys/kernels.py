@@ -1,4 +1,4 @@
-"""Hot loops: pairwise intersection counts and the exact searches.
+"""The exact searches, and the pairwise line intersection counts.
 
 Kernels take plain numpy arrays that their callers build right before the
 call; ``LinearSystem`` itself holds no packed arrays. Two searches cover
@@ -14,15 +14,17 @@ all three invariants:
   intersecting systems). Its state is one row per depth, O(m * n) in
   all; it needs no (m, m) table of meeting points.
 
-The plane-axiom check packs the lines it counts into uint64 words.
+The plane-axiom check takes ``_pairwise``, one matrix product over the
+incidence, only to name the least disjoint line pair of a system that
+already failed the degree count, so it has no jitted copy.
 
 Both searches do each node in a fixed number of whole-array steps over
 0/1 uint8 masks and small integer rows, so the pure-numpy path runs no
 Python loop over candidates, lines or points. They keep to what numba
 compiles for integer arrays: elementwise ufuncs with broadcasting,
 ``.sum(axis=1)``, ``.max()``, ``.any()``, ``.argmin()`` and three-array
-``np.where``; no ``@``/``np.dot`` (float-only in numba), no
-``np.bitwise_count`` and no boolean fancy indexing.
+``np.where``; no ``@``/``np.dot`` (float-only in numba) and no boolean
+fancy indexing.
 
 Each search kernel is written once in numba-compatible form. When numba is
 importable and ``LINSYS_PURE_NUMPY`` is unset, jitted copies run; otherwise
@@ -30,7 +32,7 @@ the same functions execute as plain Python over numpy arrays. Both paths
 perform the identical traversal, so values, witnesses and node counts match
 bit for bit.
 
-All kernels are self-contained on purpose: no calls into module helpers, so
+Both searches are self-contained on purpose: no calls into module helpers, so
 the uncompiled fallback never leaks into jitted code or vice versa.
 """
 
@@ -43,41 +45,12 @@ import numpy as np
 PURE_NUMPY_ENV = "LINSYS_PURE_NUMPY"
 
 
-def _pairwise_numpy(words: np.ndarray) -> np.ndarray:
-    """|set_i & set_j| for every row pair of an (m, W) uint64 matrix."""
-    m = words.shape[0]
-    out = np.zeros((m, m), dtype=np.int32)
-    block = 256
-    for start in range(0, m, block):
-        chunk = words[start : start + block]
-        inter = chunk[:, None, :] & words[None, :, :]
-        out[start : start + block] = np.bitwise_count(inter).sum(
-            axis=2, dtype=np.int32
-        )
-    return out
-
-
-def _pairwise_loop(words):
-    m = words.shape[0]
-    w = words.shape[1]
-    out = np.zeros((m, m), dtype=np.int32)
-    for i in range(m):
-        for j in range(i, m):
-            c = np.int64(0)
-            for t in range(w):
-                x = words[i, t] & words[j, t]
-                x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-                x = (x & np.uint64(0x3333333333333333)) + (
-                    (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-                )
-                x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-                x = x + (x >> np.uint64(8))
-                x = x + (x >> np.uint64(16))
-                x = x + (x >> np.uint64(32))
-                c += np.int64(x & np.uint64(0x7F))
-            out[i, j] = c
-            out[j, i] = c
-    return out
+def _pairwise(lines: np.ndarray) -> np.ndarray:
+    """|line_i & line_j| for every row pair of an (m, n) 0/1 incidence, as
+    an (m, m) int32 matrix. float64 sums of 0/1 products are exact, and the
+    product runs in BLAS."""
+    f = lines.astype(np.float64)
+    return (f @ f.T).astype(np.int32)
 
 
 def _cover_search(covers, cand_lists, cand_sizes, universe, best0):
@@ -312,7 +285,7 @@ class KernelSet:
 
 PY_KERNELS = KernelSet(
     name="numpy",
-    pairwise_intersections=_pairwise_numpy,
+    pairwise_intersections=_pairwise,
     tau_search=_cover_search,
     gamma_search=_cover_search,
     nu2_search=_nu2_search,
@@ -336,7 +309,7 @@ if not _pure_requested:
         _jit_cover = _jit(_cover_search)
         JIT_KERNELS = KernelSet(
             name="numba",
-            pairwise_intersections=_jit(_pairwise_loop),
+            pairwise_intersections=_pairwise,
             tau_search=_jit_cover,
             gamma_search=_jit_cover,
             nu2_search=_jit(_nu2_search),

@@ -9,7 +9,6 @@ import pytest
 
 from linsys import (
     LinearSystem,
-    bitsets,
     domination_number,
     projective_plane,
     transversal_number,
@@ -32,55 +31,8 @@ def test_active_backend_selection():
         assert ACTIVE is JIT_KERNELS
 
 
-@pytest.mark.skipif(JIT_KERNELS is None, reason="numba unavailable")
-def test_pairwise_backends_agree(fano):
-    words = bitsets.pack_sets(fano.line_tuples, fano.num_points)
-    a = PY_KERNELS.pairwise_intersections(words)
-    b = JIT_KERNELS.pairwise_intersections(words)
-    assert np.array_equal(a, b)
-    rng = np.random.default_rng(7)
-    blob = rng.integers(0, 2**64, size=(300, 4), dtype=np.uint64)
-    assert np.array_equal(
-        PY_KERNELS.pairwise_intersections(blob),
-        JIT_KERNELS.pairwise_intersections(blob),
-    )
-
-
-def _pack_per_bit(sets, size):
-    out = np.zeros((len(sets), bitsets.word_count(size)), dtype=np.uint64)
-    for i, members in enumerate(sets):
-        for x in members:
-            out[i, int(x) >> 6] |= np.uint64(1) << np.uint64(int(x) & 63)
-    return out
-
-
-@pytest.mark.parametrize(
-    "sets, size",
-    [
-        ([[0], [63], [64], [127], [0, 63, 64, 127]], 128),
-        ([[], [5], []], 10),
-        ([[], []], 200),
-        ([], 64),
-        ([], 0),
-        ([[]], 0),
-        ([[0, 1, 2], [65, 64, 1]], 66),
-        ([np.array([0, 63, 64, 127], dtype=np.int32), [np.int64(70)]], 128),
-        ([{np.uint16(3), np.int8(100)}, (np.intp(127),)], 128),
-        ([range(129)], 129),
-    ],
-)
-def test_pack_sets_matches_per_bit_reference(sets, size):
-    got = bitsets.pack_sets(sets, size)
-    want = _pack_per_bit(sets, size)
-    assert got.dtype == np.uint64
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-
-
 def test_pairwise_matches_set_arithmetic(fano):
-    counts = ACTIVE.pairwise_intersections(
-        bitsets.pack_sets(fano.line_tuples, fano.num_points)
-    )
+    counts = ACTIVE.pairwise_intersections(_incidence(fano))
     for i in range(7):
         for j in range(7):
             assert counts[i, j] == len(fano.lines[i] & fano.lines[j])
@@ -156,12 +108,10 @@ def test_domination_on_lineless_system_needs_no_kernels():
 # What the jitted kernels may use of numpy; numba is absent from some test
 # environments, so this keeps the shared source inside the subset it
 # compiles even where no test can run the jitted path.
-NUMBA_NP_ATTRS = {"full", "zeros", "where", "int32", "int64", "uint8", "uint64"}
+NUMBA_NP_ATTRS = {"full", "zeros", "where", "int32", "int64", "uint8"}
 
 
-@pytest.mark.parametrize(
-    "name", ["_cover_search", "_nu2_search", "_pairwise_loop"]
-)
+@pytest.mark.parametrize("name", ["_cover_search", "_nu2_search"])
 def test_kernel_source_stays_in_numba_subset(name):
     tree = ast.parse(inspect.getsource(getattr(kernels, name)))
     func = tree.body[0]
