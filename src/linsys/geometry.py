@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import LinearSystem, is_intersecting
 from .errors import NotPrimePower, OddOrder, SizeLimit
-from .field import FieldTable, make_field
+from .field import FieldTable, _decimal, make_field
 from .kernels import ACTIVE
 from .limits import DEFAULT_CAPS, Caps
 from .solvers import _incidence
@@ -59,7 +59,7 @@ class PlaneReport:
 
 def _prime_power(q: int) -> Tuple[int, int]:
     if q < 2:
-        raise NotPrimePower(f"{q} is not a prime power")
+        raise NotPrimePower(f"{_decimal(q)} is not a prime power")
     # the least divisor above 1 is prime; none up to sqrt(q) makes q prime
     p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     k, rest = 0, q
@@ -67,7 +67,7 @@ def _prime_power(q: int) -> Tuple[int, int]:
         rest //= p
         k += 1
     if rest != 1:
-        raise NotPrimePower(f"{q} is not a prime power")
+        raise NotPrimePower(f"{_decimal(q)} is not a prime power")
     return p, k
 
 
@@ -83,7 +83,9 @@ def normalized_triples(q: int) -> Tuple[Triple, ...]:
 def projective_plane(q: int, caps: Caps = DEFAULT_CAPS) -> PlaneModel:
     """PG(2,q) for a prime power q within the configured order cap."""
     if q > caps.plane_order:
-        raise SizeLimit(f"plane order {q} exceeds cap {caps.plane_order}")
+        raise SizeLimit(
+            f"plane order {_decimal(q)} exceeds cap {caps.plane_order}"
+        )
     p, k = _prime_power(q)
     F = make_field(p, k, caps=caps)
 

@@ -322,3 +322,20 @@ def test_plane_order_cap_comes_before_factoring():
     # a non-prime-power above the cap is refused by the cap
     with pytest.raises(SizeLimit):
         projective_plane(18)
+
+
+def test_plane_order_past_the_digit_limit_keeps_its_error_type():
+    # str() refuses ints of more than 4,300 digits; the messages give the
+    # bit length instead
+    start = time.perf_counter()
+    with pytest.raises(
+        SizeLimit, match=r"^plane order <16610-bit integer> exceeds cap 16$"
+    ):
+        projective_plane(10**5000)
+    with pytest.raises(
+        NotPrimePower, match=r"^<16610-bit integer> is not a prime power$"
+    ):
+        projective_plane(-(10**5000))
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(NotPrimePower, match=r"^-5 is not a prime power$"):
+        projective_plane(-5)
