@@ -56,9 +56,11 @@ def dumps_json(sys: LinearSystem) -> str:
 
 
 def loads_json(text: Union[str, bytes]) -> LinearSystem:
+    # besides JSONDecodeError, undecodable bytes and integers past str()'s
+    # digit limit raise ValueError
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
         raise FormatError(f"invalid JSON: {e}") from e
     return system_from_dict(data)
 

@@ -69,6 +69,22 @@ def test_loads_json_rejects_non_object():
         loads_json("not json")
 
 
+def test_loads_json_types_every_decoding_error():
+    # undecodable bytes and integers past str()'s 4,300-digit limit are
+    # ValueErrors but not JSONDecodeErrors
+    with pytest.raises(FormatError, match=r"^invalid JSON: 'utf-8' codec"):
+        loads_json(b"\xff")
+    huge = "1" + "0" * 4999
+    for text in (
+        f'{{"num_points": {huge}, "lines": []}}',
+        f'{{"num_points": 3, "lines": [[0, {huge}]]}}',
+    ):
+        with pytest.raises(FormatError, match=r"^invalid JSON: Exceeds the limit"):
+            loads_json(text)
+        with pytest.raises(FormatError, match=r"^invalid JSON: Exceeds the limit"):
+            loads_json(text.encode())
+
+
 def test_text_round_trip(sample):
     text = dumps_text(sample)
     lines = text.splitlines()
