@@ -110,12 +110,14 @@ def projective_plane(q: int, caps: Caps = DEFAULT_CAPS) -> PlaneModel:
 
 
 def verify_plane_axioms(sys: LinearSystem) -> PlaneReport:
-    """Check the three projective-plane axioms on a linear system:
-    point-pairs by the pair count, line-pairs by the degree count, general
-    position by the size of the longest line. Uniformity and the counts
-    follow from them. Only a failing system pays for naming its witness:
-    the least missing point pair, or the least disjoint line pair from the
-    pairwise intersection counts."""
+    """Check the three projective-plane axioms on a linear system.
+    Point-pairs holds when ``pair_line`` has every point pair. Line-pairs
+    holds by the degree count: lines meet at most once, so the sum over
+    points of C(deg, 2) counts the meeting line pairs, and it reaches
+    C(m, 2) exactly when every pair meets. General position follows from
+    the size of the longest line, and uniformity and the counts from the
+    three. Only a failing system is searched for its least missing point
+    pair or least disjoint line pair."""
     n = sys.num_points
 
     # two distinct points on exactly one common line; linearity already
@@ -132,8 +134,6 @@ def verify_plane_axioms(sys: LinearSystem) -> PlaneReport:
                         f"points {u} and {v} lie on no common line",
                     )
 
-    # lines meet at most once, so the C(deg, 2) line pairs through each
-    # point add up to C(m, 2) exactly when every pair meets
     if not is_intersecting(sys):
         counts = ACTIVE.pairwise_intersections(_incidence(sys))
         i, j = np.argwhere(np.triu(counts == 0, 1))[0]
