@@ -81,8 +81,6 @@ def test_loads_json_types_every_decoding_error():
     ):
         with pytest.raises(FormatError, match=r"^invalid JSON: Exceeds the limit"):
             loads_json(text)
-        with pytest.raises(FormatError, match=r"^invalid JSON: Exceeds the limit"):
-            loads_json(text.encode())
 
 
 def test_text_round_trip(sample):
