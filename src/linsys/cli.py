@@ -16,12 +16,12 @@ from .errors import LinsysError, NotMember
 from .limits import Caps, caps_from_env
 
 
-def _read_system(path: str) -> core.LinearSystem:
+def _read_system(path: str, caps: Caps) -> core.LinearSystem:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return formats.loads_json(text)
-    return formats.loads_text(text)
+        return formats.loads_json(text, caps)
+    return formats.loads_text(text, caps)
 
 
 def _emit(text: str, out_path) -> None:
@@ -50,7 +50,9 @@ def cmd_gen(args, caps: Caps) -> int:
         sys_ = constructions.triangular_system(args.m)
         _emit(formats.dumps_json(sys_), args.out)
     elif args.kind == "extend":
-        sys_ = constructions.extend_with_pendant_points(_read_system(args.infile))
+        sys_ = constructions.extend_with_pendant_points(
+            _read_system(args.infile, caps), caps
+        )
         _emit(formats.dumps_json(sys_), args.out)
     elif args.kind == "fano-minus-line":
         plane = geometry.projective_plane(2, caps=caps)
@@ -63,7 +65,7 @@ def cmd_gen(args, caps: Caps) -> int:
 
 
 def cmd_solve(args, caps: Caps) -> int:
-    sys_ = _read_system(args.file)
+    sys_ = _read_system(args.file, caps)
     if args.tau:
         result = solvers.transversal_number(sys_, caps=caps)
     elif args.gamma:
@@ -81,7 +83,7 @@ def cmd_solve(args, caps: Caps) -> int:
 
 
 def cmd_derive(args, caps: Caps) -> int:
-    sys_ = _read_system(args.file)
+    sys_ = _read_system(args.file, caps)
     try:
         d = constructions.derive(sys_, args.r, caps=caps)
     except NotMember as e:
@@ -120,7 +122,7 @@ def cmd_derive(args, caps: Caps) -> int:
 
 
 def cmd_extend(args, caps: Caps) -> int:
-    sys_ = constructions.extend_with_pendant_points(_read_system(args.file))
+    sys_ = constructions.extend_with_pendant_points(_read_system(args.file, caps), caps)
     _emit(formats.dumps_json(sys_), args.out)
     return 0
 
@@ -139,8 +141,8 @@ def cmd_check_paper(args, caps: Caps) -> int:
 
 
 def cmd_iso(args, caps: Caps) -> int:
-    a = _read_system(args.file_a)
-    b = _read_system(args.file_b)
+    a = _read_system(args.file_a, caps)
+    b = _read_system(args.file_b, caps)
     cert = core.are_isomorphic(a, b, caps=caps)
     if args.json:
         data = {
@@ -164,8 +166,8 @@ def cmd_iso(args, caps: Caps) -> int:
 
 
 def cmd_embed(args, caps: Caps) -> int:
-    sub = _read_system(args.file_sub)
-    host = _read_system(args.file_host)
+    sub = _read_system(args.file_sub, caps)
+    host = _read_system(args.file_host, caps)
     emb = core.embeds_in(sub, host, caps=caps)
     if args.json:
         data = {

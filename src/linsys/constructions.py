@@ -184,7 +184,7 @@ def derive(sys: LinearSystem, r: int, caps: Caps = DEFAULT_CAPS) -> Derivation:
     )
 
 
-def extend_with_pendant_points(sys: LinearSystem) -> LinearSystem:
+def extend_with_pendant_points(sys: LinearSystem, caps: Caps = DEFAULT_CAPS) -> LinearSystem:
     """Append one fresh point to every line of a uniform intersecting
     system; the result is (r+1)-uniform and pendant-reduces back."""
     r = rank(sys)
@@ -195,7 +195,7 @@ def extend_with_pendant_points(sys: LinearSystem) -> LinearSystem:
     n, m = sys.num_points, sys.num_lines
     lines = [list(l) + [n + i] for i, l in enumerate(sys.line_tuples)]
     name = f"{sys.name}+pendants" if sys.name else None
-    return LinearSystem(n + m, lines, name)
+    return LinearSystem(n + m, lines, name, caps)
 
 
 def triangular_system(m: int) -> LinearSystem:
@@ -454,7 +454,7 @@ def verification_battery(q: int, caps: Caps = DEFAULT_CAPS) -> list:
     )
 
     try:
-        ext = extend_with_pendant_points(psys)
+        ext = extend_with_pendant_points(psys, caps)
         report = check_plane_reconstruction(ext, q, caps=caps)
         for c in report.clauses:
             rows.append(

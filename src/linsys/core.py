@@ -5,11 +5,21 @@ Points are integer indices 0..num_points-1; lines are nonempty distinct
 point sets. Structural operations keep point indices stable, so a deleted
 point simply becomes isolated and witness maps stay valid across
 derivations. All systems are immutable once built.
+
+Construction validates whole lines at C speed where it can. A line of
+plain ints within range is accepted by one type-set test and its min and
+max; any other line goes entry by entry, which converts numpy integers
+and names the bad entry. Linearity is a count: the pair table gets every
+line's point pairs, and it has sum C(|l|, 2) keys exactly when no pair
+lies on two lines; only when it has fewer is the least clashing line pair
+searched for. The declared point count and that pair count meet their
+caps before either is allocated.
 """
 
 import numbers
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations, repeat
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,7 +32,10 @@ from .errors import (
     NoLines,
     SizeLimit,
 )
+from .field import _decimal
 from .limits import DEFAULT_CAPS, Caps
+
+_INT = {int}
 
 
 def _as_point(x, num_points: int, where: str) -> int:
@@ -30,13 +43,34 @@ def _as_point(x, num_points: int, where: str) -> int:
         raise BadIndex(f"{where}: point {x!r} is not an integer")
     v = int(x)
     if not 0 <= v < num_points:
-        raise BadIndex(f"{where}: point {v} outside 0..{num_points - 1}")
+        raise BadIndex(
+            f"{where}: point {_decimal(v)} outside 0..{_decimal(num_points - 1)}"
+        )
     return v
+
+
+def _least_clash(line_tuples) -> Tuple[int, int]:
+    """The least (h, i) with lines h < i sharing a point pair. A pair met
+    again on line i clashes with its first holder h, and every violating
+    line pair through that point pair starts at h or later, so the least
+    clash met this way is the least violating line pair."""
+    pair = {}
+    clash = None
+    for i, l in enumerate(line_tuples):
+        for h in map(pair.setdefault, combinations(l, 2), repeat(i)):
+            if h != i and (clash is None or (h, i) < clash):
+                clash = (h, i)
+    return clash
 
 
 class LinearSystem:
     """Validated linear system. Raises on empty/duplicate lines, bad
-    indices, or any pair of lines sharing two or more points."""
+    indices, or any pair of lines sharing two or more points.
+
+    caps bounds num_points and the number of point pairs on lines before
+    either is allocated (SizeLimit). None skips both bounds; the package
+    passes it only for systems derived from one already built, which are
+    no larger."""
 
     __slots__ = (
         "num_points",
@@ -54,15 +88,24 @@ class LinearSystem:
         num_points: int,
         lines: Iterable[Iterable[int]],
         name: Optional[str] = None,
+        caps: Optional[Caps] = DEFAULT_CAPS,
     ):
         if not isinstance(num_points, numbers.Integral) or num_points < 0:
-            raise BadIndex(f"num_points must be a nonnegative integer, got {num_points!r}")
+            shown = _decimal(num_points) if isinstance(num_points, int) else repr(num_points)
+            raise BadIndex(f"num_points must be a nonnegative integer, got {shown}")
         n = int(num_points)
+        if caps is not None and n > caps.system_points:
+            raise SizeLimit(f"{_decimal(n)} points exceeds cap {caps.system_points}")
 
         cleaned = []
         seen: Dict[frozenset, int] = {}
         for i, raw in enumerate(lines):
-            members = frozenset(_as_point(x, n, f"line {i}") for x in raw)
+            t = tuple(raw)
+            # a line of plain ints in range is taken whole; any other goes
+            # point by point, which converts numpy ints and names a bad one
+            if set(map(type, t)) != _INT or min(t) < 0 or max(t) >= n:
+                t = [_as_point(x, n, f"line {i}") for x in t]
+            members = frozenset(t)
             if not members:
                 raise EmptyLine(f"line {i} is empty")
             if members in seen:
@@ -77,28 +120,27 @@ class LinearSystem:
             tuple(sorted(l)) for l in cleaned
         )
 
-        # Linearity: no point pair lies on two lines. A pair met again on
-        # line i clashes with its first holder h, and every violating line
-        # pair through that point pair starts at h or later, so the least
-        # (h, i) clash is the least violating line pair.
-        incident = [[] for _ in range(n)]
+        # Linearity: no point pair lies on two lines, so the pair table
+        # holds exactly sum C(|l|, 2) keys. Only when it holds fewer is the
+        # least clashing line pair searched for.
+        total = sum(k * (k - 1) // 2 for k in map(len, self.line_tuples))
+        if caps is not None and total > caps.system_pairs:
+            raise SizeLimit(f"{total} point pairs on lines exceeds cap {caps.system_pairs}")
         pair = {}
-        clash = None
         for i, l in enumerate(self.line_tuples):
-            for a, u in enumerate(l):
-                incident[u].append(i)
-                for v in l[a + 1 :]:
-                    h = pair.setdefault((u, v), i)
-                    if h != i and (clash is None or (h, i) < clash):
-                        clash = (h, i)
-        if clash is not None:
-            h, i = clash
+            pair.update(zip(combinations(l, 2), repeat(i)))
+        if len(pair) != total:
+            h, i = _least_clash(self.line_tuples)
             raise LinearityViolation(h, i, self.lines[h] & self.lines[i])
+        incident = [[] for _ in range(n)]
+        for i, l in enumerate(self.line_tuples):
+            for u in l:
+                incident[u].append(i)
         self.lines_through: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, incident))
         degs = np.fromiter(map(len, incident), dtype=np.int32, count=n)
         degs.setflags(write=False)
         self.degrees = degs
-        self.support = frozenset(int(v) for v in np.nonzero(degs)[0])
+        self.support = frozenset().union(*cleaned)
         self.pair_line = pair
 
     @property
@@ -167,7 +209,7 @@ def delete_points(sys: LinearSystem, points: Iterable[int]) -> LinearSystem:
         if nl and nl not in seen:
             seen.add(nl)
             out.append(nl)
-    return LinearSystem(sys.num_points, out)
+    return LinearSystem(sys.num_points, out, caps=None)
 
 
 def delete_point(sys: LinearSystem, point: int) -> LinearSystem:
@@ -181,7 +223,7 @@ def delete_line(sys: LinearSystem, line_index: int) -> LinearSystem:
             f"line index {line_index} outside 0..{sys.num_lines - 1}"
         )
     out = [l for i, l in enumerate(sys.lines) if i != line_index]
-    return LinearSystem(sys.num_points, out)
+    return LinearSystem(sys.num_points, out, caps=None)
 
 
 def induced_subsystem(sys: LinearSystem, line_indices: Iterable[int]) -> LinearSystem:
@@ -191,7 +233,7 @@ def induced_subsystem(sys: LinearSystem, line_indices: Iterable[int]) -> LinearS
     for i in idx:
         if not 0 <= i < sys.num_lines:
             raise BadIndex(f"line index {i} outside 0..{sys.num_lines - 1}")
-    return LinearSystem(sys.num_points, [sys.lines[i] for i in idx])
+    return LinearSystem(sys.num_points, [sys.lines[i] for i in idx], caps=None)
 
 
 def is_spanning_subsystem(sub: LinearSystem, sys: LinearSystem) -> bool:
@@ -226,7 +268,7 @@ def drop_isolated(sys: LinearSystem) -> Tuple[LinearSystem, Dict[int, int]]:
     compacted system and the old-index -> new-index map."""
     remap = {old: new for new, old in enumerate(sorted(sys.support))}
     lines = [[remap[v] for v in l] for l in sys.line_tuples]
-    return LinearSystem(len(remap), lines, sys.name), remap
+    return LinearSystem(len(remap), lines, sys.name, caps=None), remap
 
 
 def pendant_reduction(sys: LinearSystem) -> Tuple[LinearSystem, Tuple[int, ...]]:

@@ -5,7 +5,8 @@ Text: header line "n m" followed by m lines of space-separated points.
 Dumps are canonical (sorted keys, compact separators, sorted lines) so
 identical systems produce identical bytes. Loaders validate through the
 LinearSystem constructor, so linearity violations surface with the
-offending line pair.
+offending line pair, and under its size caps (the CLI passes the caps
+LINSYS_CAPS sets).
 """
 
 import json
@@ -14,6 +15,9 @@ from typing import Union
 
 from .core import LinearSystem
 from .errors import FormatError
+from .limits import DEFAULT_CAPS, Caps
+
+_INT = {int}
 
 
 def system_to_dict(sys: LinearSystem) -> dict:
@@ -26,7 +30,7 @@ def system_to_dict(sys: LinearSystem) -> dict:
     return out
 
 
-def system_from_dict(data: dict) -> LinearSystem:
+def system_from_dict(data: dict, caps: Caps = DEFAULT_CAPS) -> LinearSystem:
     if not isinstance(data, dict):
         raise FormatError(f"expected a JSON object, got {type(data).__name__}")
     if "num_points" not in data:
@@ -42,27 +46,28 @@ def system_from_dict(data: dict) -> LinearSystem:
     ):
         raise FormatError('"lines" must be a list of lists')
     for i, l in enumerate(lines):
-        for x in l:
-            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-                raise FormatError(f"line {i} contains a non-integer entry {x!r}")
+        if not _INT.issuperset(map(type, l)):
+            for x in l:
+                if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                    raise FormatError(f"line {i} contains a non-integer entry {x!r}")
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise FormatError('"name" must be a string when present')
-    return LinearSystem(n, lines, name)
+    return LinearSystem(n, lines, name, caps)
 
 
 def dumps_json(sys: LinearSystem) -> str:
     return json.dumps(system_to_dict(sys), sort_keys=True, separators=(",", ":"))
 
 
-def loads_json(text: Union[str, bytes]) -> LinearSystem:
+def loads_json(text: Union[str, bytes], caps: Caps = DEFAULT_CAPS) -> LinearSystem:
     # besides JSONDecodeError, undecodable bytes and integers past str()'s
     # digit limit raise ValueError
     try:
         data = json.loads(text)
     except ValueError as e:
         raise FormatError(f"invalid JSON: {e}") from e
-    return system_from_dict(data)
+    return system_from_dict(data, caps)
 
 
 def dumps_text(sys: LinearSystem) -> str:
@@ -71,7 +76,7 @@ def dumps_text(sys: LinearSystem) -> str:
     return "\n".join(rows) + "\n"
 
 
-def loads_text(text: str) -> LinearSystem:
+def loads_text(text: str, caps: Caps = DEFAULT_CAPS) -> LinearSystem:
     rows = [r.strip() for r in text.splitlines()]
     rows = [r for r in rows if r]
     if not rows:
@@ -92,7 +97,7 @@ def loads_text(text: str) -> LinearSystem:
             lines.append([int(tok) for tok in row.split()])
         except ValueError as e:
             raise FormatError(f"line {i} has a non-integer token: {row!r}") from e
-    return LinearSystem(n, lines)
+    return LinearSystem(n, lines, caps=caps)
 
 
 def plane_to_dict(plane) -> dict:

@@ -99,7 +99,7 @@ def projective_plane(q: int, caps: Caps = DEFAULT_CAPS) -> PlaneModel:
         s = add[mul[a0, C[:, 0]], mul[a1, C[:, 1]]]
         s = add[s, mul[a2, C[:, 2]]]
         lines.append(np.nonzero(s == 0)[0].tolist())
-    system = LinearSystem(n, lines, name=f"PG(2,{q})")
+    system = LinearSystem(n, lines, name=f"PG(2,{q})", caps=caps)
     return PlaneModel(
         system=system,
         point_coords=coords,
@@ -196,6 +196,7 @@ def dual_plane(plane: PlaneModel) -> PlaneModel:
         plane.system.num_lines,
         plane.system.lines_through,
         name=f"dual-PG(2,{plane.order})",
+        caps=None,
     )
     return PlaneModel(
         system=system,

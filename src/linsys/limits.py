@@ -19,6 +19,10 @@ class Caps:
     solver_lines: int = 128
     iso_points: int = 64
     derive_subsets: int = 200_000
+    # LinearSystem: declared points, and point pairs on lines (sum of
+    # C(|l|, 2)), each bounded before it is allocated
+    system_points: int = 100_000
+    system_pairs: int = 1_000_000
 
     def __post_init__(self):
         for f in fields(self):

@@ -1,15 +1,79 @@
 """Brute-force reference implementations for the three invariants and
-for isomorphism, embedding and the projective-plane axioms.
+for isomorphism, embedding and the projective-plane axioms, and the
+reference LinearSystem constructor.
 
 Deliberately naive: plain set arithmetic over itertools subsets and
-permutations, sharing no code with the package. Only usable at small
-scale (the corpus keeps instances at <= 16 points and <= 12 lines; the
+permutations, sharing no code with the package (the reference
+constructor takes only its exception types). Only usable at small scale
+(the corpus keeps instances at <= 16 points and <= 12 lines; the
 point-map oracles want at most about 7 points, the plane-axiom oracle
 at most about 21).
 """
 
 import itertools
+import numbers
 from collections import Counter
+
+import numpy as np
+
+from linsys.errors import BadIndex, DuplicateLine, EmptyLine, LinearityViolation
+
+
+def _reference_point(x, num_points, where):
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise BadIndex(f"{where}: point {x!r} is not an integer")
+    v = int(x)
+    if not 0 <= v < num_points:
+        raise BadIndex(f"{where}: point {v} outside 0..{num_points - 1}")
+    return v
+
+
+def reference_system(num_points, lines):
+    """The LinearSystem constructor one entry and one point pair at a
+    time: every entry through the Integral check, every pair through
+    setdefault. Returns the attributes the package's constructor sets, by
+    name, or raises what it raises."""
+    if not isinstance(num_points, numbers.Integral) or num_points < 0:
+        raise BadIndex(f"num_points must be a nonnegative integer, got {num_points!r}")
+    n = int(num_points)
+
+    cleaned = []
+    seen = {}
+    for i, raw in enumerate(lines):
+        members = frozenset(_reference_point(x, n, f"line {i}") for x in raw)
+        if not members:
+            raise EmptyLine(f"line {i} is empty")
+        if members in seen:
+            raise DuplicateLine(f"lines {seen[members]} and {i} are equal")
+        seen[members] = i
+        cleaned.append(members)
+    line_tuples = tuple(tuple(sorted(l)) for l in cleaned)
+
+    # a pair met again on line i clashes with its first holder h; the
+    # least (h, i) clash is the least violating line pair
+    incident = [[] for _ in range(n)]
+    pair = {}
+    clash = None
+    for i, l in enumerate(line_tuples):
+        for a, u in enumerate(l):
+            incident[u].append(i)
+            for v in l[a + 1 :]:
+                h = pair.setdefault((u, v), i)
+                if h != i and (clash is None or (h, i) < clash):
+                    clash = (h, i)
+    if clash is not None:
+        h, i = clash
+        raise LinearityViolation(h, i, cleaned[h] & cleaned[i])
+    degrees = np.fromiter(map(len, incident), dtype=np.int32, count=n)
+    return {
+        "num_points": n,
+        "lines": tuple(cleaned),
+        "line_tuples": line_tuples,
+        "degrees": degrees,
+        "support": frozenset(int(v) for v in np.nonzero(degrees)[0]),
+        "pair_line": pair,
+        "lines_through": tuple(map(tuple, incident)),
+    }
 
 
 def brute_transversal(num_points, lines):

@@ -269,6 +269,20 @@ def test_caps_env_enforced(capsys, monkeypatch, plane_file):
     assert "SizeLimit" in err
 
 
+def test_declared_points_over_cap_exit_two(capsys, monkeypatch, tmp_path, plane_file):
+    # refused before any per-point list is allocated
+    path = tmp_path / "huge.json"
+    path.write_text('{"num_points": 1000000000000, "lines": [[0, 1]]}')
+    monkeypatch.delenv("LINSYS_CAPS", raising=False)
+    code, out, err = run_cli(capsys, "solve", "--tau", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: SizeLimit: 1000000000000 points exceeds cap 100000\n"
+    # the loaders take the caps LINSYS_CAPS sets
+    monkeypatch.setenv("LINSYS_CAPS", "system_points=6")
+    code, _, err = run_cli(capsys, "solve", "--tau", str(plane_file))
+    assert code == 2 and err == "error: SizeLimit: 7 points exceeds cap 6\n"
+
+
 def test_caps_env_unknown_key(capsys, monkeypatch):
     monkeypatch.setenv("LINSYS_CAPS", "bogus_key=3")
     code, _, err = run_cli(capsys, "check-paper", "--q", "2")

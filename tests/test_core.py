@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import random
@@ -22,6 +23,7 @@ from linsys import (
     delete_point,
     delete_points,
     drop_isolated,
+    dual_plane,
     embeds_in,
     extend_with_pendant_points,
     induced_subsystem,
@@ -96,6 +98,60 @@ def test_validation_rejects_duplicates_and_empties():
         LinearSystem(3, [[0, 7]])
     with pytest.raises(BadIndex):
         LinearSystem(-1, [])
+
+
+def test_huge_integers_raise_bad_index():
+    huge = 10**5000
+    bits = huge.bit_length()
+    with pytest.raises(BadIndex, match=rf"^line 0: point <{bits}-bit integer> outside 0\.\.2$"):
+        LinearSystem(3, [[0, huge]])
+    with pytest.raises(BadIndex, match=rf"^line 0: point <{bits}-bit integer> outside 0\.\.2$"):
+        LinearSystem(3, [[0, -huge]])
+    with pytest.raises(
+        BadIndex, match=rf"^num_points must be a nonnegative integer, got <{bits}-bit integer>$"
+    ):
+        LinearSystem(-huge, [[0, 1]])
+
+
+def test_caps_refuse_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit, match=r"^<16610-bit integer> points exceeds cap 100000$"):
+            LinearSystem(10**5000, [[0, 1]])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # one line of 200,000 points holds about 2 * 10**10 point pairs
+    line = list(range(200_000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit, match=r"^19999900000 point pairs on lines exceeds cap 1000000$"):
+            LinearSystem(200_000, [line], caps=Caps(system_points=200_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    with pytest.raises(SizeLimit, match=r"^200000 points exceeds cap 100000$"):
+        LinearSystem(200_000, [line])
+
+
+def test_derived_systems_skip_the_caps():
+    # accepted under raised caps, so every edit of it must be accepted too
+    raised = Caps(system_points=150_000)
+    big = LinearSystem(150_000, [[0, 1, 2], [2, 3], [4]], caps=raised)
+    assert delete_points(big, [0]).line_tuples == ((1, 2), (2, 3), (4,))
+    assert delete_line(big, 2).num_points == 150_000
+    assert induced_subsystem(big, [1]).support == {2, 3}
+    assert pendant_reduction(big)[0].line_tuples == ()
+    assert drop_isolated(big)[0].num_points == 5
+    lines = [[i] for i in range(100_001)]
+    many = LinearSystem(100_001, lines, caps=Caps(system_points=100_001))
+    plane = projective_plane(2)
+    dual = dual_plane(dataclasses.replace(plane, system=many))
+    assert dual.system.num_points == 100_001
+    with pytest.raises(SizeLimit):
+        LinearSystem(100_001, lines)
 
 
 def test_fano_is_valid_and_uniform(fano_input):

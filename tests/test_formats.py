@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from linsys import (
     FormatError,
     LinearSystem,
+    SizeLimit,
     dumps_json,
     dumps_plane_json,
     dumps_text,
@@ -15,6 +17,7 @@ from linsys import (
     system_from_dict,
     system_to_dict,
 )
+from linsys.limits import Caps
 
 
 @pytest.fixture
@@ -81,6 +84,28 @@ def test_loads_json_types_every_decoding_error():
     ):
         with pytest.raises(FormatError, match=r"^invalid JSON: Exceeds the limit"):
             loads_json(text)
+        with pytest.raises(FormatError, match=r"^invalid JSON: Exceeds the limit"):
+            loads_json(text.encode())
+
+
+def test_loaders_apply_their_caps():
+    tight = Caps(system_points=3)
+    text = '{"num_points": 4, "lines": [[0, 1]]}'
+    with pytest.raises(SizeLimit, match=r"^4 points exceeds cap 3$"):
+        loads_json(text, tight)
+    with pytest.raises(SizeLimit, match=r"^4 points exceeds cap 3$"):
+        loads_text("4 1\n0 1\n", tight)
+    assert loads_json(text).num_points == 4
+
+
+def test_system_from_dict_names_the_first_bad_entry():
+    for entry, shown in ((True, "True"), (1.0, "1.0"), ("2", "'2'"), (None, "None")):
+        data = {"num_points": 4, "lines": [[0, 1], [2, 3, entry, 0.5]]}
+        with pytest.raises(FormatError, match=rf"^line 1 contains a non-integer entry {shown}$"):
+            system_from_dict(data)
+    # numpy integers pass the loader as they pass the constructor
+    data = {"num_points": 4, "lines": [[np.int64(0), np.uint8(3)]]}
+    assert system_from_dict(data).line_tuples == ((0, 3),)
 
 
 def test_text_round_trip(sample):
