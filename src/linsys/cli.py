@@ -47,7 +47,7 @@ def cmd_gen(args, caps: Caps) -> int:
         data["arc"] = sorted(arc.points)
         _emit(_dump(data), args.out)
     elif args.kind == "triangular":
-        sys_ = constructions.triangular_system(args.m)
+        sys_ = constructions.triangular_system(args.m, caps)
         _emit(formats.dumps_json(sys_), args.out)
     elif args.kind == "extend":
         sys_ = constructions.extend_with_pendant_points(

@@ -34,6 +34,7 @@ from .errors import (
     OddOrder,
     SizeLimit,
 )
+from .field import _decimal
 from .geometry import (
     dual_hyperoval_lines,
     hyperoval,
@@ -198,18 +199,29 @@ def extend_with_pendant_points(sys: LinearSystem, caps: Caps = DEFAULT_CAPS) -> 
     return LinearSystem(n + m, lines, name, caps)
 
 
-def triangular_system(m: int) -> LinearSystem:
+def triangular_system(m: int, caps: Caps = DEFAULT_CAPS) -> LinearSystem:
     """Points are the unordered pairs from {1..m} in lexicographic order;
     line i collects the pairs containing i. (m-1)-uniform, intersecting,
-    every point on exactly two lines."""
+    every point on exactly two lines. The C(m, 2) points and the
+    m * C(m-1, 2) point pairs on lines are held to the caps before any
+    line is built."""
     if m < 3:
         raise ValueError(f"triangular system needs m >= 3, got {m}")
-    pairs = list(itertools.combinations(range(1, m + 1), 2))
-    index = {pair: i for i, pair in enumerate(pairs)}
+    n = m * (m - 1) // 2
+    if n > caps.system_points:
+        raise SizeLimit(f"{_decimal(n)} points exceeds cap {caps.system_points}")
+    total = m * ((m - 1) * (m - 2) // 2)
+    if total > caps.system_pairs:
+        raise SizeLimit(f"{total} point pairs on lines exceeds cap {caps.system_pairs}")
+    # counting from 0, pair a < b is point start[a] + b - a - 1, start[a]
+    # being the number of pairs whose smaller entry is below a
+    start = [a * m - a * (a + 1) // 2 for a in range(m)]
     lines = [
-        [index[pair] for pair in pairs if i in pair] for i in range(1, m + 1)
+        [start[a] + i - a - 1 for a in range(i)]
+        + list(range(start[i], start[i] + m - 1 - i))
+        for i in range(m)
     ]
-    return LinearSystem(len(pairs), lines, name=f"triangular-{m}")
+    return LinearSystem(n, lines, name=f"triangular-{m}", caps=caps)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,11 @@ all three invariants:
 - ``_cover_search`` finds a minimum set cover, given as a (k, e) uint8
   matrix ``covers`` of k candidates over e elements. For tau the
   candidates are the points and the elements the lines; for gamma both
-  are the points, a point covering its closed neighbourhood.
+  are the points, a point covering its closed neighbourhood. A node
+  hands its remaining count, residual row and allowed row down to its
+  children, and settles in place each child that is a leaf or that its
+  first bound tests would cut, so the tree is the one a node-by-node
+  search visits, at a fraction of the numpy calls.
 - ``_nu2_search`` finds a maximum 2-packing, given as the (m, n) uint8
   line-point incidence and its transpose, and stops when it reaches an
   upper bound that the caller proved (the meet and parity rules on
@@ -22,9 +26,9 @@ Both searches do each node in a fixed number of whole-array steps over
 0/1 uint8 masks and small integer rows, so the pure-numpy path runs no
 Python loop over candidates, lines or points. They keep to what numba
 compiles for integer arrays: elementwise ufuncs with broadcasting,
-``.sum(axis=1)``, ``.max()``, ``.any()``, ``.argmin()`` and three-array
-``np.where``; no ``@``/``np.dot`` (float-only in numba) and no boolean
-fancy indexing.
+``.sum(axis=1)``, ``.max()``, ``.any()``, ``.argmin()``, three-array
+``np.where`` and ``[0] * n`` lists as stacks of per-depth integers; no
+``@``/``np.dot`` (float-only in numba) and no boolean fancy indexing.
 
 Each search kernel is written once in numba-compatible form. When numba is
 importable and ``LINSYS_PURE_NUMPY`` is unset, jitted copies run; otherwise
@@ -72,81 +76,128 @@ def _cover_search(covers, cand_lists, cand_sizes, universe, best0):
     exclusion: once the subtree of candidate v of the branch element is
     finished, every cover containing v has been searched, so v is excluded
     from the subtrees of the later candidates. Bounds, in this order: a
-    node at depth d is pruned when one more candidate cannot beat the
-    incumbent, or when remaining > (best - d - 1) * maxcov, maxcov being
-    the largest residual cover of a candidate not excluded. For maxcov >= 1
+    node at depth d that covers everything is a leaf; otherwise it is
+    pruned when one more candidate cannot beat the incumbent (d + 1 >=
+    best), or when remaining > (best - d - 1) * maxcov, maxcov being the
+    largest residual cover of a candidate not excluded. For maxcov >= 1
     that is d + ceil(remaining / maxcov) >= best; maxcov = 0 always prunes,
     rightly, as no allowed candidate covers an uncovered element.
 
-    Each depth keeps 0/1 uint8 masks over the elements (uncovered) and over
-    the candidates (excluded, tried), so a node costs a fixed number of
-    whole-array steps: one masked row sum, a max and an argmin.
-    Returns (best, improved, witness_buffer, nodes); the first `best`
-    witness entries are meaningful only when improved == 1.
+    State is carried down from the parent. A node that expands keeps its
+    maxcov and its residual row, the number of uncovered elements each
+    candidate covers, so a child's remaining count is the parent's minus
+    the chosen candidate's entry, with no row sum. The candidates not
+    excluded form one allowed row per depth: the node at d copies its
+    row to depth d + 1 once, when it expands, and clears each candidate
+    v there as v is tried. The child of v then sees v cleared as well,
+    which changes nothing: v covers no element still uncovered at the
+    child or below, so v's residual there is 0 and v is on no candidate
+    list it branches on.
+
+    Children settled at the parent. The child of v has remaining count
+    left = remaining - residual[v]. Three cases decide it by its first
+    steps: left = 0 makes it a leaf, which takes the incumbent when
+    d + 1 < best; d + 2 >= best cuts it by d + 1 >= best; and
+    left > (best - d - 2) * maxcov, with the parent's maxcov, cuts it by
+    the residual bound. The last holds because the child's maxcov is at
+    most the parent's: its uncovered elements and its allowed candidates
+    are subsets of the parent's. In each case the child writes no row and
+    expands nothing, so the parent does exactly what the child would: it
+    counts the node and, for a leaf, takes the incumbent only while
+    d + 1 < best still holds. A later sibling's cover of the same size
+    fails that test, as it would in the child, so it never replaces the
+    first witness. Nodes are counted in the same order and the incumbent
+    changes at the same nodes as in a search that visits every child, so
+    node counts and the witness are those of that search.
+
+    A node that is not settled costs one masked row sum and a max; one
+    that expands adds an argmin and two row copies; a settled child costs
+    a subtraction. Returns (best, improved, witness_buffer, nodes); the
+    first `best` witness entries are meaningful only when improved == 1.
     """
     k, e = covers.shape
-    nodes = np.int64(0)
-    best = np.int64(best0)
-    improved = np.int64(0)
+    nodes = 0
+    best = best0
+    improved = 0
 
     cap = best0 + 2
     witness = np.full(cap, -1, dtype=np.int32)
     uncovered = np.zeros((cap, e), dtype=np.uint8)
-    excluded = np.zeros((cap, k), dtype=np.uint8)
-    tried = np.zeros((cap, k), dtype=np.uint8)
+    residual = np.zeros((cap, k), dtype=np.int64)
+    allowed = np.zeros((cap, k), dtype=np.uint8)
     no_branch = np.full(e, k + 1, dtype=np.int32)
-    branch_elem = np.zeros(cap, dtype=np.int32)
-    branch_pos = np.zeros(cap, dtype=np.int32)
-    chosen = np.zeros(cap, dtype=np.int32)
+    branch_elem = [0] * cap
+    branch_pos = [0] * cap
+    branch_end = [0] * cap
+    chosen = [0] * cap
+    rem = [0] * cap
+    cover_max = [0] * cap
     uncovered[0] = universe
+    allowed[0] = 1
+    rem[0] = np.int64(universe.sum())
 
     d = 0
     pending = True
     while d >= 0:
         if pending:
+            # the root, or a child its parent did not settle; only the root
+            # can fail the next two tests
             nodes += 1
             pending = False
-            uncov = uncovered[d]
-            remaining = np.int64(uncov.sum())
-            if remaining == 0:
+            if rem[d] == 0:
                 if d < best:
                     best = d
                     improved = 1
-                    for i in range(d):
-                        witness[i] = chosen[i]
                 d -= 1
                 continue
             if d + 1 >= best:
                 d -= 1
                 continue
-            residual = (covers & uncov).sum(axis=1)
-            maxcov = np.int64((residual * (excluded[d] == 0)).max())
-            if remaining > (best - d - 1) * maxcov:
+            uncov = uncovered[d]
+            res = (covers & uncov).sum(axis=1)
+            maxcov = np.int64((res * allowed[d]).max())
+            if rem[d] > (best - d - 1) * maxcov:
                 d -= 1
                 continue
-            branch_elem[d] = np.where(
-                uncov == 1, cand_sizes, no_branch
-            ).argmin()
+            residual[d] = res
+            cover_max[d] = maxcov
+            u = np.where(uncov == 1, cand_sizes, no_branch).argmin()
+            branch_elem[d] = u
             branch_pos[d] = 0
-            tried[d] = 0
+            branch_end[d] = cand_sizes[u]
+            allowed[d + 1] = allowed[d]
             continue
         u = branch_elem[d]
+        pos = branch_pos[d]
+        end = branch_end[d]
         v = -1
-        while branch_pos[d] < cand_sizes[u]:
-            v = cand_lists[u, branch_pos[d]]
-            branch_pos[d] += 1
-            if excluded[d, v] == 0:
+        while pos < end:
+            v = cand_lists[u, pos]
+            pos += 1
+            if allowed[d + 1, v] == 1:
                 break
             v = -1
+        branch_pos[d] = pos
         if v < 0:
             d -= 1
             continue
+        allowed[d + 1, v] = 0
+        left = rem[d] - residual[d, v]
+        if left == 0 or d + 2 >= best or left > (best - d - 2) * cover_max[d]:
+            # the child at d + 1, settled here
+            nodes += 1
+            if left == 0 and d + 1 < best:
+                best = d + 1
+                improved = 1
+                for i in range(d):
+                    witness[i] = chosen[i]
+                witness[d] = v
+            continue
         chosen[d] = v
+        rem[d + 1] = left
         # ~ turns covers' 1s into 0xFE and its 0s into 0xFF, so the & clears
         # exactly the elements v covers
         uncovered[d + 1] = uncovered[d] & ~covers[v]
-        excluded[d + 1] = excluded[d] | tried[d]
-        tried[d, v] = 1
         d += 1
         pending = True
     return best, improved, witness, nodes

@@ -8,8 +8,10 @@ a matrix ``_rows`` lists the cover kernel's candidates of each element,
 and ``_greedy_cover`` gives tau and gamma their incumbent. nu2 stops at
 the root bound proved in ``kernels._nu2_search``. Tie-breaking is by
 lowest index throughout, so identical inputs always give identical
-witnesses. Witnesses are re-verified by independent set-logic checkers
-that share no code with the search.
+witnesses. ``verify_transversal``, ``verify_domination`` and
+``verify_two_packing`` check a witness with plain set logic and share no
+code with the search. No solver calls them; the tests and the benchmark
+do. Checking each witness at runtime is open (ROADMAP item 8).
 """
 
 import time

@@ -1,13 +1,16 @@
 """Brute-force reference implementations for the three invariants and
-for isomorphism, embedding and the projective-plane axioms, and the
-reference LinearSystem constructor.
+for isomorphism, embedding and the projective-plane axioms, the
+reference LinearSystem constructor, and the reference cover-search
+kernel.
 
 Deliberately naive: plain set arithmetic over itertools subsets and
 permutations, sharing no code with the package (the reference
 constructor takes only its exception types). Only usable at small scale
 (the corpus keeps instances at <= 16 points and <= 12 lines; the
 point-map oracles want at most about 7 points, the plane-axiom oracle
-at most about 21).
+at most about 21). The reference kernel is not brute force: it is the
+cover search one node at a time, whose tree, witness and node count
+the package's kernel must reproduce.
 """
 
 import itertools
@@ -221,3 +224,107 @@ def brute_plane_axioms(num_points, lines):
             f"{n} points and {m} lines, expected {expected} for order {q}",
         )
     return (True, q, None, None)
+
+
+# The cover-search kernel as it stood before its nodes carried their
+# state down from the parent: every child runs its own tests, every node
+# sums its uncovered row afresh, and excluded and tried are separate
+# rows. Unchanged but for its name; the kernel must match it node for
+# node.
+def reference_cover_search(covers, cand_lists, cand_sizes, universe, best0):
+    """Branch and bound for a minimum set cover.
+
+    covers:      (k, e) uint8, covers[v, u] = 1 when candidate v covers
+                 element u.
+    cand_lists:  (e, cmax) int32, the candidates covering each element,
+                 ascending, -1 padded.
+    cand_sizes:  (e,) int32, the number of candidates covering each element.
+    universe:    (e,) uint8, 1 at the elements to cover (at least one).
+    best0:       incumbent size (from a greedy cover).
+
+    tau passes the points as candidates over the lines; gamma passes its
+    closed-neighbourhood matrix.
+
+    Branch rule: the uncovered element with the fewest candidates, lowest
+    index on ties; its candidates in ascending order. Tried-candidate
+    exclusion: once the subtree of candidate v of the branch element is
+    finished, every cover containing v has been searched, so v is excluded
+    from the subtrees of the later candidates. Bounds, in this order: a
+    node at depth d is pruned when one more candidate cannot beat the
+    incumbent, or when remaining > (best - d - 1) * maxcov, maxcov being
+    the largest residual cover of a candidate not excluded. For maxcov >= 1
+    that is d + ceil(remaining / maxcov) >= best; maxcov = 0 always prunes,
+    rightly, as no allowed candidate covers an uncovered element.
+
+    Each depth keeps 0/1 uint8 masks over the elements (uncovered) and over
+    the candidates (excluded, tried), so a node costs a fixed number of
+    whole-array steps: one masked row sum, a max and an argmin.
+    Returns (best, improved, witness_buffer, nodes); the first `best`
+    witness entries are meaningful only when improved == 1.
+    """
+    k, e = covers.shape
+    nodes = np.int64(0)
+    best = np.int64(best0)
+    improved = np.int64(0)
+
+    cap = best0 + 2
+    witness = np.full(cap, -1, dtype=np.int32)
+    uncovered = np.zeros((cap, e), dtype=np.uint8)
+    excluded = np.zeros((cap, k), dtype=np.uint8)
+    tried = np.zeros((cap, k), dtype=np.uint8)
+    no_branch = np.full(e, k + 1, dtype=np.int32)
+    branch_elem = np.zeros(cap, dtype=np.int32)
+    branch_pos = np.zeros(cap, dtype=np.int32)
+    chosen = np.zeros(cap, dtype=np.int32)
+    uncovered[0] = universe
+
+    d = 0
+    pending = True
+    while d >= 0:
+        if pending:
+            nodes += 1
+            pending = False
+            uncov = uncovered[d]
+            remaining = np.int64(uncov.sum())
+            if remaining == 0:
+                if d < best:
+                    best = d
+                    improved = 1
+                    for i in range(d):
+                        witness[i] = chosen[i]
+                d -= 1
+                continue
+            if d + 1 >= best:
+                d -= 1
+                continue
+            residual = (covers & uncov).sum(axis=1)
+            maxcov = np.int64((residual * (excluded[d] == 0)).max())
+            if remaining > (best - d - 1) * maxcov:
+                d -= 1
+                continue
+            branch_elem[d] = np.where(
+                uncov == 1, cand_sizes, no_branch
+            ).argmin()
+            branch_pos[d] = 0
+            tried[d] = 0
+            continue
+        u = branch_elem[d]
+        v = -1
+        while branch_pos[d] < cand_sizes[u]:
+            v = cand_lists[u, branch_pos[d]]
+            branch_pos[d] += 1
+            if excluded[d, v] == 0:
+                break
+            v = -1
+        if v < 0:
+            d -= 1
+            continue
+        chosen[d] = v
+        # ~ turns covers' 1s into 0xFE and its 0s into 0xFF, so the & clears
+        # exactly the elements v covers
+        uncovered[d + 1] = uncovered[d] & ~covers[v]
+        excluded[d + 1] = excluded[d] | tried[d]
+        tried[d, v] = 1
+        d += 1
+        pending = True
+    return best, improved, witness, nodes

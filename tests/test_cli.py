@@ -77,6 +77,17 @@ def test_gen_triangular(capsys):
     assert data["name"] == "triangular-5"
 
 
+def test_gen_triangular_over_cap_exits_two(capsys, monkeypatch):
+    # refused from m alone, before any line is built
+    monkeypatch.delenv("LINSYS_CAPS", raising=False)
+    code, out, err = run_cli(capsys, "gen", "triangular", "--m", "100000")
+    assert (code, out) == (2, "")
+    assert err == "error: SizeLimit: 4999950000 points exceeds cap 100000\n"
+    monkeypatch.setenv("LINSYS_CAPS", "system_points=9")
+    code, _, err = run_cli(capsys, "gen", "triangular", "--m", "5")
+    assert code == 2 and err == "error: SizeLimit: 10 points exceeds cap 9\n"
+
+
 def test_gen_fano_minus_line(capsys):
     code, out, _ = run_cli(capsys, "gen", "fano-minus-line", "--index", "2")
     assert code == 0

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import pytest
 
 from linsys import (
@@ -7,6 +10,7 @@ from linsys import (
     NotPrimePower,
     NotUniform,
     OddOrder,
+    SizeLimit,
     are_isomorphic,
     check_extremal_family,
     check_plane_reconstruction,
@@ -25,6 +29,7 @@ from linsys import (
     two_packing_number,
     verification_battery,
 )
+from linsys.limits import Caps
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +158,43 @@ def test_triangular_invariants(m):
     assert is_intersecting(tri)
     assert set(tri.degrees.tolist()) == {2}
     assert tri.name == f"triangular-{m}"
+
+
+@pytest.mark.parametrize("m", range(3, 41))
+def test_triangular_lines_are_the_pairs_through_each_number(m):
+    # the definition, pair by pair: points are the pairs of {1..m} in
+    # lexicographic order, line i the pairs that contain i
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    want = tuple(
+        tuple(j for j, pair in enumerate(pairs) if i in pair)
+        for i in range(1, m + 1)
+    )
+    tri = triangular_system(m)
+    assert tri.num_points == len(pairs)
+    assert tri.line_tuples == want
+
+
+def test_triangular_refuses_over_cap_before_building():
+    tracemalloc.start()
+    try:
+        # 1,999,000 points
+        with pytest.raises(SizeLimit, match=r"^1999000 points exceeds cap 100000$"):
+            triangular_system(2000)
+        # 44,850 points, 300 * C(299, 2) point pairs on lines
+        with pytest.raises(
+            SizeLimit, match=r"^13365300 point pairs on lines exceeds cap 1000000$"
+        ):
+            triangular_system(300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    # the bounds are exact: C(5, 2) = 10 points, 5 * C(4, 2) = 30 pairs
+    assert triangular_system(5, Caps(system_points=10, system_pairs=30)).num_points == 10
+    with pytest.raises(SizeLimit):
+        triangular_system(5, Caps(system_points=9))
+    with pytest.raises(SizeLimit):
+        triangular_system(5, Caps(system_pairs=29))
 
 
 def test_triangular_rejects_small():
