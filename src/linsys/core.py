@@ -381,25 +381,35 @@ def are_isomorphic(a: LinearSystem, b: LinearSystem, caps: Caps = DEFAULT_CAPS) 
     return IsoCertificate(True, emb.point_map, ra, rb)
 
 
-def _match_single_lines(singles, cand_lists):
+def _match_single_lines(cand_lists):
     """Kuhn matching: assign each size-1 source line a distinct host line
-    from its candidate list. Returns assignment list or None."""
+    from its candidate list. Returns assignment list or None. Each
+    augmenting path is searched depth first on an explicit stack."""
     match_of = {}
-    assign = [-1] * len(singles)
-
-    def try_assign(i, banned):
-        for j in cand_lists[i]:
-            if j in banned:
+    assign = [-1] * len(cand_lists)
+    for root in range(len(cand_lists)):
+        # [source line, index of its next candidate] per step of the path
+        path = [[root, 0]]
+        banned = set()
+        while path:
+            i, pos = path[-1]
+            cands = cand_lists[i]
+            while pos < len(cands) and cands[pos] in banned:
+                pos += 1
+            if pos == len(cands):
+                path.pop()
                 continue
-            banned.add(j)
-            if j not in match_of or try_assign(match_of[j], banned):
-                match_of[j] = i
-                assign[i] = j
-                return True
-        return False
-
-    for i in range(len(singles)):
-        if not try_assign(i, set()):
+            path[-1][1] = pos + 1
+            banned.add(cands[pos])
+            if cands[pos] in match_of:
+                path.append([match_of[cands[pos]], 0])
+                continue
+            # a free host line: each step takes the line it tried
+            for i, pos in path:
+                match_of[cand_lists[i][pos - 1]] = i
+                assign[i] = cand_lists[i][pos - 1]
+            break
+        else:
             return None
     return assign
 
@@ -415,7 +425,9 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
     mapped points collinear with an unmapped v; per sub line, count is its
     number of mapped points, first the image of the first of them, and
     image the host line the first two fix. first and image are read only
-    while count is at least 1 and 2, so unmapping just lowers count."""
+    while count is at least 1 and 2, so unmapping just lowers count. The
+    search runs on an explicit stack of [point, index of its next
+    candidate] frames, one per mapped point and one for the point tried."""
     a_pts = sorted(sub.support)
     mapping: Dict[int, int] = {}
     used = set()
@@ -453,46 +465,53 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
             (x,) = sub.line_tuples[i]
             w = mapping[x]
             cands.append([j for j in host.lines_through[w] if j not in taken])
-        assign = _match_single_lines(singles, cands)
+        assign = _match_single_lines(cands)
         if assign is None:
             return None
         for i, j in zip(singles, assign):
             line_map[i] = j
         return line_map
 
-    def rec() -> Optional[Dict[int, int]]:
+    stack = []
+    while True:
         if len(mapping) == len(a_pts):
-            return finish()
-        _, _, u = min((-near[v], priority[v], v) for v in a_pts if v not in mapping)
-        for w in candidates[u]:
-            if w in used or not feasible(u, w):
-                continue
-            mapping[u] = w
-            used.add(w)
-            for i in sub.lines_through[u]:
-                for v in sub.lines[i]:
-                    near[v] += 1
-                count[i] += 1
-                if count[i] == 1:
-                    first[i] = w
-                elif count[i] == 2:
-                    x = first[i]
-                    image[i] = host.pair_line[(min(x, w), max(x, w))]
-            line_map = rec()
+            line_map = finish()
             if line_map is not None:
-                return line_map
-            del mapping[u]
-            used.discard(w)
-            for i in sub.lines_through[u]:
-                for v in sub.lines[i]:
-                    near[v] -= 1
-                count[i] -= 1
-        return None
-
-    line_map = rec()
-    if line_map is None:
-        return None
-    return Embedding(point_map=dict(mapping), line_map=line_map)
+                return Embedding(point_map=dict(mapping), line_map=line_map)
+        else:
+            _, _, u = min((-near[v], priority[v], v) for v in a_pts if v not in mapping)
+            stack.append([u, 0])
+        # the deepest frame unmaps its point and takes its next feasible
+        # candidate; a frame with none left is popped
+        while stack:
+            u, pos = stack[-1]
+            if u in mapping:
+                used.discard(mapping.pop(u))
+                for i in sub.lines_through[u]:
+                    for v in sub.lines[i]:
+                        near[v] -= 1
+                    count[i] -= 1
+            cands = candidates[u]
+            while pos < len(cands) and (cands[pos] in used or not feasible(u, cands[pos])):
+                pos += 1
+            if pos < len(cands):
+                break
+            stack.pop()
+        else:
+            return None
+        stack[-1][1] = pos + 1
+        w = cands[pos]
+        mapping[u] = w
+        used.add(w)
+        for i in sub.lines_through[u]:
+            for v in sub.lines[i]:
+                near[v] += 1
+            count[i] += 1
+            if count[i] == 1:
+                first[i] = w
+            elif count[i] == 2:
+                x = first[i]
+                image[i] = host.pair_line[(min(x, w), max(x, w))]
 
 
 def embeds_in(sub: LinearSystem, host: LinearSystem, caps: Caps = DEFAULT_CAPS) -> Optional[Embedding]:

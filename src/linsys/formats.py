@@ -62,10 +62,11 @@ def dumps_json(sys: LinearSystem) -> str:
 
 def loads_json(text: Union[str, bytes], caps: Caps = DEFAULT_CAPS) -> LinearSystem:
     # besides JSONDecodeError, undecodable bytes and integers past str()'s
-    # digit limit raise ValueError
+    # digit limit raise ValueError, and nesting past the recursion limit
+    # RecursionError
     try:
         data = json.loads(text)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise FormatError(f"invalid JSON: {e}") from e
     return system_from_dict(data, caps)
 

@@ -5,12 +5,13 @@ call; ``LinearSystem`` itself holds no packed arrays. Two searches cover
 all three invariants:
 
 - ``_cover_search`` finds a minimum set cover, given as a (k, e) uint8
-  matrix ``covers`` of k candidates over e elements. For tau the
-  candidates are the points and the elements the lines; for gamma both
-  are the points, a point covering its closed neighbourhood. A node
-  hands its remaining count, residual row and allowed row down to its
-  children, and settles in place each child that is a leaf or that its
-  first bound tests would cut, so the tree is the one a node-by-node
+  matrix ``covers`` of k candidates over e elements, its one input: the
+  candidates of an element are its column. For tau the candidates are
+  the points and the elements the lines; for gamma both are the points,
+  a point covering its closed neighbourhood. It tests the root at entry.
+  A node hands its remaining count, residual row and allowed row down to
+  its children, and settles in place each child that is a leaf or that
+  its first bound tests would cut, so the tree is the one a node-by-node
   search visits, at a fraction of the numpy calls.
 - ``_nu2_search`` finds a maximum 2-packing, given as the (m, n) uint8
   line-point incidence and its transpose, and stops when it reaches an
@@ -26,7 +27,7 @@ Both searches do each node in a fixed number of whole-array steps over
 0/1 uint8 masks and small integer rows, so the pure-numpy path runs no
 Python loop over candidates, lines or points. They keep to what numba
 compiles for integer arrays: elementwise ufuncs with broadcasting,
-``.sum(axis=1)``, ``.max()``, ``.any()``, ``.argmin()``, three-array
+``.sum(axis=...)``, ``.astype``, ``.max()``, ``.any()``, ``.argmin()``,
 ``np.where`` and ``[0] * n`` lists as stacks of per-depth integers; no
 ``@``/``np.dot`` (float-only in numba) and no boolean fancy indexing.
 
@@ -57,42 +58,42 @@ def _pairwise(lines: np.ndarray) -> np.ndarray:
     return (f @ f.T).astype(np.int32)
 
 
-def _cover_search(covers, cand_lists, cand_sizes, universe, best0):
+def _cover_search(covers, universe, best0):
     """Branch and bound for a minimum set cover.
 
-    covers:      (k, e) uint8, covers[v, u] = 1 when candidate v covers
-                 element u.
-    cand_lists:  (e, cmax) int32, the candidates covering each element,
-                 ascending, -1 padded.
-    cand_sizes:  (e,) int32, the number of candidates covering each element.
-    universe:    (e,) uint8, 1 at the elements to cover (at least one).
-    best0:       incumbent size (from a greedy cover).
+    covers:   (k, e) uint8, covers[v, u] = 1 when candidate v covers
+              element u, so column u holds the candidates of element u.
+    universe: (e,) uint8, 1 at the elements to cover (at least one).
+    best0:    incumbent size (from a greedy cover).
 
     tau passes the points as candidates over the lines; gamma passes its
     closed-neighbourhood matrix.
 
-    Branch rule: the uncovered element with the fewest candidates, lowest
-    index on ties; its candidates in ascending order. Tried-candidate
-    exclusion: once the subtree of candidate v of the branch element is
-    finished, every cover containing v has been searched, so v is excluded
-    from the subtrees of the later candidates. Bounds, in this order: a
-    node at depth d that covers everything is a leaf; otherwise it is
-    pruned when one more candidate cannot beat the incumbent (d + 1 >=
-    best), or when remaining > (best - d - 1) * maxcov, maxcov being the
-    largest residual cover of a candidate not excluded. For maxcov >= 1
-    that is d + ceil(remaining / maxcov) >= best; maxcov = 0 always prunes,
-    rightly, as no allowed candidate covers an uncovered element.
+    Branch rule: the uncovered element with the fewest candidates (its
+    column sum, taken once), lowest index on ties; its candidates in
+    ascending order, listed by one np.where over its column. Tried-
+    candidate exclusion: once the subtree of candidate v of the branch
+    element is finished, every cover containing v has been searched, so v
+    is excluded from the subtrees of the later candidates. Bounds, in this
+    order: a node at depth d that covers everything is a leaf; otherwise
+    it is pruned when one more candidate cannot beat the incumbent
+    (d + 1 >= best), or when remaining > (best - d - 1) * maxcov, maxcov
+    being the largest residual cover of a candidate not excluded. For
+    maxcov >= 1 that is d + ceil(remaining / maxcov) >= best; maxcov = 0
+    always prunes, rightly, as no allowed candidate covers an uncovered
+    element. The root is tested at entry, before any per-depth state is
+    allocated; it is no leaf, as the universe is not empty.
 
     State is carried down from the parent. A node that expands keeps its
-    maxcov and its residual row, the number of uncovered elements each
-    candidate covers, so a child's remaining count is the parent's minus
-    the chosen candidate's entry, with no row sum. The candidates not
-    excluded form one allowed row per depth: the node at d copies its
-    row to depth d + 1 once, when it expands, and clears each candidate
-    v there as v is tried. The child of v then sees v cleared as well,
-    which changes nothing: v covers no element still uncovered at the
-    child or below, so v's residual there is 0 and v is on no candidate
-    list it branches on.
+    maxcov, its candidate list and its residual row, the number of
+    uncovered elements each candidate covers, so a child's remaining count
+    is the parent's minus the chosen candidate's entry, with no row sum.
+    The candidates not excluded form one allowed row per depth: the node
+    at d copies its row to depth d + 1 once, when it expands, and clears
+    each candidate v there as v is tried. The child of v then sees v
+    cleared as well, which changes nothing: v covers no element still
+    uncovered at the child or below, so v's residual there is 0 and v is
+    in no column it branches on.
 
     Children settled at the parent. The child of v has remaining count
     left = remaining - residual[v]. Three cases decide it by its first
@@ -111,22 +112,31 @@ def _cover_search(covers, cand_lists, cand_sizes, universe, best0):
     node counts and the witness are those of that search.
 
     A node that is not settled costs one masked row sum and a max; one
-    that expands adds an argmin and two row copies; a settled child costs
-    a subtraction. Returns (best, improved, witness_buffer, nodes); the
-    first `best` witness entries are meaningful only when improved == 1.
+    that expands adds an argmin, a column scan and two row copies; a
+    settled child costs a subtraction. Returns (best, improved,
+    witness_buffer, nodes); the buffer has best0 + 2 entries, the first
+    `best` meaningful only when improved == 1.
     """
     k, e = covers.shape
-    nodes = 0
+    nodes = 1
     best = best0
     improved = 0
-
     cap = best0 + 2
     witness = np.full(cap, -1, dtype=np.int32)
+    if best <= 1:
+        return best, improved, witness, nodes
+    rem0 = np.int64(universe.sum())
+    res = (covers & universe).sum(axis=1)
+    maxcov = np.int64(res.max())
+    if rem0 > (best - 1) * maxcov:
+        return best, improved, witness, nodes
+
     uncovered = np.zeros((cap, e), dtype=np.uint8)
     residual = np.zeros((cap, k), dtype=np.int64)
     allowed = np.zeros((cap, k), dtype=np.uint8)
+    cands = np.zeros((cap, k), dtype=np.int32)
+    cand_sizes = covers.sum(axis=0).astype(np.int32)
     no_branch = np.full(e, k + 1, dtype=np.int32)
-    branch_elem = [0] * cap
     branch_pos = [0] * cap
     branch_end = [0] * cap
     chosen = [0] * cap
@@ -134,45 +144,27 @@ def _cover_search(covers, cand_lists, cand_sizes, universe, best0):
     cover_max = [0] * cap
     uncovered[0] = universe
     allowed[0] = 1
-    rem[0] = np.int64(universe.sum())
+    rem[0] = rem0
 
     d = 0
-    pending = True
+    expand = True
     while d >= 0:
-        if pending:
-            # the root, or a child its parent did not settle; only the root
-            # can fail the next two tests
-            nodes += 1
-            pending = False
-            if rem[d] == 0:
-                if d < best:
-                    best = d
-                    improved = 1
-                d -= 1
-                continue
-            if d + 1 >= best:
-                d -= 1
-                continue
-            uncov = uncovered[d]
-            res = (covers & uncov).sum(axis=1)
-            maxcov = np.int64((res * allowed[d]).max())
-            if rem[d] > (best - d - 1) * maxcov:
-                d -= 1
-                continue
+        if expand:
+            # node d passed its tests with residual row res and maxcov
+            expand = False
             residual[d] = res
             cover_max[d] = maxcov
-            u = np.where(uncov == 1, cand_sizes, no_branch).argmin()
-            branch_elem[d] = u
+            u = np.where(uncovered[d] == 1, cand_sizes, no_branch).argmin()
+            end = cand_sizes[u]
+            cands[d, :end] = np.where(covers[:, u] == 1)[0]
             branch_pos[d] = 0
-            branch_end[d] = cand_sizes[u]
+            branch_end[d] = end
             allowed[d + 1] = allowed[d]
-            continue
-        u = branch_elem[d]
         pos = branch_pos[d]
         end = branch_end[d]
         v = -1
         while pos < end:
-            v = cand_lists[u, pos]
+            v = cands[d, pos]
             pos += 1
             if allowed[d + 1, v] == 1:
                 break
@@ -199,7 +191,13 @@ def _cover_search(covers, cand_lists, cand_sizes, universe, best0):
         # exactly the elements v covers
         uncovered[d + 1] = uncovered[d] & ~covers[v]
         d += 1
-        pending = True
+        # the child, not settled: neither a leaf nor at d + 1 >= best
+        nodes += 1
+        res = (covers & uncovered[d]).sum(axis=1)
+        maxcov = np.int64((res * allowed[d]).max())
+        expand = rem[d] <= (best - d - 1) * maxcov
+        if not expand:
+            d -= 1
     return best, improved, witness, nodes
 
 

@@ -3,8 +3,8 @@
 tau and gamma are minimum set covers and share one kernel; nu2 runs its
 own. The solvers build all kernel input one way, as uint8 0/1 matrices:
 the line-point incidence (``_incidence``) for tau and nu2, the symmetric
-closed-neighbourhood matrix (``_closed_neighbourhoods``) for gamma. From
-a matrix ``_rows`` lists the cover kernel's candidates of each element,
+closed-neighbourhood matrix (``_closed_neighbourhoods``) for gamma. The
+cover kernel reads each element's candidates from the matrix's columns,
 and ``_greedy_cover`` gives tau and gamma their incumbent. nu2 stops at
 the root bound proved in ``kernels._nu2_search``. Tie-breaking is by
 lowest index throughout, so identical inputs always give identical
@@ -68,18 +68,6 @@ def _incidence(sys: LinearSystem) -> np.ndarray:
     return out.reshape(-1, n)
 
 
-def _rows(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The column indices of the 1s of each row of a 0/1 matrix, ascending
-    and -1 padded, as an int32 matrix, and their counts."""
-    # a running count along the row numbers each 1 from 1
-    pos = mat.cumsum(axis=1, dtype=np.int32)
-    sizes = pos[:, -1].copy()
-    r, c = np.nonzero(mat)
-    lists = np.full((mat.shape[0], int(sizes.max())), -1, dtype=np.int32)
-    lists[r, pos[r, c] - 1] = c
-    return lists, sizes
-
-
 def _closed_neighbourhoods(sys: LinearSystem) -> np.ndarray:
     """(n, n) symmetric uint8 matrix: row v marks v and every point
     collinear with it."""
@@ -125,14 +113,10 @@ def transversal_number(
     t0 = time.perf_counter()
 
     # points are the candidates and lines the elements to cover
-    line_cover = _incidence(sys)
-    point_cover = np.ascontiguousarray(line_cover.T)
+    point_cover = np.ascontiguousarray(_incidence(sys).T)
     universe = np.ones(sys.num_lines, dtype=np.uint8)
     seed = _greedy_cover(point_cover, universe)
-    line_points, line_sizes = _rows(line_cover)
-    best, improved, wit, nodes = ks.tau_search(
-        point_cover, line_points, line_sizes, universe, len(seed)
-    )
+    best, improved, wit, nodes = ks.tau_search(point_cover, universe, len(seed))
     witness = (
         tuple(sorted(int(v) for v in wit[: int(best)])) if improved else seed
     )
@@ -157,10 +141,7 @@ def domination_number(
     universe = (sys.degrees > 0).astype(np.uint8)
 
     seed = _greedy_cover(cover, universe)
-    cover_lists, cover_sizes = _rows(cover)
-    best, improved, wit, nodes = ks.gamma_search(
-        cover, cover_lists, cover_sizes, universe, len(seed)
-    )
+    best, improved, wit, nodes = ks.gamma_search(cover, universe, len(seed))
     inner = (
         [int(v) for v in wit[: int(best)]] if improved else list(seed)
     )

@@ -266,6 +266,17 @@ def test_embed_negative(capsys, tmp_path, plane_file):
     assert "no embedding" in out
 
 
+def test_embed_of_1200_points_exits_zero(capsys, monkeypatch, tmp_path):
+    # more points than Python's recursion limit, each a level of the search
+    path = tmp_path / "m.json"
+    lines = [[2 * i, 2 * i + 1] for i in range(600)]
+    path.write_text(json.dumps({"num_points": 1200, "lines": lines}))
+    monkeypatch.setenv("LINSYS_CAPS", "iso_points=2000")
+    code, out, _ = run_cli(capsys, "embed", str(path), str(path))
+    assert code == 0
+    assert out.startswith("embeds\n")
+
+
 def test_caps_env_rejected_when_malformed(capsys, monkeypatch):
     monkeypatch.setenv("LINSYS_CAPS", "nonsense")
     code, _, err = run_cli(capsys, "check-paper", "--q", "2")

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import random
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -34,6 +35,7 @@ from linsys import (
     projective_plane,
     rank,
 )
+from linsys.core import _match_single_lines
 from linsys.limits import Caps
 
 from corpus import build_corpus
@@ -450,3 +452,27 @@ def test_point_maps_match_brute_force():
             for k, l in enumerate(a.lines):
                 assert {pm[v] for v in l} <= host.lines[lm[k]]
     assert found == 922
+
+
+def test_point_map_search_is_not_bounded_by_recursion_depth():
+    # one mapped point per level of the search, more levels than Python's
+    # recursion limit
+    s = LinearSystem(1200, [[2 * i, 2 * i + 1] for i in range(600)])
+    assert len(s.support) > sys.getrecursionlimit()
+    emb = embeds_in(s, s, caps=Caps(iso_points=2000))
+    assert emb is not None
+    assert set(emb.point_map) == s.support
+    assert sorted(emb.line_map) == list(range(s.num_lines))
+    assert len(set(emb.line_map.values())) == s.num_lines
+    for i, l in enumerate(s.lines):
+        assert {emb.point_map[v] for v in l} == s.lines[emb.line_map[i]]
+
+
+def test_single_line_matching_follows_long_augmenting_paths():
+    # single i may take host line i or i + 1, and each takes i; the last
+    # single, limited to line 0, shifts all of them along one path
+    n = 3000
+    cands = [[i, i + 1] for i in range(n)] + [[0]]
+    assert _match_single_lines(cands) == list(range(1, n + 1)) + [0]
+    # two singles limited to line 0 cannot both have it
+    assert _match_single_lines(cands + [[0]]) is None

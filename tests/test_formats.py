@@ -86,6 +86,11 @@ def test_loads_json_types_every_decoding_error():
             loads_json(text)
         with pytest.raises(FormatError, match=r"^invalid JSON: Exceeds the limit"):
             loads_json(text.encode())
+    # nesting past the recursion limit is a RecursionError, not a ValueError
+    deep = '{"lines": ' + "[" * 100_000
+    for text in (deep, deep.encode()):
+        with pytest.raises(FormatError, match=r"^invalid JSON: maximum recursion depth"):
+            loads_json(text)
 
 
 def test_loaders_apply_their_caps():

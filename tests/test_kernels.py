@@ -20,7 +20,7 @@ from linsys import (
 )
 from linsys import kernels
 from linsys.kernels import ACTIVE, JIT_KERNELS, PURE_NUMPY_ENV, PY_KERNELS
-from linsys.solvers import _closed_neighbourhoods, _greedy_cover, _incidence, _rows
+from linsys.solvers import _closed_neighbourhoods, _greedy_cover, _incidence
 
 from corpus import build_corpus
 from oracles import reference_cover_search
@@ -142,17 +142,27 @@ def _cover_inputs(sys_):
     greedy seed as the incumbent."""
     out = []
     if sys_.lines:
-        line_cover = _incidence(sys_)
-        point_cover = np.ascontiguousarray(line_cover.T)
+        point_cover = np.ascontiguousarray(_incidence(sys_).T)
         universe = np.ones(sys_.num_lines, dtype=np.uint8)
         seed = _greedy_cover(point_cover, universe)
-        out.append((point_cover, *_rows(line_cover), universe, len(seed)))
+        out.append((point_cover, universe, len(seed)))
     if sys_.support:
         cover = _closed_neighbourhoods(sys_)
         universe = (sys_.degrees > 0).astype(np.uint8)
         seed = _greedy_cover(cover, universe)
-        out.append((cover, *_rows(cover), universe, len(seed)))
+        out.append((cover, universe, len(seed)))
     return out
+
+
+def _reference_args(covers, universe, best0):
+    """The reference kernel's arguments: the cover matrix, each column's
+    rows, ascending and -1 padded, and their counts."""
+    cols = [np.flatnonzero(covers[:, u]) for u in range(covers.shape[1])]
+    sizes = np.array([len(c) for c in cols], dtype=np.int32)
+    lists = np.full((len(cols), int(sizes.max())), -1, dtype=np.int32)
+    for u, c in enumerate(cols):
+        lists[u, : len(c)] = c
+    return covers, lists, sizes, universe, best0
 
 
 def _random_linear_system(rng):
@@ -195,7 +205,7 @@ def test_cover_search_matches_reference_kernel(ks):
     checked = 0
     for sys_ in systems:
         for args in _cover_inputs(sys_):
-            want = _outcome(reference_cover_search(*args))
+            want = _outcome(reference_cover_search(*_reference_args(*args)))
             assert _outcome(ks.tau_search(*args)) == want, (sys_.name, args[-1])
             checked += 1
     assert checked >= 2 * 1000
@@ -208,7 +218,6 @@ def test_cover_search_memory_stays_per_depth():
     # everything else is O(cap * (k + e)), so a second (k, e) array, a
     # wider one or one per depth fails here
     cover = _closed_neighbourhoods(projective_plane(16).system)
-    lists, sizes = _rows(cover)
     universe = np.ones(cover.shape[1], dtype=np.uint8)
     k, e = cover.shape
     # with incumbent 2 the root expands, and each of its k children is a
@@ -218,9 +227,7 @@ def test_cover_search_memory_stays_per_depth():
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        best, improved, _, nodes = PY_KERNELS.gamma_search(
-            cover, lists, sizes, universe, best0
-        )
+        best, improved, _, nodes = PY_KERNELS.gamma_search(cover, universe, best0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

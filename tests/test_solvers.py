@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from linsys import (
 )
 from linsys.kernels import PY_KERNELS
 from linsys.limits import Caps
-from linsys.solvers import _closed_neighbourhoods, _incidence, _rows
+from linsys.solvers import _closed_neighbourhoods, _incidence
 
 from corpus import build_corpus
 from oracles import brute_domination, brute_transversal, brute_two_packing
@@ -486,17 +487,13 @@ def test_incidence_rows_are_the_lines():
     for s in build_corpus() + [_extended_plane(3)]:
         inc = _incidence(s)
         assert inc.dtype == np.uint8 and inc.flags.c_contiguous
-        lists, sizes = _rows(inc)
-        # the kernels' argument types
-        assert lists.dtype == sizes.dtype == np.int32
         assert [
-            tuple(row[:k].tolist()) for row, k in zip(lists, sizes)
+            tuple(np.flatnonzero(row).tolist()) for row in inc
         ] == list(s.line_tuples)
 
 
 def test_closed_neighbourhoods_match_set_logic():
-    # row v of gamma's matrix is N[v], {v} for an isolated point, and
-    # _rows lists its members in ascending order
+    # row v of gamma's matrix is N[v], {v} for an isolated point
     systems = build_corpus() + [_extended_plane(q) for q in (2, 3, 4)]
     systems.append(LinearSystem(3, []))
     isolated = 0
@@ -504,15 +501,38 @@ def test_closed_neighbourhoods_match_set_logic():
         cover = _closed_neighbourhoods(s)
         assert cover.dtype == np.uint8
         assert cover.shape == (s.num_points, s.num_points)
-        lists, sizes = _rows(cover)
         for v in range(s.num_points):
             hood = sorted(closed_neighborhood(s, v))
             assert np.flatnonzero(cover[v]).tolist() == hood
-            assert sizes[v] == len(hood)
-            assert lists[v, : len(hood)].tolist() == hood
-            assert (lists[v, len(hood) :] == -1).all()
             isolated += hood == [v] and v not in s.support
     assert isolated > 0
+
+
+@pytest.mark.parametrize("solve", [transversal_number, domination_number])
+def test_solver_memory_is_bounded_by_the_cover_matrix(solve):
+    # ext-PG(2,16): 546 points on 273 lines. The cover matrix is (k, e)
+    # uint8, points over lines for tau and points over points for gamma.
+    # A solve may hold four arrays of its size (the matrix, the greedy
+    # seed's column copy and its filtered copy, one kernel temporary),
+    # numpy's casting buffer for a row sum (getbufsize() elements of 8
+    # bytes) and O(cap * (k + e)) per-depth rows; one (k, e) int32 or
+    # intp array more, such as candidate lists built from the matrix,
+    # does not fit
+    s = _extended_plane(16)
+    n, m = s.num_points, s.num_lines
+    k, e = (n, m) if solve is transversal_number else (n, n)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        res = solve(s, caps=Caps(solver_points=n, solver_lines=m))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.value == 17
+    assert res.nodes_explored == (1 if solve is transversal_number else 223)
+    # the greedy seed is the value here, so the kernel's depth cap is 19
+    cap = res.value + 2
+    assert peak - base <= 4 * k * e + 16 * cap * (k + e) + 8 * np.getbufsize()
 
 
 def _full_nu2_search(sys_):
