@@ -36,6 +36,7 @@ from .errors import (
 )
 from .field import _decimal
 from .geometry import (
+    dual_conic_lines,
     dual_hyperoval_lines,
     hyperoval,
     is_arc,
@@ -361,7 +362,12 @@ def check_plane_reconstruction(
         )
     )
     tau = derivation.chain["tau_reduced"]
-    nu2 = two_packing_number(red, caps=caps).value
+    # the plane's dual hyperoval is a 2-packing of red when red has all
+    # of its lines, as derived from the pendant plane
+    index = {l: i for i, l in enumerate(red.lines)}
+    dual = [plane.system.lines[i] for i in dual_hyperoval_lines(plane)]
+    incumbent = [index[l] for l in dual] if all(l in index for l in dual) else None
+    nu2 = two_packing_number(red, caps=caps, incumbent=incumbent).value
     clauses.append(
         ClauseCheck(
             "tau-nu2",
@@ -426,8 +432,10 @@ def verification_battery(q: int, caps: Caps = DEFAULT_CAPS) -> list:
         )
     )
 
+    # the dual arc, a verified 2-packing, starts the nu2 search
+    dual = dual_hyperoval_lines(plane) if q % 2 == 0 else dual_conic_lines(plane)
     try:
-        gap = check_packing_gap(psys, caps=caps)
+        gap = check_packing_gap(psys, caps=caps, incumbent=dual)
         rows.append(_row("plane-transversal", gap.tau == q + 1, f"tau={gap.tau}"))
         nu2_want = q + 2 if q % 2 == 0 else q + 1
         rows.append(_row("plane-two-packing", gap.nu2 == nu2_want, f"nu2={gap.nu2}"))
@@ -456,7 +464,6 @@ def verification_battery(q: int, caps: Caps = DEFAULT_CAPS) -> list:
             f"{len(arc.points)} points",
         )
     )
-    dual = dual_hyperoval_lines(plane)
     rows.append(
         _row(
             "hyperoval-dual-packing",

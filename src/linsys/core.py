@@ -532,10 +532,14 @@ def embeds_in(sub: LinearSystem, host: LinearSystem, caps: Caps = DEFAULT_CAPS) 
     ):
         return None
 
+    # one candidate list per sub degree, shared by its points
     host_pts = sorted(host.support)
-    candidates = {
-        u: [w for w in host_pts if host.degrees[w] >= sub.degrees[u]]
-        for u in sub.support
+    host_deg = host.degrees.tolist()
+    sub_deg = sub.degrees.tolist()
+    by_degree = {
+        d: [w for w in host_pts if host_deg[w] >= d]
+        for d in {sub_deg[u] for u in sub.support}
     }
-    priority = {u: -int(sub.degrees[u]) for u in sub.support}
+    candidates = {u: by_degree[sub_deg[u]] for u in sub.support}
+    priority = {u: -sub_deg[u] for u in sub.support}
     return _map_points(sub, host, candidates, priority)

@@ -34,6 +34,11 @@ class NoLines(LinsysError):
     """The operation needs at least one line."""
 
 
+class NotTwoPacking(LinsysError):
+    """A line set offered as a 2-packing repeats a line or puts a point
+    on three of its lines."""
+
+
 class SizeLimit(LinsysError):
     """Instance exceeds a configured search cap."""
 

@@ -207,10 +207,23 @@ def dual_plane(plane: PlaneModel) -> PlaneModel:
     )
 
 
-def dual_hyperoval_lines(plane: PlaneModel) -> FrozenSet[int]:
-    """Indices of the lines whose coordinates are the hyperoval's point
-    coordinates. Every plane point lies on at most two of them, so they
-    form a 2-packing of maximum size q+2."""
-    arc = hyperoval(plane)
+def _dual_lines(plane: PlaneModel, points: Iterable[int]) -> FrozenSet[int]:
+    """Indices of the lines whose coordinates are the given points'
+    coordinates. A point x is on line a iff a . x = 0, so the number of
+    these lines through x is the number of the points on the line with
+    x's coordinates: for an arc, every plane point lies on at most two of
+    them, and they form a 2-packing."""
     line_index = {c: i for i, c in enumerate(plane.line_coords)}
-    return frozenset(line_index[plane.point_coords[p]] for p in arc.points)
+    return frozenset(line_index[plane.point_coords[p]] for p in points)
+
+
+def dual_conic_lines(plane: PlaneModel) -> FrozenSet[int]:
+    """The dual of the conic, a (q+1)-arc in every plane (Segre, Canad. J.
+    Math. 1955): a 2-packing of q+1 lines, maximum for odd q."""
+    return _dual_lines(plane, conic_points(plane))
+
+
+def dual_hyperoval_lines(plane: PlaneModel) -> FrozenSet[int]:
+    """The dual of the hyperoval: a 2-packing of maximum size q+2, for
+    even q only."""
+    return _dual_lines(plane, hyperoval(plane).points)

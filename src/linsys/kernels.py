@@ -16,8 +16,9 @@ all three invariants:
 - ``_nu2_search`` finds a maximum 2-packing, given as the (m, n) uint8
   line-point incidence and its transpose, and stops when it reaches an
   upper bound that the caller proved (the meet and parity rules on
-  intersecting systems). Its state is one row per depth, O(m * n) in
-  all; it needs no (m, m) table of meeting points.
+  intersecting systems, the capacity rule on all). It can start from the
+  size of a packing the caller verified. Its state is one row per depth,
+  O(m * n) in all; it needs no (m, m) table of meeting points.
 
 The plane-axiom check takes ``_pairwise``, one matrix product over the
 incidence, only to name the least disjoint line pair of a system that
@@ -201,12 +202,13 @@ def _cover_search(covers, universe, best0):
     return best, improved, witness, nodes
 
 
-def _nu2_search(lines, through, top):
+def _nu2_search(lines, through, top, best0=0):
     """Branch and bound for the maximum 2-packing.
 
     lines: (m, n) uint8 line-point incidence; through: its C-contiguous
     (n, m) transpose; top: an upper bound on nu2 proved by the caller
-    (m + 1 or more never stops the search early).
+    (m + 1 or more never stops the search early); best0: a size below
+    nu2 proved by the caller (0 proves nothing).
 
     Lines are decided in index order, include branch first. Below depth d
     a line is selectable while its index is at least d and none of its
@@ -236,6 +238,23 @@ def _nu2_search(lines, through, top):
       of R once, at such a point, so |R| is the sum over p in M of the
       number of lines of R through p, each 0 or 2. Then |R| is even,
       while r + 1 is odd.
+    A third rule holds on any system. Call a line free when none of its
+    points is on three or more lines, and its weight the number of its
+    points that are; let f lines be free and h points be on three or more.
+    - capacity rule, nu2 <= f + t, with t the most lines whose weights,
+      smallest first, sum to at most 2h: a packing covers each of the h
+      points at most twice, so the weights of its lines that are not free
+      sum to at most 2h.
+    The caller settles the free lines before the search and passes the
+    other lines with top - f (see ``solvers``).
+
+    Incumbent: the search starts as if it had found a packing of best0
+    lines; the caller passes L - 1 for a packing of L lines that it
+    verified. A subtree is pruned only when it holds no packing of more
+    than best lines, and best stays below nu2 until the first packing of
+    nu2 lines in search order is reached, so that packing, the witness of
+    the search from 0, is still the first one found, and best rises at
+    least once. At best0 = 0 the tree is the one from 0.
 
     Depth d keeps its own cover count per point, blocked lines (the lines
     below d among them), deg and sel, written from depth d - 1 on the way
@@ -253,7 +272,7 @@ def _nu2_search(lines, through, top):
     phase = np.zeros(m + 1, dtype=np.uint8)
     chosen = np.zeros(m + 1, dtype=np.int32)
     witness = np.zeros(m + 1, dtype=np.int32)
-    best = np.int64(0)
+    best = np.int64(best0)
     nodes = np.int64(0)
     size = np.int64(0)
     deg[0] = through.sum(axis=1)

@@ -5,24 +5,44 @@ own. The solvers build all kernel input one way, as uint8 0/1 matrices:
 the line-point incidence (``_incidence``) for tau and nu2, the symmetric
 closed-neighbourhood matrix (``_closed_neighbourhoods``) for gamma. The
 cover kernel reads each element's candidates from the matrix's columns,
-and ``_greedy_cover`` gives tau and gamma their incumbent. nu2 stops at
-the root bound proved in ``kernels._nu2_search``. Tie-breaking is by
-lowest index throughout, so identical inputs always give identical
-witnesses. ``verify_transversal``, ``verify_domination`` and
-``verify_two_packing`` check a witness with plain set logic and share no
-code with the search. No solver calls them; the tests and the benchmark
-do. Checking each witness at runtime is open (ROADMAP item 8).
+and ``_greedy_cover`` gives tau and gamma their incumbent. Tie-breaking
+is by lowest index throughout, so identical inputs always give identical
+witnesses.
+
+nu2 settles its free lines, those with no point on three or more lines,
+before the search. A free line is in every maximum 2-packing, since
+adding it to a packing covers no point three times. The kernel decides
+the other lines over only the points on three or more lines: a point on
+at most two lines is never covered three times, and on a chosen line it
+is on at most one selectable line, so it adds 0 to the meet bound. The
+search over the rest therefore prunes where the search over the whole
+incidence does below the node that takes every free line, and its first
+maximum packing in search order plus the free lines is the whole
+search's first, which holds them all. A system of free lines only
+settles in 1 node. The search stops at the root bound, the meet, parity
+and capacity rules proved in ``kernels._nu2_search``, and starts from
+the size of ``incumbent=``, a packing that ``verify_two_packing`` must
+accept, with no change to the witness, as proved there too. The battery
+passes the dual conic or hyperoval of a plane.
+
+``verify_transversal``, ``verify_domination`` and ``verify_two_packing``
+check a witness with plain set logic and share no code with the search.
+No solver checks its own witness with them (nu2 checks only its
+incumbent); the tests and the benchmark do. Checking each witness at
+runtime is open (ROADMAP item 8).
 """
 
+import numbers
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from .core import LinearSystem, degree_profile, is_intersecting
-from .errors import NoLines, SizeLimit
+from .errors import BadIndex, NoLines, NotTwoPacking, SizeLimit
+from .field import _decimal
 from .kernels import ACTIVE, KernelSet
 from .limits import DEFAULT_CAPS, Caps
 
@@ -152,29 +172,90 @@ def domination_number(
     )
 
 
+def _capacity(weights, h: int) -> int:
+    """The most lines whose weights, smallest first, sum to at most 2h."""
+    return int(np.searchsorted(np.cumsum(np.sort(weights)), 2 * h, "right"))
+
+
+def _checked_packing(sys: LinearSystem, incumbent) -> Tuple[int, ...]:
+    """The incumbent's line indices, once they are known to be distinct
+    lines of sys that form a 2-packing."""
+    idx = tuple(incumbent)
+    m = sys.num_lines
+    for i in idx:
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+            raise BadIndex(f"incumbent: line {i!r} is not an integer")
+        if not 0 <= i < m:
+            raise BadIndex(f"incumbent: line {_decimal(int(i))} outside 0..{m - 1}")
+    if not verify_two_packing(sys, idx):
+        raise NotTwoPacking(
+            "incumbent: a line is repeated or a point is on three of its lines"
+        )
+    return idx
+
+
 def two_packing_number(
-    sys: LinearSystem, caps: Caps = DEFAULT_CAPS, kernels: KernelSet = None
+    sys: LinearSystem,
+    caps: Caps = DEFAULT_CAPS,
+    kernels: KernelSet = None,
+    incumbent: Optional[Iterable[int]] = None,
 ) -> SolveResult:
+    """nu2 with the first maximum 2-packing in search order as witness.
+    incumbent, a 2-packing of sys that is checked first, only speeds the
+    search up: the value and witness are the same without it."""
     if not sys.lines:
         raise NoLines("a 2-packing needs at least one line")
     _check_caps(sys, caps)
+    if incumbent is not None:
+        incumbent = _checked_packing(sys, incumbent)
     ks = kernels if kernels is not None else ACTIVE
     t0 = time.perf_counter()
 
     incidence = _incidence(sys)
+    deg = sys.degrees
+    m = sys.num_lines
+    # points on no line, on one and on two; h points are on three or more
+    n0, n1, n2 = np.bincount(deg, minlength=3)[:3].tolist()
+    h = sys.num_points - n0 - n1 - n2
+    lens = [len(l) for l in sys.line_tuples]
     # the meet and parity rules of the kernel's root bound, with r the most
     # points of degree >= 2 on one line
-    m = sys.num_lines
-    r = int((incidence & (sys.degrees >= 2)).sum(axis=1).max())
+    r = int((incidence & (deg >= 2)).sum(axis=1).max()) if n1 else max(lens)
     top = m
     if is_intersecting(sys):
         top = r if r % 2 == 0 and m >= r + 2 else min(m, r + 1)
+
+    # a line's weight is its number of points of degree >= 3; the free
+    # lines, of weight 0, are in every maximum packing, and the kernel
+    # decides the others over only the points of degree >= 3
+    if n1 or n2:
+        heavy = deg >= 3
+        weights = (incidence & heavy).sum(axis=1)
+        free = np.flatnonzero(weights == 0).tolist()
+        kept = np.flatnonzero(weights)
+        if not kept.size:
+            dt = time.perf_counter() - t0
+            return SolveResult(KIND_TWO_PACKING, m, tuple(free), 1, dt)
+        weights = weights[kept]
+        most = int(weights.max())
+        incidence = incidence[kept][:, heavy]
+    else:
+        free, kept, weights, most = [], None, lens, max(lens)
+    f = len(free)
+    # the capacity rule; with every weight at the largest one it is at
+    # least that cheap count, so only a count below top needs the sort
+    if f + min(m - f, 2 * h // most) < top:
+        top = min(top, f + _capacity(weights, h))
+    best0 = max(len(incumbent) - f - 1, 0) if incumbent is not None else 0
     best, wit, nodes = ks.nu2_search(
-        incidence, np.ascontiguousarray(incidence.T), top
+        incidence, np.ascontiguousarray(incidence.T), top - f, best0
     )
-    witness = tuple(int(i) for i in wit[: int(best)])
+    inner = wit[: int(best)] if kept is None else kept[wit[: int(best)]]
+    witness = tuple(sorted(free + inner.tolist()))
     dt = time.perf_counter() - t0
-    return SolveResult(KIND_TWO_PACKING, int(best), witness, int(nodes), dt)
+    return SolveResult(
+        KIND_TWO_PACKING, f + int(best), witness, int(nodes), dt
+    )
 
 
 def verify_transversal(sys: LinearSystem, points: Iterable[int]) -> bool:
@@ -239,13 +320,16 @@ class PackingGapReport:
 
 
 def check_packing_gap(
-    sys: LinearSystem, caps: Caps = DEFAULT_CAPS
+    sys: LinearSystem,
+    caps: Caps = DEFAULT_CAPS,
+    incumbent: Optional[Iterable[int]] = None,
 ) -> PackingGapReport:
     """Evaluate the degree-sum condition relating line count to the
-    2-packing number, and whether tau stays below nu2."""
+    2-packing number, and whether tau stays below nu2. incumbent, a
+    2-packing of sys, goes to the nu2 search."""
     profile = degree_profile(sys)
     tau = transversal_number(sys, caps=caps).value
-    nu2 = two_packing_number(sys, caps=caps).value
+    nu2 = two_packing_number(sys, caps=caps, incumbent=incumbent).value
     bound = profile.max_degree + profile.second_max_degree + nu2 - 3
     return PackingGapReport(
         num_lines=sys.num_lines,

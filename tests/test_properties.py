@@ -3,6 +3,7 @@ inequalities hold on every instance satisfying their hypotheses. A
 hypothesis test does the same brute-force comparison on random small
 systems, to check that no search bound cuts off an optimum."""
 
+import itertools
 import math
 import random
 
@@ -160,6 +161,34 @@ def test_search_bounds_match_brute_force(sys_):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "_greedy_cover", _trivial_cover)
         _solve_all(sys_)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(small_linear_systems())
+def test_nu2_capacity_rule_and_incumbents_match_brute_force(sys_):
+    # the capacity rule: a packing covers each of the h points of degree
+    # >= 3 at most twice, so besides the f free lines it holds at most the
+    # t lines whose weights (their points of degree >= 3), smallest first,
+    # sum to at most 2h
+    n, rows = sys_.num_points, sys_.line_tuples
+    best = brute_two_packing(n, rows)
+    heavy = {v for v in range(n) if sys_.degrees[v] >= 3}
+    weights = [len(heavy & l) for l in sys_.lines]
+    free = weights.count(0)
+    assert free + solvers._capacity([w for w in weights if w], len(heavy)) >= best
+    # any 2-packing as incumbent leaves the value and the witness
+    want = two_packing_number(sys_)
+    assert want.value == best
+    lines = range(sys_.num_lines)
+    packings = [
+        c
+        for k in range(len(lines) + 1)
+        for c in itertools.combinations(lines, k)
+        if verify_two_packing(sys_, c)
+    ]
+    for c in packings:
+        res = two_packing_number(sys_, incumbent=c)
+        assert (res.value, res.witness) == (want.value, want.witness), c
 
 
 def _trivial_cover(covers, universe):

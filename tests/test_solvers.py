@@ -6,18 +6,22 @@ import numpy as np
 import pytest
 
 from linsys import (
+    BadIndex,
     KIND_DOMINATION,
     KIND_TRANSVERSAL,
     KIND_TWO_PACKING,
     LinearSystem,
     NoLines,
+    NotTwoPacking,
     SizeLimit,
     check_packing_gap,
     closed_neighborhood,
     delete_point,
     domination_number,
+    dual_conic_lines,
     extend_with_pendant_points,
     greedy_transversal,
+    is_intersecting,
     projective_plane,
     transversal_number,
     triangular_system,
@@ -412,10 +416,12 @@ def test_pinned_gamma_on_relabelled_triangular():
     )
 
 
-# (value, witness, nodes) of nu2, with the root bound. A change of search
-# bound may move the node counts (never the value or the witness); it must
-# say so and re-record them here. The full-traversal tests below keep the
-# counts from before the root bound.
+# (value, witness, nodes) of nu2, with the root bound, the capacity rule
+# and the free lines settled before the search (triangular-9 has only
+# free lines, so it takes the 1 node of a settled solve). A change of
+# search bound may move the node counts (never the value or the
+# witness); it must say so and re-record them here. The full-traversal
+# tests below keep the counts from before the root bound.
 PINNED_NU2_NODES = {
     "PG(2,3)": (lambda: _plane(3), (4, (0, 1, 4, 8), 10)),
     "PG(2,4)": (lambda: _plane(4), (6, (0, 1, 5, 10, 16, 19), 21)),
@@ -431,7 +437,7 @@ PINNED_NU2_NODES = {
         lambda: _extended_plane(5), (6, (0, 1, 6, 12, 19, 25), 27)
     ),
     "triangular-9": (
-        lambda: triangular_system(9), (9, tuple(range(9)), 10)
+        lambda: triangular_system(9), (9, tuple(range(9)), 1)
     ),
 }
 
@@ -454,7 +460,7 @@ def test_pinned_nu2_nodes_on_corpus():
     results = [two_packing_number(s) for s in build_corpus()]
     pairs = repr([(r.value, r.witness) for r in results]).encode()
     assert hashlib.sha256(pairs).hexdigest() == CORPUS_NU2_SHA256
-    assert sum(r.nodes_explored for r in results) == 1073
+    assert sum(r.nodes_explored for r in results) == 630
 
 
 CORPUS_TAU_GAMMA_SHA256 = (
@@ -535,14 +541,20 @@ def test_solver_memory_is_bounded_by_the_cover_matrix(solve):
     assert peak - base <= 4 * k * e + 16 * cap * (k + e) + 8 * np.getbufsize()
 
 
+def _rooted_nu2_search(sys_, top):
+    """(value, witness, nodes) of the nu2 kernel on the full incidence,
+    stopping at a caller's top."""
+    inc = _incidence(sys_)
+    best, wit, nodes = PY_KERNELS.nu2_search(
+        inc, np.ascontiguousarray(inc.T), top
+    )
+    return int(best), tuple(int(i) for i in wit[: int(best)]), int(nodes)
+
+
 def _full_nu2_search(sys_):
     """(value, witness, nodes) of the nu2 kernel with top = m + 1, a bound
     no packing reaches, so the search never stops early."""
-    inc = _incidence(sys_)
-    best, wit, nodes = PY_KERNELS.nu2_search(
-        inc, np.ascontiguousarray(inc.T), sys_.num_lines + 1
-    )
-    return int(best), tuple(int(i) for i in wit[: int(best)]), int(nodes)
+    return _rooted_nu2_search(sys_, sys_.num_lines + 1)
 
 
 @pytest.mark.parametrize(
@@ -567,6 +579,155 @@ def test_full_nu2_traversal_on_corpus():
     pairs = repr([(v, w) for v, w, _ in results]).encode()
     assert hashlib.sha256(pairs).hexdigest() == CORPUS_NU2_SHA256
     assert sum(n for _, _, n in results) == 1985
+
+
+def _meet_parity_top(sys_):
+    """The root bound from the meet and parity rules alone, the top of a
+    search over every line and point."""
+    m = sys_.num_lines
+    r = max(sum(1 for v in l if sys_.degrees[v] >= 2) for l in sys_.lines)
+    if not is_intersecting(sys_):
+        return m
+    return r if r % 2 == 0 and m >= r + 2 else min(m, r + 1)
+
+
+def _free_lines(sys_):
+    return [
+        i for i, l in enumerate(sys_.lines)
+        if all(sys_.degrees[v] <= 2 for v in l)
+    ]
+
+
+def _random_nu2_system(rng, kind):
+    """A seeded system whose free lines (no point on three or more lines)
+    are all of its lines ("free"), most often some of them ("mixed"), or
+    lines of PG(2,q), q <= 4, with pendant points on some draws
+    ("intersecting")."""
+    if kind == "free":
+        # lines are the vertices of a random simple graph, and an edge is a
+        # point on its two lines; pendant points keep every line two long
+        m = rng.randint(1, 12)
+        lines = [[] for _ in range(m)]
+        n = 0
+        for a in range(m):
+            for b in range(a + 1, m):
+                if rng.random() < 0.3:
+                    lines[a].append(n)
+                    lines[b].append(n)
+                    n += 1
+        for line in lines:
+            for _ in range(max(rng.randint(0, 2), 2 - len(line))):
+                line.append(n)
+                n += 1
+        return LinearSystem(n, lines)
+    if kind == "mixed":
+        # a random linear system, or lines of PG(2,q) beside a free system
+        # whose lines may each take one point on a single plane line
+        if rng.random() < 0.5:
+            n = rng.randint(4, 12)
+            lines = []
+            for _ in range(rng.randint(1, 20)):
+                cand = frozenset(rng.sample(range(n), rng.randint(1, 3)))
+                if all(len(cand & l) <= 1 and cand != l for l in lines):
+                    lines.append(cand)
+            return LinearSystem(n, lines)
+        base = _random_nu2_system(rng, "intersecting")
+        extra = _random_nu2_system(rng, "free")
+        single = [v for v in sorted(base.support) if base.degrees[v] == 1]
+        rng.shuffle(single)
+        n = base.num_points
+        lines = [list(l) for l in base.line_tuples]
+        for l in extra.line_tuples:
+            lines.append([n + v for v in l])
+            if single and rng.random() < 0.5:
+                lines[-1].append(single.pop())
+        return LinearSystem(n + extra.num_points, lines)
+    plane = _plane(rng.choice((2, 3, 4)))
+    m = plane.num_lines
+    idx = sorted(rng.sample(range(m), rng.randint(1, min(m, 12))))
+    sub = LinearSystem(plane.num_points, [plane.lines[i] for i in idx])
+    return extend_with_pendant_points(sub) if rng.random() < 0.3 else sub
+
+
+def _nu2_differential_systems():
+    systems = list(build_corpus())
+    systems += [_plane(q) for q in range(2, 10) if q != 6]
+    systems += [_extended_plane(q) for q in (2, 3, 4, 5)]
+    systems += [triangular_system(m) for m in range(3, 13)]
+    rng = random.Random(1955)
+    for i in range(2100):
+        systems.append(_random_nu2_system(rng, ("free", "mixed", "intersecting")[i % 3]))
+    return systems
+
+
+def test_two_packing_number_matches_full_traversal():
+    # the free lines settled up front, the search over the other lines
+    # and only the points of degree >= 3, and the capacity rule keep the
+    # value and the witness of the search over the whole incidence with
+    # no root bound; nodes only fall below those of that search with the
+    # meet and parity rules. The odd planes PG(2,7) and PG(2,9), whose
+    # full traversal takes 138,375 nodes (4 s) and more, are compared
+    # with the search stopping at q + 1 instead, a bound the parity rule
+    # proves, so the witness is the same
+    kinds = {"all free": 0, "mixed": 0, "intersecting": 0}
+    for sys_ in _nu2_differential_systems():
+        free = _free_lines(sys_)
+        m = sys_.num_lines
+        kinds["all free"] += len(free) == m
+        kinds["mixed"] += 0 < len(free) < m
+        kinds["intersecting"] += is_intersecting(sys_) and m > 1
+        res = two_packing_number(sys_)
+        rooted = _rooted_nu2_search(sys_, _meet_parity_top(sys_))
+        name = sys_.name or ""
+        if name in ("PG(2,7)", "PG(2,9)"):
+            want = rooted
+        else:
+            want = _full_nu2_search(sys_)
+        assert (res.value, res.witness) == want[:2], (name, sys_.line_tuples)
+        assert set(free) <= set(res.witness)
+        assert res.nodes_explored <= rooted[2]
+        assert res.nodes_explored == 1 or len(free) < m
+    assert min(kinds.values()) >= 500, kinds
+
+
+def test_nu2_incumbent_repeating_a_line_raises(fano):
+    with pytest.raises(NotTwoPacking):
+        two_packing_number(fano, incumbent=[0, 1, 0])
+
+
+@pytest.mark.parametrize("line", [-1, 7, 10**30, 1.0, True, "0"])
+def test_nu2_incumbent_out_of_range_raises(fano, line):
+    with pytest.raises(BadIndex):
+        two_packing_number(fano, incumbent=[0, line])
+
+
+def test_nu2_incumbent_that_is_no_packing_raises(fano):
+    # the three lines through a point cover it three times
+    with pytest.raises(NotTwoPacking):
+        two_packing_number(fano, incumbent=fano.lines_through[0])
+
+
+def test_packing_gap_forwards_the_incumbent(fano):
+    with pytest.raises(NotTwoPacking):
+        check_packing_gap(fano, incumbent=fano.lines_through[0])
+    assert check_packing_gap(fano, incumbent=(0, 1)).nu2 == 4
+
+
+def test_nu2_from_dual_conic_on_pg17():
+    # the witness of the search with no incumbent, which walks 345,978
+    # nodes (about 12 s on a 2-core machine); from the dual conic's 18
+    # lines the search walks 20,209
+    caps = Caps(plane_order=17, solver_points=307, solver_lines=307)
+    plane = projective_plane(17, caps=caps)
+    conic = dual_conic_lines(plane)
+    assert len(conic) == 18 and verify_two_packing(plane.system, conic)
+    res = two_packing_number(plane.system, caps=caps, incumbent=conic)
+    assert res.value == 18
+    assert res.witness == (
+        0, 1, 18, 36, 55, 78, 105, 128, 147, 165, 186, 200, 210, 226, 246,
+        262, 289, 303,
+    )
+    assert res.nodes_explored == 20209
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
