@@ -36,6 +36,7 @@ from .errors import (
 )
 from .field import _decimal
 from .geometry import (
+    PlaneModel,
     dual_conic_lines,
     dual_hyperoval_lines,
     hyperoval,
@@ -319,7 +320,12 @@ def check_plane_reconstruction(
     plane = projective_plane(q, caps=caps)
     if q % 2 != 0:
         raise OddOrder(f"reconstruction is proved for even q, got {q}")
+    return _reconstruction(sys, plane, caps)
 
+
+def _reconstruction(sys: LinearSystem, plane: PlaneModel, caps: Caps) -> ReconstructionReport:
+    """check_plane_reconstruction against a built plane of even order."""
+    q = plane.order
     derivation = derive(sys, q + 2, caps=caps)
     red = derivation.reduced
     n_expected = q * q + q + 1
@@ -474,7 +480,7 @@ def verification_battery(q: int, caps: Caps = DEFAULT_CAPS) -> list:
 
     try:
         ext = extend_with_pendant_points(psys, caps)
-        report = check_plane_reconstruction(ext, q, caps=caps)
+        report = _reconstruction(ext, plane, caps)
         for c in report.clauses:
             rows.append(
                 _row(

@@ -9,17 +9,27 @@ derivations. All systems are immutable once built.
 Construction validates whole lines at C speed where it can. A line of
 plain ints within range is accepted by one type-set test and its min and
 max; any other line goes entry by entry, which converts numpy integers
-and names the bad entry. Linearity is a count: the pair table gets every
-line's point pairs, and it has sum C(|l|, 2) keys exactly when no pair
-lies on two lines; only when it has fewer is the least clashing line pair
-searched for. The declared point count and that pair count meet their
-caps before either is allocated.
+and names the bad entry. Linearity is a count of distinct point pairs,
+which is sum C(|l|, 2) exactly when no pair lies on two lines. A system
+with at most ``_TABLE_PAIRS`` pairs counts the keys of its pair table,
+which it keeps as ``pair_line``; a larger one sorts every line's pair
+keys in one numpy array and looks for a repeat, and builds the table
+only when ``pair_line`` is first read. Only a system that fails is
+searched for its least clashing line pair. The declared point count and
+the pair count meet their caps before either is allocated.
+
+Deleting points or lines, keeping some lines and dropping isolated
+points keep a system linear, so those results are built from the
+source's lines by the constructor's container code without its tests,
+and build no pair table.
 """
 
+import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from functools import lru_cache
+from itertools import chain, combinations, repeat
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +47,14 @@ from .limits import DEFAULT_CAPS, Caps
 
 _INT = {int}
 
+# Up to this many point pairs on lines, counting the pair table's keys is
+# the faster linearity test, and it leaves the table built; above it,
+# sorting the pair keys is. Under timeit the two break even near 100
+# pairs on planes and near 400 on random systems of mixed line sizes.
+_TABLE_PAIRS = 256
+# a pair key u * n + v is below n**2, which int64 holds up to this n
+_KEYED_POINTS = math.isqrt(np.iinfo(np.int64).max)
+
 
 def _as_point(x, num_points: int, where: str) -> int:
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
@@ -47,6 +65,51 @@ def _as_point(x, num_points: int, where: str) -> int:
             f"{where}: point {_decimal(v)} outside 0..{_decimal(num_points - 1)}"
         )
     return v
+
+
+def _pair_table(line_tuples) -> Dict[Tuple[int, int], int]:
+    pair = {}
+    for i, l in enumerate(line_tuples):
+        pair.update(zip(combinations(l, 2), repeat(i)))
+    return pair
+
+
+@lru_cache(maxsize=64)
+def _upper_pairs(k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The positions (a, b), a < b, of a line's point pairs, read-only."""
+    first, second = np.triu_indices(k, 1)
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
+
+
+def _line_arrays(line_tuples) -> list:
+    """The lines as one (count, k) int64 array per line size k, each in
+    line order."""
+    by_size: Dict[int, list] = {}
+    for t in line_tuples:
+        by_size.setdefault(len(t), []).append(t)
+    return [
+        np.fromiter(chain.from_iterable(group), np.int64, len(group) * k).reshape(len(group), k)
+        for k, group in by_size.items()
+    ]
+
+
+def _pairs_distinct(line_tuples, n: int, total: int) -> bool:
+    """True when no point pair lies on two lines. Every line's pair keys
+    u * n + v (u < v) fill one int64 array of ``total`` entries, lines of
+    one size at a time, and one sort puts any repeated key beside its
+    copy. n must be at most ``_KEYED_POINTS``."""
+    keys = np.empty(total, dtype=np.int64)
+    at = 0
+    for rows in _line_arrays(line_tuples):
+        first, second = _upper_pairs(rows.shape[1])
+        block = keys[at : at + rows.shape[0] * len(first)].reshape(rows.shape[0], len(first))
+        np.multiply(rows[:, first], n, out=block)
+        block += rows[:, second]
+        at += block.size
+    keys.sort()
+    return not (keys[1:] == keys[:-1]).any()
 
 
 def _least_clash(line_tuples) -> Tuple[int, int]:
@@ -69,8 +132,7 @@ class LinearSystem:
 
     caps bounds num_points and the number of point pairs on lines before
     either is allocated (SizeLimit). None skips both bounds; the package
-    passes it only for systems derived from one already built, which are
-    no larger."""
+    passes it only for the dual of a plane it built, which is no larger."""
 
     __slots__ = (
         "num_points",
@@ -79,8 +141,8 @@ class LinearSystem:
         "line_tuples",
         "degrees",
         "support",
-        "pair_line",
         "lines_through",
+        "_pair_line",
     )
 
     def __init__(
@@ -112,36 +174,60 @@ class LinearSystem:
                 raise DuplicateLine(f"lines {seen[members]} and {i} are equal")
             seen[members] = i
             cleaned.append(members)
+        line_tuples = tuple(tuple(sorted(l)) for l in cleaned)
 
-        self.num_points = n
-        self.lines: Tuple[frozenset, ...] = tuple(cleaned)
-        self.name = name
-        self.line_tuples: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(sorted(l)) for l in cleaned
-        )
-
-        # Linearity: no point pair lies on two lines, so the pair table
-        # holds exactly sum C(|l|, 2) keys. Only when it holds fewer is the
-        # least clashing line pair searched for.
-        total = sum(k * (k - 1) // 2 for k in map(len, self.line_tuples))
+        # Linearity: no point pair lies on two lines, so the lines hold
+        # exactly sum C(|l|, 2) distinct pairs. Only a system that holds
+        # fewer is searched for its least clashing line pair.
+        total = sum(k * (k - 1) // 2 for k in map(len, line_tuples))
         if caps is not None and total > caps.system_pairs:
             raise SizeLimit(f"{total} point pairs on lines exceeds cap {caps.system_pairs}")
-        pair = {}
-        for i, l in enumerate(self.line_tuples):
-            pair.update(zip(combinations(l, 2), repeat(i)))
-        if len(pair) != total:
-            h, i = _least_clash(self.line_tuples)
-            raise LinearityViolation(h, i, self.lines[h] & self.lines[i])
+        pair = None
+        if total <= _TABLE_PAIRS or n > _KEYED_POINTS:
+            pair = _pair_table(line_tuples)
+            linear = len(pair) == total
+        else:
+            linear = _pairs_distinct(line_tuples, n, total)
+        if not linear:
+            h, i = _least_clash(line_tuples)
+            raise LinearityViolation(h, i, cleaned[h] & cleaned[i])
+        self._fill(n, tuple(cleaned), line_tuples, name)
+        self._pair_line = pair
+
+    @classmethod
+    def _derived(cls, num_points: int, lines: Iterable[frozenset], name: Optional[str] = None):
+        """The system on lines taken from a built system: nonempty,
+        distinct, in range and linear, so none of it is tested again, and
+        no pair table is built until ``pair_line`` is read."""
+        self = object.__new__(cls)
+        lines = tuple(lines)
+        self._fill(num_points, lines, tuple(tuple(sorted(l)) for l in lines), name)
+        return self
+
+    def _fill(self, n: int, lines, line_tuples, name: Optional[str]) -> None:
+        self.num_points = n
+        self.lines: Tuple[frozenset, ...] = lines
+        self.name = name
+        self.line_tuples: Tuple[Tuple[int, ...], ...] = line_tuples
         incident = [[] for _ in range(n)]
-        for i, l in enumerate(self.line_tuples):
+        for i, l in enumerate(line_tuples):
             for u in l:
                 incident[u].append(i)
         self.lines_through: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, incident))
         degs = np.fromiter(map(len, incident), dtype=np.int32, count=n)
         degs.setflags(write=False)
         self.degrees = degs
-        self.support = frozenset().union(*cleaned)
-        self.pair_line = pair
+        self.support = frozenset().union(*lines)
+        self._pair_line = None
+
+    @property
+    def pair_line(self) -> Dict[Tuple[int, int], int]:
+        """The line through each collinear point pair (u, v), u < v, keyed
+        line by line in ``combinations`` order. Built on first read unless
+        the constructor's linearity test built it; do not modify it."""
+        if self._pair_line is None:
+            self._pair_line = _pair_table(self.line_tuples)
+        return self._pair_line
 
     @property
     def num_lines(self) -> int:
@@ -196,20 +282,18 @@ def is_uniform(sys: LinearSystem, r: int) -> bool:
 
 
 def delete_points(sys: LinearSystem, points: Iterable[int]) -> LinearSystem:
-    """Remove a set of points from every line with one rebuild. Emptied
+    """Remove a set of points from every line in one pass. Emptied
     lines are dropped; lines that collapse onto an earlier survivor are
     merged (the line list is a set), so the result equals deleting the
     points one at a time in any order. Indices stay stable: the removed
     points become isolated."""
     gone = {_as_point(p, sys.num_points, "delete_points") for p in points}
-    out = []
-    seen = set()
+    out = {}  # insertion-ordered set of the surviving lines
     for l in sys.lines:
         nl = l - gone
-        if nl and nl not in seen:
-            seen.add(nl)
-            out.append(nl)
-    return LinearSystem(sys.num_points, out, caps=None)
+        if nl:
+            out.setdefault(nl)
+    return LinearSystem._derived(sys.num_points, out)
 
 
 def delete_point(sys: LinearSystem, point: int) -> LinearSystem:
@@ -222,8 +306,8 @@ def delete_line(sys: LinearSystem, line_index: int) -> LinearSystem:
         raise BadIndex(
             f"line index {line_index} outside 0..{sys.num_lines - 1}"
         )
-    out = [l for i, l in enumerate(sys.lines) if i != line_index]
-    return LinearSystem(sys.num_points, out, caps=None)
+    out = sys.lines[:line_index] + sys.lines[line_index + 1 :]
+    return LinearSystem._derived(sys.num_points, out)
 
 
 def induced_subsystem(sys: LinearSystem, line_indices: Iterable[int]) -> LinearSystem:
@@ -233,7 +317,7 @@ def induced_subsystem(sys: LinearSystem, line_indices: Iterable[int]) -> LinearS
     for i in idx:
         if not 0 <= i < sys.num_lines:
             raise BadIndex(f"line index {i} outside 0..{sys.num_lines - 1}")
-    return LinearSystem(sys.num_points, [sys.lines[i] for i in idx], caps=None)
+    return LinearSystem._derived(sys.num_points, [sys.lines[i] for i in idx])
 
 
 def is_spanning_subsystem(sub: LinearSystem, sys: LinearSystem) -> bool:
@@ -252,7 +336,7 @@ def collinearity_adjacent(sys: LinearSystem, u: int, v: int) -> bool:
     adjacent to itself by convention."""
     a = _as_point(u, sys.num_points, "collinearity_adjacent")
     b = _as_point(v, sys.num_points, "collinearity_adjacent")
-    return a == b or (min(a, b), max(a, b)) in sys.pair_line
+    return a == b or any(b in sys.lines[i] for i in sys.lines_through[a])
 
 
 def closed_neighborhood(sys: LinearSystem, v: int) -> frozenset:
@@ -267,8 +351,8 @@ def drop_isolated(sys: LinearSystem) -> Tuple[LinearSystem, Dict[int, int]]:
     """Reindex onto the support, removing isolated points. Returns the
     compacted system and the old-index -> new-index map."""
     remap = {old: new for new, old in enumerate(sorted(sys.support))}
-    lines = [[remap[v] for v in l] for l in sys.line_tuples]
-    return LinearSystem(len(remap), lines, sys.name, caps=None), remap
+    lines = [frozenset(map(remap.__getitem__, l)) for l in sys.lines]
+    return LinearSystem._derived(len(remap), lines, sys.name), remap
 
 
 def pendant_reduction(sys: LinearSystem) -> Tuple[LinearSystem, Tuple[int, ...]]:
@@ -429,6 +513,7 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
     search runs on an explicit stack of [point, index of its next
     candidate] frames, one per mapped point and one for the point tried."""
     a_pts = sorted(sub.support)
+    pair_line = host.pair_line
     mapping: Dict[int, int] = {}
     used = set()
     near = [0] * sub.num_points
@@ -442,7 +527,7 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
                 return False
             if count[i] == 1:
                 x = first[i]
-                j = host.pair_line.get((min(x, w), max(x, w)))
+                j = pair_line.get((min(x, w), max(x, w)))
                 if j is None or len(host.lines[j]) < len(sub.lines[i]):
                     return False
         return True
@@ -511,7 +596,7 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
                 first[i] = w
             elif count[i] == 2:
                 x = first[i]
-                image[i] = host.pair_line[(min(x, w), max(x, w))]
+                image[i] = pair_line[(min(x, w), max(x, w))]
 
 
 def embeds_in(sub: LinearSystem, host: LinearSystem, caps: Caps = DEFAULT_CAPS) -> Optional[Embedding]:

@@ -111,22 +111,25 @@ def projective_plane(q: int, caps: Caps = DEFAULT_CAPS) -> PlaneModel:
 
 def verify_plane_axioms(sys: LinearSystem) -> PlaneReport:
     """Check the three projective-plane axioms on a linear system.
-    Point-pairs holds when ``pair_line`` has every point pair. Line-pairs
-    holds by the degree count: lines meet at most once, so the sum over
-    points of C(deg, 2) counts the meeting line pairs, and it reaches
-    C(m, 2) exactly when every pair meets. General position follows from
-    the size of the longest line, and uniformity and the counts from the
-    three. Only a failing system is searched for its least missing point
+    Point-pairs holds by the pair count: lines share at most one point,
+    so the lines hold sum C(|l|, 2) distinct point pairs, and that
+    reaches C(n, 2) exactly when every pair is joined. Line-pairs holds
+    by the degree count: lines meet at most once, so the sum over points
+    of C(deg, 2) counts the meeting line pairs, and it reaches C(m, 2)
+    exactly when every pair meets. General position follows from the
+    size of the longest line, and uniformity and the counts from the
+    three. Only a failing system is searched for its least unjoined point
     pair or least disjoint line pair."""
     n = sys.num_points
 
     # two distinct points on exactly one common line; linearity already
-    # rules out two, so only missing pairs can occur
-    expected_pairs = n * (n - 1) // 2
-    if len(sys.pair_line) != expected_pairs:
+    # rules out two, so only unjoined pairs can occur
+    joined = sum(k * (k - 1) // 2 for k in map(len, sys.line_tuples))
+    if joined != n * (n - 1) // 2:
         for u in range(n):
+            near = frozenset().union(*(sys.lines[i] for i in sys.lines_through[u]))
             for v in range(u + 1, n):
-                if (u, v) not in sys.pair_line:
+                if v not in near:
                     return PlaneReport(
                         False,
                         None,

@@ -3,9 +3,10 @@
 tau and gamma are minimum set covers and share one kernel; nu2 runs its
 own. The solvers build all kernel input one way, as uint8 0/1 matrices:
 the line-point incidence (``_incidence``) for tau and nu2, the symmetric
-closed-neighbourhood matrix (``_closed_neighbourhoods``) for gamma. The
-cover kernel reads each element's candidates from the matrix's columns,
-and ``_greedy_cover`` gives tau and gamma their incumbent. Tie-breaking
+closed-neighbourhood matrix (``_closed_neighbourhoods``, each line's
+block of it set directly) for gamma. The cover kernel reads each
+element's candidates from the matrix's columns, and ``_greedy_cover``
+gives tau and gamma their incumbent. Tie-breaking
 is by lowest index throughout, so identical inputs always give identical
 witnesses.
 
@@ -35,12 +36,11 @@ runtime is open (ROADMAP item 8).
 import numbers
 import time
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .core import LinearSystem, degree_profile, is_intersecting
+from .core import LinearSystem, _line_arrays, degree_profile, is_intersecting
 from .errors import BadIndex, NoLines, NotTwoPacking, SizeLimit
 from .field import _decimal
 from .kernels import ACTIVE, KernelSet
@@ -90,12 +90,12 @@ def _incidence(sys: LinearSystem) -> np.ndarray:
 
 def _closed_neighbourhoods(sys: LinearSystem) -> np.ndarray:
     """(n, n) symmetric uint8 matrix: row v marks v and every point
-    collinear with it."""
+    collinear with it. The lines of each size k set their (k, k) blocks
+    in one broadcast assignment, which builds no index array beyond the
+    lines themselves."""
     cover = np.eye(sys.num_points, dtype=np.uint8)
-    pairs = np.fromiter(chain.from_iterable(sys.pair_line), dtype=np.intp)
-    u, v = pairs.reshape(-1, 2).T
-    cover[u, v] = 1
-    cover[v, u] = 1
+    for rows in _line_arrays(sys.line_tuples):
+        cover[rows[:, :, None], rows[:, None, :]] = 1
     return cover
 
 

@@ -272,6 +272,30 @@ def test_reconstruction_rejects_bad_orders(ext_fano):
         check_plane_reconstruction(ext_fano, 6)
 
 
+def test_reconstruction_tests_the_order_before_its_parity(ext_fano):
+    # 15 is odd and no prime power: the prime-power test comes first
+    with pytest.raises(NotPrimePower):
+        check_plane_reconstruction(ext_fano, 15)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_battery_builds_its_plane_once(q, monkeypatch):
+    from linsys import constructions
+
+    built = []
+    real = constructions.projective_plane
+    monkeypatch.setattr(
+        constructions, "projective_plane", lambda *a, **k: built.append(a) or real(*a, **k)
+    )
+    rows = verification_battery(q)
+    assert built == [(q,)]
+    # the reconstruction rows are the public check's clauses
+    report = check_plane_reconstruction(extend_with_pendant_points(real(q).system), q)
+    want = [(f"reconstruction-{c.clause}", c.passed) for c in report.clauses]
+    got = [(r.name, r.status == "pass") for r in rows if r.name.startswith("reconstruction-")]
+    assert got == want and all(ok for _, ok in got)
+
+
 def test_battery_order_two():
     rows = verification_battery(2)
     by_name = {r.name: r for r in rows}
