@@ -56,15 +56,20 @@ _TABLE_PAIRS = 256
 _KEYED_POINTS = math.isqrt(np.iinfo(np.int64).max)
 
 
-def _as_point(x, num_points: int, where: str) -> int:
+def _as_point(x, num_points: int, where: str, kind: str = "point") -> int:
+    """x as an index below num_points: an int or numpy int, not a bool."""
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-        raise BadIndex(f"{where}: point {x!r} is not an integer")
+        raise BadIndex(f"{where}: {kind} {x!r} is not an integer")
     v = int(x)
     if not 0 <= v < num_points:
         raise BadIndex(
-            f"{where}: point {_decimal(v)} outside 0..{_decimal(num_points - 1)}"
+            f"{where}: {kind} {_decimal(v)} outside 0..{_decimal(num_points - 1)}"
         )
     return v
+
+
+def _as_line(x, num_lines: int, where: str) -> int:
+    return _as_point(x, num_lines, where, "line")
 
 
 def _pair_table(line_tuples) -> Dict[Tuple[int, int], int]:
@@ -302,21 +307,16 @@ def delete_point(sys: LinearSystem, point: int) -> LinearSystem:
 
 
 def delete_line(sys: LinearSystem, line_index: int) -> LinearSystem:
-    if not 0 <= line_index < sys.num_lines:
-        raise BadIndex(
-            f"line index {line_index} outside 0..{sys.num_lines - 1}"
-        )
-    out = sys.lines[:line_index] + sys.lines[line_index + 1 :]
+    i = _as_line(line_index, sys.num_lines, "delete_line")
+    out = sys.lines[:i] + sys.lines[i + 1 :]
     return LinearSystem._derived(sys.num_points, out)
 
 
 def induced_subsystem(sys: LinearSystem, line_indices: Iterable[int]) -> LinearSystem:
     """Keep only the chosen lines. The induced point set (union of the
     kept lines) is available as the result's ``support``."""
-    idx = sorted(set(line_indices))
-    for i in idx:
-        if not 0 <= i < sys.num_lines:
-            raise BadIndex(f"line index {i} outside 0..{sys.num_lines - 1}")
+    m = sys.num_lines
+    idx = sorted({_as_line(i, m, "induced_subsystem") for i in line_indices})
     return LinearSystem._derived(sys.num_points, [sys.lines[i] for i in idx])
 
 

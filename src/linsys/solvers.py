@@ -1,36 +1,37 @@
 """Exact transversal, domination and 2-packing numbers with witnesses.
 
-tau and gamma are minimum set covers and share one kernel; nu2 runs its
-own. The solvers build all kernel input one way, as uint8 0/1 matrices:
-the line-point incidence (``_incidence``) for tau and nu2, the symmetric
-closed-neighbourhood matrix (``_closed_neighbourhoods``, each line's
-block of it set directly) for gamma. The cover kernel reads each
-element's candidates from the matrix's columns, and ``_greedy_cover``
-gives tau and gamma their incumbent. Tie-breaking
-is by lowest index throughout, so identical inputs always give identical
-witnesses.
+Each invariant has one solve path. tau and gamma are minimum set covers
+and share one kernel and one driver, ``_min_cover``, whose greedy seed
+(``_greedy_cover``) is the kernel's incumbent and the witness unless the
+kernel improves on it. tau covers the lines with points (``_point_cover``,
+the transposed line-point incidence ``_incidence``); gamma covers the
+points with the symmetric closed-neighbourhood matrix
+(``_closed_neighbourhoods``, each line's block set directly) and forces
+its isolated points into the witness. Ties go to the lowest index
+throughout, so identical inputs always give identical witnesses.
 
 nu2 settles its free lines, those with no point on three or more lines,
-before the search. A free line is in every maximum 2-packing, since
-adding it to a packing covers no point three times. The kernel decides
-the other lines over only the points on three or more lines: a point on
-at most two lines is never covered three times, and on a chosen line it
-is on at most one selectable line, so it adds 0 to the meet bound. The
-search over the rest therefore prunes where the search over the whole
-incidence does below the node that takes every free line, and its first
-maximum packing in search order plus the free lines is the whole
-search's first, which holds them all. A system of free lines only
-settles in 1 node. The search stops at the root bound, the meet, parity
-and capacity rules proved in ``kernels._nu2_search``, and starts from
-the size of ``incumbent=``, a packing that ``verify_two_packing`` must
-accept, with no change to the witness, as proved there too. The battery
-passes the dual conic or hyperoval of a plane.
+before the search: adding one to a packing covers no point three times,
+so each is in every maximum 2-packing. The kernel decides the other
+lines over only the points on three or more lines, on every system: a
+point on at most two lines is never covered three times, and on a
+chosen line it is on at most one selectable line, so it adds 0 to the
+meet bound (an isolated point is on none). The search over the rest
+therefore prunes where the search over the whole incidence does below
+the node that takes every free line, and its first maximum packing in
+search order plus the free lines is the whole search's first. A system
+of free lines only settles in 1 node. The search stops at the root
+bound, the meet, parity and capacity rules proved in
+``kernels._nu2_search``, and starts from the size of ``incumbent=``, a
+packing that ``verify_two_packing`` must accept, with no change to the
+witness, as proved there too.
 
 ``verify_transversal``, ``verify_domination`` and ``verify_two_packing``
-check a witness with plain set logic and share no code with the search.
-No solver checks its own witness with them (nu2 checks only its
-incumbent); the tests and the benchmark do. Checking each witness at
-runtime is open (ROADMAP item 8).
+check a witness with plain set logic and share no code with the search;
+an entry that is a bool, not an integer or out of range fails it. No
+solver checks its own witness with them (nu2 checks only its incumbent);
+the tests and the benchmark do. Checking each witness at runtime is open
+(ROADMAP item 7).
 """
 
 import numbers
@@ -40,9 +41,10 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .core import LinearSystem, _line_arrays, degree_profile, is_intersecting
-from .errors import BadIndex, NoLines, NotTwoPacking, SizeLimit
-from .field import _decimal
+from .core import (
+    LinearSystem, _as_line, _line_arrays, degree_profile, is_intersecting,
+)
+from .errors import NoLines, NotTwoPacking, SizeLimit
 from .kernels import ACTIVE, KernelSet
 from .limits import DEFAULT_CAPS, Caps
 
@@ -114,13 +116,29 @@ def _greedy_cover(covers: np.ndarray, universe: np.ndarray) -> Tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
+def _point_cover(sys: LinearSystem) -> np.ndarray:
+    """(n, m) uint8 matrix: row v marks the lines through point v."""
+    return np.ascontiguousarray(_incidence(sys).T)
+
+
 def greedy_transversal(sys: LinearSystem) -> Tuple[int, ...]:
     """Pick the point hitting the most uncovered lines (lowest index on
     ties) until every line is hit."""
     if not sys.lines:
         raise NoLines("a transversal needs at least one line")
-    covers = np.ascontiguousarray(_incidence(sys).T)
-    return _greedy_cover(covers, np.ones(sys.num_lines, dtype=np.uint8))
+    return _greedy_cover(_point_cover(sys), np.ones(sys.num_lines, dtype=np.uint8))
+
+
+def _min_cover(kind, search, covers, universe, forced, t0) -> SolveResult:
+    """The least number of rows of covers that cover the universe, plus
+    the forced points. The greedy seed is the search's incumbent and the
+    witness unless the search improves on it."""
+    seed = _greedy_cover(covers, universe)
+    best, improved, wit, nodes = search(covers, universe, len(seed))
+    inner = wit[: int(best)].tolist() if improved else list(seed)
+    witness = tuple(sorted(forced + inner))
+    dt = time.perf_counter() - t0
+    return SolveResult(kind, len(forced) + int(best), witness, int(nodes), dt)
 
 
 def transversal_number(
@@ -131,17 +149,11 @@ def transversal_number(
     _check_caps(sys, caps)
     ks = kernels if kernels is not None else ACTIVE
     t0 = time.perf_counter()
-
     # points are the candidates and lines the elements to cover
-    point_cover = np.ascontiguousarray(_incidence(sys).T)
     universe = np.ones(sys.num_lines, dtype=np.uint8)
-    seed = _greedy_cover(point_cover, universe)
-    best, improved, wit, nodes = ks.tau_search(point_cover, universe, len(seed))
-    witness = (
-        tuple(sorted(int(v) for v in wit[: int(best)])) if improved else seed
+    return _min_cover(
+        KIND_TRANSVERSAL, ks.tau_search, _point_cover(sys), universe, [], t0
     )
-    dt = time.perf_counter() - t0
-    return SolveResult(KIND_TRANSVERSAL, int(best), witness, int(nodes), dt)
 
 
 def domination_number(
@@ -150,25 +162,15 @@ def domination_number(
     _check_caps(sys, caps)
     ks = kernels if kernels is not None else ACTIVE
     t0 = time.perf_counter()
-
-    n = sys.num_points
-    forced = [v for v in range(n) if v not in sys.support]
+    # isolated points dominate only themselves
+    forced = [v for v in range(sys.num_points) if v not in sys.support]
     if not sys.support:
         dt = time.perf_counter() - t0
         return SolveResult(KIND_DOMINATION, len(forced), tuple(forced), 0, dt)
-
-    cover = _closed_neighbourhoods(sys)
     universe = (sys.degrees > 0).astype(np.uint8)
-
-    seed = _greedy_cover(cover, universe)
-    best, improved, wit, nodes = ks.gamma_search(cover, universe, len(seed))
-    inner = (
-        [int(v) for v in wit[: int(best)]] if improved else list(seed)
-    )
-    witness = tuple(sorted(forced + inner))
-    dt = time.perf_counter() - t0
-    return SolveResult(
-        KIND_DOMINATION, len(forced) + int(best), witness, int(nodes), dt
+    return _min_cover(
+        KIND_DOMINATION, ks.gamma_search, _closed_neighbourhoods(sys),
+        universe, forced, t0,
     )
 
 
@@ -180,13 +182,7 @@ def _capacity(weights, h: int) -> int:
 def _checked_packing(sys: LinearSystem, incumbent) -> Tuple[int, ...]:
     """The incumbent's line indices, once they are known to be distinct
     lines of sys that form a 2-packing."""
-    idx = tuple(incumbent)
-    m = sys.num_lines
-    for i in idx:
-        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-            raise BadIndex(f"incumbent: line {i!r} is not an integer")
-        if not 0 <= i < m:
-            raise BadIndex(f"incumbent: line {_decimal(int(i))} outside 0..{m - 1}")
+    idx = tuple(_as_line(i, sys.num_lines, "incumbent") for i in incumbent)
     if not verify_two_packing(sys, idx):
         raise NotTwoPacking(
             "incumbent: a line is repeated or a point is on three of its lines"
@@ -214,75 +210,71 @@ def two_packing_number(
     incidence = _incidence(sys)
     deg = sys.degrees
     m = sys.num_lines
-    # points on no line, on one and on two; h points are on three or more
-    n0, n1, n2 = np.bincount(deg, minlength=3)[:3].tolist()
-    h = sys.num_points - n0 - n1 - n2
-    lens = [len(l) for l in sys.line_tuples]
     # the meet and parity rules of the kernel's root bound, with r the most
     # points of degree >= 2 on one line
-    r = int((incidence & (deg >= 2)).sum(axis=1).max()) if n1 else max(lens)
+    r = int((incidence & (deg >= 2)).sum(axis=1).max())
     top = m
     if is_intersecting(sys):
         top = r if r % 2 == 0 and m >= r + 2 else min(m, r + 1)
 
-    # a line's weight is its number of points of degree >= 3; the free
-    # lines, of weight 0, are in every maximum packing, and the kernel
-    # decides the others over only the points of degree >= 3
-    if n1 or n2:
-        heavy = deg >= 3
-        weights = (incidence & heavy).sum(axis=1)
-        free = np.flatnonzero(weights == 0).tolist()
-        kept = np.flatnonzero(weights)
-        if not kept.size:
-            dt = time.perf_counter() - t0
-            return SolveResult(KIND_TWO_PACKING, m, tuple(free), 1, dt)
-        weights = weights[kept]
-        most = int(weights.max())
-        incidence = incidence[kept][:, heavy]
-    else:
-        free, kept, weights, most = [], None, lens, max(lens)
+    # a line's weight is its number of points of degree >= 3, of which
+    # there are h; the free lines, of weight 0, are in every maximum
+    # packing, and the kernel decides the others over only those points
+    heavy = deg >= 3
+    h = int(heavy.sum())
+    weights = (incidence & heavy).sum(axis=1)
+    free = np.flatnonzero(weights == 0).tolist()
+    kept = np.flatnonzero(weights)
+    if not kept.size:
+        dt = time.perf_counter() - t0
+        return SolveResult(KIND_TWO_PACKING, m, tuple(free), 1, dt)
+    weights = weights[kept]
     f = len(free)
     # the capacity rule; with every weight at the largest one it is at
     # least that cheap count, so only a count below top needs the sort
-    if f + min(m - f, 2 * h // most) < top:
+    if f + min(m - f, 2 * h // int(weights.max())) < top:
         top = min(top, f + _capacity(weights, h))
     best0 = max(len(incumbent) - f - 1, 0) if incumbent is not None else 0
+    incidence = incidence[kept][:, heavy]
     best, wit, nodes = ks.nu2_search(
         incidence, np.ascontiguousarray(incidence.T), top - f, best0
     )
-    inner = wit[: int(best)] if kept is None else kept[wit[: int(best)]]
-    witness = tuple(sorted(free + inner.tolist()))
+    witness = tuple(sorted(free + kept[wit[: int(best)]].tolist()))
     dt = time.perf_counter() - t0
     return SolveResult(
         KIND_TWO_PACKING, f + int(best), witness, int(nodes), dt
     )
 
 
+def _indices(values, bound: int) -> bool:
+    """Whether every value is an int (not a bool) in 0..bound-1."""
+    return all(
+        not isinstance(v, bool) and isinstance(v, numbers.Integral) and 0 <= v < bound
+        for v in values
+    )
+
+
 def verify_transversal(sys: LinearSystem, points: Iterable[int]) -> bool:
-    pts = set(points)
-    if not all(0 <= v < sys.num_points for v in pts):
+    pts = list(points)
+    if not _indices(pts, sys.num_points):
         return False
-    return all(pts & l for l in sys.lines)
+    return all(not l.isdisjoint(pts) for l in sys.lines)
 
 
 def verify_domination(sys: LinearSystem, points: Iterable[int]) -> bool:
-    pts = set(points)
-    if not all(0 <= v < sys.num_points for v in pts):
+    pts = list(points)
+    if not _indices(pts, sys.num_points):
         return False
-    covered = set()
-    for v in pts:
-        covered.add(v)
-        for l in sys.lines:
-            if v in l:
-                covered |= l
+    covered = set(pts)
+    for l in sys.lines:
+        if not l.isdisjoint(pts):
+            covered |= l
     return covered == set(range(sys.num_points))
 
 
 def verify_two_packing(sys: LinearSystem, line_indices: Iterable[int]) -> bool:
     idx = list(line_indices)
-    if len(idx) != len(set(idx)):
-        return False
-    if not all(0 <= i < sys.num_lines for i in idx):
+    if not _indices(idx, sys.num_lines) or len(idx) != len(set(idx)):
         return False
     counts = {}
     for i in idx:

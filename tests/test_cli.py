@@ -388,10 +388,117 @@ def test_gen_plane_order_above_cap_exits_fast(capsys):
     assert err == "error: SizeLimit: plane order 1000000000000000003 exceeds cap 16\n"
 
 
-# check-paper rows at the default caps: q = 8 skips the reconstruction
-# (146 points), q = 11 and q = 16 the plane solvers, q = 16 also the
-# reconstruction and saturated packing; odd q skips the even-q rows
+# check-paper rows at the default caps: q = 2 and q = 4 run every row,
+# q = 8 skips the reconstruction (146 points), q = 11 and q = 16 the
+# plane solvers, q = 16 also the reconstruction and saturated packing;
+# odd q skips the even-q rows
 CHECK_PAPER_ROWS = {
+    "2": [
+        ("plane-axioms", "pass", "order=2"),
+        ("plane-counts", "pass", "7 points, 7 lines"),
+        ("plane-transversal", "pass", "tau=3"),
+        ("plane-two-packing", "pass", "nu2=4"),
+        ("packing-gap-implication", "pass", "m=7, bound=7, hypothesis=True"),
+        ("hyperoval-arc", "pass", "4 points"),
+        ("hyperoval-dual-packing", "pass", "4 lines"),
+        (
+            "reconstruction-uniform-intersecting",
+            "pass",
+            "expected {'uniform': 3, 'intersecting': True}, got {'uniform': 3, 'intersecting': True}",
+        ),
+        ("reconstruction-point-count", "pass", "expected 7, got 7"),
+        ("reconstruction-line-count-range", "pass", "expected 6..7, got 7"),
+        (
+            "reconstruction-degree-structure",
+            "pass",
+            "expected {'max_degree': 3, 'deg2_points_per_line': '<=1'}, got {'max_degree': 3, 'deg2_points_per_line': 0}",
+        ),
+        (
+            "reconstruction-tau-nu2",
+            "pass",
+            "expected {'tau': 3, 'nu2': 4}, got {'tau': 3, 'nu2': 4}",
+        ),
+        (
+            "reconstruction-plane-embedding",
+            "pass",
+            "expected {'embeds': True, 'spanned_points': 7}, got {'embeds': True, 'spanned_points': 7}",
+        ),
+        ("reconstruction-domination-one", "pass", "expected 1, got 1"),
+        ("saturated-packing", "pass", "rank=4, nu2=5, tau=3, lines=5"),
+    ],
+    "3": [
+        ("plane-axioms", "pass", "order=3"),
+        ("plane-counts", "pass", "13 points, 13 lines"),
+        ("plane-transversal", "pass", "tau=4"),
+        ("plane-two-packing", "pass", "nu2=4"),
+        ("packing-gap-implication", "pass", "m=13, bound=9, hypothesis=False"),
+        ("hyperoval", "skip", "even q required"),
+        ("reconstruction", "skip", "even q required"),
+        ("saturated-packing", "skip", "even rank required"),
+    ],
+    "4": [
+        ("plane-axioms", "pass", "order=4"),
+        ("plane-counts", "pass", "21 points, 21 lines"),
+        ("plane-transversal", "pass", "tau=5"),
+        ("plane-two-packing", "pass", "nu2=6"),
+        ("packing-gap-implication", "pass", "m=21, bound=13, hypothesis=False"),
+        ("hyperoval-arc", "pass", "6 points"),
+        ("hyperoval-dual-packing", "pass", "6 lines"),
+        (
+            "reconstruction-uniform-intersecting",
+            "pass",
+            "expected {'uniform': 5, 'intersecting': True}, got {'uniform': 5, 'intersecting': True}",
+        ),
+        ("reconstruction-point-count", "pass", "expected 21, got 21"),
+        ("reconstruction-line-count-range", "pass", "expected 12..21, got 21"),
+        (
+            "reconstruction-degree-structure",
+            "pass",
+            "expected {'max_degree': 5, 'deg2_points_per_line': '<=1'}, got {'max_degree': 5, 'deg2_points_per_line': 0}",
+        ),
+        (
+            "reconstruction-tau-nu2",
+            "pass",
+            "expected {'tau': 5, 'nu2': 6}, got {'tau': 5, 'nu2': 6}",
+        ),
+        (
+            "reconstruction-plane-embedding",
+            "pass",
+            "expected {'embeds': True, 'spanned_points': 21}, got {'embeds': True, 'spanned_points': 21}",
+        ),
+        ("reconstruction-domination-one", "pass", "expected 1, got 1"),
+        ("saturated-packing", "pass", "rank=6, nu2=7, tau=4, lines=7"),
+    ],
+    "5": [
+        ("plane-axioms", "pass", "order=5"),
+        ("plane-counts", "pass", "31 points, 31 lines"),
+        ("plane-transversal", "pass", "tau=6"),
+        ("plane-two-packing", "pass", "nu2=6"),
+        ("packing-gap-implication", "pass", "m=31, bound=15, hypothesis=False"),
+        ("hyperoval", "skip", "even q required"),
+        ("reconstruction", "skip", "even q required"),
+        ("saturated-packing", "skip", "even rank required"),
+    ],
+    "7": [
+        ("plane-axioms", "pass", "order=7"),
+        ("plane-counts", "pass", "57 points, 57 lines"),
+        ("plane-transversal", "pass", "tau=8"),
+        ("plane-two-packing", "pass", "nu2=8"),
+        ("packing-gap-implication", "pass", "m=57, bound=21, hypothesis=False"),
+        ("hyperoval", "skip", "even q required"),
+        ("reconstruction", "skip", "even q required"),
+        ("saturated-packing", "skip", "even rank required"),
+    ],
+    "9": [
+        ("plane-axioms", "pass", "order=9"),
+        ("plane-counts", "pass", "91 points, 91 lines"),
+        ("plane-transversal", "pass", "tau=10"),
+        ("plane-two-packing", "pass", "nu2=10"),
+        ("packing-gap-implication", "pass", "m=91, bound=27, hypothesis=False"),
+        ("hyperoval", "skip", "even q required"),
+        ("reconstruction", "skip", "even q required"),
+        ("saturated-packing", "skip", "even rank required"),
+    ],
     "11": [
         ("plane-axioms", "pass", "order=11"),
         ("plane-counts", "pass", "133 points, 133 lines"),

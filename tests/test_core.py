@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from linsys import (
@@ -34,6 +35,7 @@ from linsys import (
     pendant_reduction,
     projective_plane,
     rank,
+    two_packing_number,
 )
 from linsys.core import _match_single_lines
 from linsys.limits import Caps
@@ -249,6 +251,39 @@ def test_induced_subsystem(fano_input):
     assert len(two.support) == 5
     with pytest.raises(BadIndex):
         induced_subsystem(fano_input, [9])
+
+
+# every function that takes a line index checks it by one rule
+LINE_INDEX_CALLERS = {
+    "delete_line": lambda sys_, i: delete_line(sys_, i),
+    "induced_subsystem": lambda sys_, i: induced_subsystem(sys_, [0, i]),
+    "incumbent": lambda sys_, i: two_packing_number(sys_, incumbent=[0, i]).witness,
+}
+
+
+@pytest.mark.parametrize("caller", sorted(LINE_INDEX_CALLERS))
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (True, "line True is not an integer"),
+        (1.0, "line 1.0 is not an integer"),
+        ("0", "line '0' is not an integer"),
+        (-1, "line -1 outside 0..6"),
+        (7, "line 7 outside 0..6"),
+        (10**5000, f"line <{(10**5000).bit_length()}-bit integer> outside 0..6"),
+    ],
+    ids=["bool", "float", "str", "negative", "m", "huge"],
+)
+def test_line_index_rule(fano_input, caller, line, message):
+    with pytest.raises(BadIndex) as err:
+        LINE_INDEX_CALLERS[caller](fano_input, line)
+    assert str(err.value) == f"{caller}: {message}"
+
+
+@pytest.mark.parametrize("caller", sorted(LINE_INDEX_CALLERS))
+def test_line_index_accepts_numpy_ints(fano_input, caller):
+    call = LINE_INDEX_CALLERS[caller]
+    assert call(fano_input, np.int64(1)) == call(fano_input, 1)
 
 
 def test_spanning_subsystem(fano_input):

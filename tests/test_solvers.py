@@ -22,6 +22,7 @@ from linsys import (
     extend_with_pendant_points,
     greedy_transversal,
     is_intersecting,
+    pendant_reduction,
     projective_plane,
     transversal_number,
     triangular_system,
@@ -168,6 +169,34 @@ def test_verifiers_reject_bad_witnesses(fano):
     assert not verify_two_packing(fano, (0, 1, 2, 3, 4))
     assert not verify_domination(LinearSystem(4, [[0, 1], [2, 3]]), (0,))
     assert verify_domination(LinearSystem(4, [[0, 1], [2, 3]]), (0, 2))
+
+
+# entries that are no point or line index, each named by its type
+NOT_INDICES = pytest.mark.parametrize(
+    "entry", ["a", 1.5, True, None, [0]], ids=["str", "float", "bool", "none", "list"]
+)
+
+
+@NOT_INDICES
+def test_verify_transversal_rejects_non_indices(fano, entry):
+    assert verify_transversal(fano, (0, 1, 2))
+    assert not verify_transversal(fano, (0, 1, 2, entry))
+    assert verify_transversal(fano, np.array([0, 1, 2]))
+
+
+@NOT_INDICES
+def test_verify_domination_rejects_non_indices(fano, entry):
+    assert verify_domination(fano, (1,))
+    assert not verify_domination(fano, (1, entry))
+    assert verify_domination(fano, np.array([1]))
+
+
+@NOT_INDICES
+def test_verify_two_packing_rejects_non_indices(fano, entry):
+    assert verify_two_packing(fano, (0, 1))
+    assert not verify_two_packing(fano, (0, entry))
+    assert not verify_two_packing(fano, (entry,))
+    assert verify_two_packing(fano, np.array([0, 1]))
 
 
 def test_plane_solver_values():
@@ -688,6 +717,23 @@ def test_two_packing_number_matches_full_traversal():
         assert res.nodes_explored <= rooted[2]
         assert res.nodes_explored == 1 or len(free) < m
     assert min(kinds.values()) >= 500, kinds
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_nu2_of_reduced_pendant_plane_is_the_planes(q):
+    # the reduced pendant plane has the plane's lines, an isolated point
+    # for each of them and no point on one or two lines
+    caps = Caps(solver_points=200)
+    plane = projective_plane(q).system
+    reduced, _ = pendant_reduction(extend_with_pendant_points(plane, caps))
+    assert reduced.lines == plane.lines
+    assert reduced.num_points == 2 * plane.num_points
+    assert set(reduced.degrees.tolist()) == {0, q + 1}
+    got = two_packing_number(reduced, caps=caps)
+    want = two_packing_number(plane, caps=caps)
+    assert (got.value, got.witness, got.nodes_explored) == (
+        want.value, want.witness, want.nodes_explored
+    )
 
 
 def test_nu2_incumbent_repeating_a_line_raises(fano):
