@@ -59,7 +59,7 @@ _KEYED_POINTS = math.isqrt(np.iinfo(np.int64).max)
 def _as_point(x, num_points: int, where: str, kind: str = "point") -> int:
     """x as an index below num_points: an int or numpy int, not a bool."""
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-        raise BadIndex(f"{where}: {kind} {x!r} is not an integer")
+        raise BadIndex(f"{where}: {kind} of type {type(x).__name__} is not an integer")
     v = int(x)
     if not 0 <= v < num_points:
         raise BadIndex(
@@ -157,8 +157,9 @@ class LinearSystem:
         name: Optional[str] = None,
         caps: Optional[Caps] = DEFAULT_CAPS,
     ):
-        if not isinstance(num_points, numbers.Integral) or num_points < 0:
-            shown = _decimal(num_points) if isinstance(num_points, int) else repr(num_points)
+        integral = isinstance(num_points, numbers.Integral)
+        if not integral or num_points < 0:
+            shown = _decimal(int(num_points)) if integral else f"type {type(num_points).__name__}"
             raise BadIndex(f"num_points must be a nonnegative integer, got {shown}")
         n = int(num_points)
         if caps is not None and n > caps.system_points:

@@ -49,7 +49,9 @@ def system_from_dict(data: dict, caps: Caps = DEFAULT_CAPS) -> LinearSystem:
         if not _INT.issuperset(map(type, l)):
             for x in l:
                 if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-                    raise FormatError(f"line {i} contains a non-integer entry {x!r}")
+                    raise FormatError(
+                        f"line {i} contains a non-integer entry of type {type(x).__name__}"
+                    )
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise FormatError('"name" must be a string when present')

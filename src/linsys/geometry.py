@@ -16,9 +16,7 @@ import numpy as np
 from .core import LinearSystem, is_intersecting
 from .errors import NotPrimePower, OddOrder, SizeLimit
 from .field import FieldTable, _decimal, make_field
-from .kernels import ACTIVE
 from .limits import DEFAULT_CAPS, Caps
-from .solvers import _incidence
 
 Triple = Tuple[int, int, int]
 
@@ -109,6 +107,15 @@ def projective_plane(q: int, caps: Caps = DEFAULT_CAPS) -> PlaneModel:
     )
 
 
+def _least_apart(members, groups, size: int) -> Tuple[int, int]:
+    """The least pair a < b sharing no group, when two items share at most
+    one: a meets sum(|g| - 1) others, so a is the least item short of size - 1."""
+    sizes = list(map(len, groups))
+    a = next(a for a, gs in enumerate(members) if sum(sizes[g] for g in gs) - len(gs) < size - 1)
+    near = set().union(*(groups[g] for g in members[a]))
+    return a, next(b for b in range(a + 1, size) if b not in near)
+
+
 def verify_plane_axioms(sys: LinearSystem) -> PlaneReport:
     """Check the three projective-plane axioms on a linear system.
     Point-pairs holds by the pair count: lines share at most one point,
@@ -118,28 +125,21 @@ def verify_plane_axioms(sys: LinearSystem) -> PlaneReport:
     of C(deg, 2) counts the meeting line pairs, and it reaches C(m, 2)
     exactly when every pair meets. General position follows from the
     size of the longest line, and uniformity and the counts from the
-    three. Only a failing system is searched for its least unjoined point
-    pair or least disjoint line pair."""
+    three. A failing count names its least unjoined point pair or least
+    disjoint line pair by ``_least_apart``, in O(incidences + n + m)."""
     n = sys.num_points
 
     # two distinct points on exactly one common line; linearity already
     # rules out two, so only unjoined pairs can occur
     joined = sum(k * (k - 1) // 2 for k in map(len, sys.line_tuples))
     if joined != n * (n - 1) // 2:
-        for u in range(n):
-            near = frozenset().union(*(sys.lines[i] for i in sys.lines_through[u]))
-            for v in range(u + 1, n):
-                if v not in near:
-                    return PlaneReport(
-                        False,
-                        None,
-                        "point-pairs",
-                        f"points {u} and {v} lie on no common line",
-                    )
+        u, v = _least_apart(sys.lines_through, sys.line_tuples, n)
+        return PlaneReport(
+            False, None, "point-pairs", f"points {u} and {v} lie on no common line"
+        )
 
     if not is_intersecting(sys):
-        counts = ACTIVE.pairwise_intersections(_incidence(sys))
-        i, j = np.argwhere(np.triu(counts == 0, 1))[0]
+        i, j = _least_apart(sys.line_tuples, sys.lines_through, sys.num_lines)
         return PlaneReport(
             False, None, "line-pairs", f"lines {i} and {j} are disjoint"
         )

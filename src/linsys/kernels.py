@@ -1,4 +1,4 @@
-"""The exact searches, and the pairwise line intersection counts.
+"""The exact searches.
 
 Kernels take plain numpy arrays that their callers build right before the
 call; ``LinearSystem`` itself holds no packed arrays. Two searches cover
@@ -20,13 +20,16 @@ all three invariants:
   size of a packing the caller verified. Its state is one row per depth,
   O(m * n) in all; it needs no (m, m) table of meeting points.
 
-The plane-axiom check takes ``_pairwise``, one matrix product over the
-incidence, only to name the least disjoint line pair of a system that
-already failed the degree count, so it has no jitted copy.
+``_pairwise``, one matrix product over an incidence, has no caller in
+the package: the plane-axiom check names its least disjoint line pair
+from ``lines_through``. It stays only because the benchmark tracer binds
+every ``KernelSet`` field by name, and goes with that binding.
 
 Both searches do each node in a fixed number of whole-array steps over
-0/1 uint8 masks and small integer rows, so the pure-numpy path runs no
-Python loop over candidates, lines or points. They keep to what numba
+0/1 uint8 masks and small integer rows, but for one Python ``while``
+loop: the cover search scans its branch element's candidates for the
+next one still allowed, a step per candidate tried or skipped (3,621
+steps for the 2,041 nodes of gamma on triangular-10). They keep to what numba
 compiles for integer arrays: elementwise ufuncs with broadcasting,
 ``.sum(axis=...)``, ``.astype``, ``.max()``, ``.any()``, ``.argmin()``,
 ``np.where`` and ``[0] * n`` lists as stacks of per-depth integers; no

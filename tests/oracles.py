@@ -24,7 +24,7 @@ from linsys.errors import BadIndex, DuplicateLine, EmptyLine, LinearityViolation
 
 def _reference_point(x, num_points, where):
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-        raise BadIndex(f"{where}: point {x!r} is not an integer")
+        raise BadIndex(f"{where}: point of type {type(x).__name__} is not an integer")
     v = int(x)
     if not 0 <= v < num_points:
         raise BadIndex(f"{where}: point {v} outside 0..{num_points - 1}")
@@ -37,7 +37,8 @@ def reference_system(num_points, lines):
     setdefault. Returns the attributes the package's constructor sets, by
     name, or raises what it raises."""
     if not isinstance(num_points, numbers.Integral) or num_points < 0:
-        raise BadIndex(f"num_points must be a nonnegative integer, got {num_points!r}")
+        shown = int(num_points) if isinstance(num_points, numbers.Integral) else f"type {type(num_points).__name__}"
+        raise BadIndex(f"num_points must be a nonnegative integer, got {shown}")
     n = int(num_points)
 
     cleaned = []

@@ -4,6 +4,7 @@ import hashlib
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +14,7 @@ from linsys import (
     BadIndex,
     DuplicateLine,
     EmptyLine,
+    FormatError,
     LinearSystem,
     LinearityViolation,
     NoLines,
@@ -35,6 +37,7 @@ from linsys import (
     pendant_reduction,
     projective_plane,
     rank,
+    system_from_dict,
     two_packing_number,
 )
 from linsys.core import _match_single_lines
@@ -265,9 +268,9 @@ LINE_INDEX_CALLERS = {
 @pytest.mark.parametrize(
     "line, message",
     [
-        (True, "line True is not an integer"),
-        (1.0, "line 1.0 is not an integer"),
-        ("0", "line '0' is not an integer"),
+        (True, "line of type bool is not an integer"),
+        (1.0, "line of type float is not an integer"),
+        ("0", "line of type str is not an integer"),
         (-1, "line -1 outside 0..6"),
         (7, "line 7 outside 0..6"),
         (10**5000, f"line <{(10**5000).bit_length()}-bit integer> outside 0..6"),
@@ -284,6 +287,29 @@ def test_line_index_rule(fano_input, caller, line, message):
 def test_line_index_accepts_numpy_ints(fano_input, caller):
     call = LINE_INDEX_CALLERS[caller]
     assert call(fano_input, np.int64(1)) == call(fano_input, 1)
+
+
+# a non-integer whose repr would print an int past Python's 4,300-digit
+# string limit: every entry point names its type, not its value
+HUGE_FRACTION = Fraction(10**5000, 1)
+NON_INTEGER_CALLERS = {
+    "line entry": (BadIndex, lambda sys_, x: LinearSystem(3, [[0, 1, x]])),
+    "num_points": (BadIndex, lambda sys_, x: LinearSystem(x, [[0, 1]])),
+    "delete_line": (BadIndex, lambda sys_, x: delete_line(sys_, x)),
+    "induced_subsystem": (BadIndex, lambda sys_, x: induced_subsystem(sys_, [x])),
+    "incumbent": (BadIndex, lambda sys_, x: two_packing_number(sys_, incumbent=[x])),
+    "system_from_dict": (
+        FormatError,
+        lambda sys_, x: system_from_dict({"num_points": 3, "lines": [[0, x]]}),
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(NON_INTEGER_CALLERS))
+def test_non_integer_index_names_its_type(fano_input, caller):
+    error, call = NON_INTEGER_CALLERS[caller]
+    with pytest.raises(error, match="type Fraction"):
+        call(fano_input, HUGE_FRACTION)
 
 
 def test_spanning_subsystem(fano_input):

@@ -104,9 +104,9 @@ def test_loaders_apply_their_caps():
 
 
 def test_system_from_dict_names_the_first_bad_entry():
-    for entry, shown in ((True, "True"), (1.0, "1.0"), ("2", "'2'"), (None, "None")):
+    for entry, shown in ((True, "bool"), (1.0, "float"), ("2", "str"), (None, "NoneType")):
         data = {"num_points": 4, "lines": [[0, 1], [2, 3, entry, 0.5]]}
-        with pytest.raises(FormatError, match=rf"^line 1 contains a non-integer entry {shown}$"):
+        with pytest.raises(FormatError, match=rf"^line 1 contains a non-integer entry of type {shown}$"):
             system_from_dict(data)
     # numpy integers pass the loader as they pass the constructor
     data = {"num_points": 4, "lines": [[np.int64(0), np.uint8(3)]]}

@@ -1,7 +1,7 @@
-import dataclasses
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -208,6 +208,31 @@ def _nearly_joined(rng):
     return LinearSystem(n, relabelled)
 
 
+def _complete(n):
+    """Every point pair a two-point line: all points are joined, and for
+    n >= 4 lines 0 and the first line off points 0 and 1 are disjoint."""
+    return LinearSystem(n, itertools.combinations(range(n), 2))
+
+
+def _split_planes(rng):
+    """PG(2,q), q <= 5, with one line split in two, points relabelled and
+    lines shuffled: the points across the split are on no common line."""
+    out = []
+    for q in (2, 3, 4, 5):
+        plane = projective_plane(q).system
+        n = plane.num_points
+        for i, line in enumerate(plane.line_tuples):
+            pts = rng.sample(line, len(line))
+            cut = rng.randint(1, len(pts) - 1)
+            lines = list(plane.line_tuples[:i] + plane.line_tuples[i + 1 :])
+            lines += [pts[:cut], pts[cut:]]
+            perm = rng.sample(range(n), n)
+            lines = [[perm[v] for v in l] for l in lines]
+            rng.shuffle(lines)
+            out.append(LinearSystem(n, lines))
+    return out
+
+
 def _axiom_cases():
     out = list(build_corpus())
     for q in (2, 3, 4):
@@ -223,6 +248,8 @@ def _axiom_cases():
         out += [_near_pencil(n), LinearSystem(n, [range(n)] if n else []), LinearSystem(n, [])]
     rng = random.Random(20261018)
     out += [_nearly_joined(rng) for _ in range(300)]
+    out += [_complete(n) for n in range(3, 31)]
+    out += _split_planes(random.Random(22))
     return out
 
 
@@ -289,18 +316,28 @@ def test_punctured_dual_plane_pins():
 
 
 def test_plane_check_counts_no_pairs_on_a_plane(monkeypatch):
-    # the line-pairs axiom of a plane follows from its degree count, so
-    # the pairwise kernel runs only when that count fails
-    def refuse(lines):
-        raise AssertionError("pairwise count on a plane")
+    # both pair axioms of a plane follow from their counts, so the search
+    # for an unjoined or disjoint pair runs only when a count fails
+    def refuse(members, groups, size):
+        raise AssertionError("pair search on a plane")
 
-    monkeypatch.setattr(
-        geometry,
-        "ACTIVE",
-        dataclasses.replace(geometry.ACTIVE, pairwise_intersections=refuse),
-    )
+    monkeypatch.setattr(geometry, "_least_apart", refuse)
     report = verify_plane_axioms(projective_plane(16).system)
     assert report == PlaneReport(True, 16, None, None)
+
+
+def test_disjoint_pair_search_is_linear_in_memory():
+    # 1,770 two-point lines: an (m, m) table of meetings would take tens
+    # of MB; the count-guided search holds one set of lines
+    system = _complete(60)
+    tracemalloc.start()
+    try:
+        report = verify_plane_axioms(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report == PlaneReport(False, None, "line-pairs", "lines 0 and 117 are disjoint")
+    assert peak < 1_000_000
 
 
 def test_near_pencil_fails_general_position_fast():
