@@ -56,11 +56,9 @@ def cmd_gen(args, caps: Caps) -> int:
         _emit(formats.dumps_json(sys_), args.out)
     elif args.kind == "fano-minus-line":
         plane = geometry.projective_plane(2, caps=caps)
-        sys_ = core.delete_line(plane.system, args.index)
-        sys_ = core.LinearSystem(
-            sys_.num_points, sys_.lines, name=f"PG(2,2)-minus-line-{args.index}"
-        )
-        _emit(formats.dumps_json(sys_), args.out)
+        data = formats.system_to_dict(core.delete_line(plane.system, args.index))
+        data["name"] = f"PG(2,2)-minus-line-{args.index}"
+        _emit(_dump(data), args.out)
     return 0
 
 

@@ -136,8 +136,7 @@ class LinearSystem:
     indices, or any pair of lines sharing two or more points.
 
     caps bounds num_points and the number of point pairs on lines before
-    either is allocated (SizeLimit). None skips both bounds; the package
-    passes it only for the dual of a plane it built, which is no larger."""
+    either is allocated (SizeLimit)."""
 
     __slots__ = (
         "num_points",
@@ -155,14 +154,14 @@ class LinearSystem:
         num_points: int,
         lines: Iterable[Iterable[int]],
         name: Optional[str] = None,
-        caps: Optional[Caps] = DEFAULT_CAPS,
+        caps: Caps = DEFAULT_CAPS,
     ):
-        integral = isinstance(num_points, numbers.Integral)
+        integral = isinstance(num_points, numbers.Integral) and not isinstance(num_points, bool)
         if not integral or num_points < 0:
             shown = _decimal(int(num_points)) if integral else f"type {type(num_points).__name__}"
             raise BadIndex(f"num_points must be a nonnegative integer, got {shown}")
         n = int(num_points)
-        if caps is not None and n > caps.system_points:
+        if n > caps.system_points:
             raise SizeLimit(f"{_decimal(n)} points exceeds cap {caps.system_points}")
 
         cleaned = []
@@ -186,7 +185,7 @@ class LinearSystem:
         # exactly sum C(|l|, 2) distinct pairs. Only a system that holds
         # fewer is searched for its least clashing line pair.
         total = sum(k * (k - 1) // 2 for k in map(len, line_tuples))
-        if caps is not None and total > caps.system_pairs:
+        if total > caps.system_pairs:
             raise SizeLimit(f"{total} point pairs on lines exceeds cap {caps.system_pairs}")
         pair = None
         if total <= _TABLE_PAIRS or n > _KEYED_POINTS:

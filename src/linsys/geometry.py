@@ -3,8 +3,11 @@
 PG(2,q) is built from normalized homogeneous triples (leftmost nonzero
 coordinate 1) listed lexicographically; the same list indexes both points
 and lines, and point x lies on line a iff a0*x0 + a1*x1 + a2*x2 = 0 in
-GF(q). Everything downstream (conics, hyperovals, duals) works on plane
-point/line indices.
+GF(q). That relation is symmetric, so point i lies on line j exactly when
+point j lies on line i: the labelling is self-dual (the standard polarity
+is the identity on indices), lines_through equals line_tuples, and a set
+of points names its dual set of lines by the same indices. Everything
+downstream (conics, hyperovals, their duals) works on these indices.
 """
 
 import math
@@ -27,7 +30,6 @@ class PlaneModel:
 
     system: LinearSystem
     point_coords: Tuple[Triple, ...]
-    line_coords: Tuple[Triple, ...]
     order: int
     field: FieldTable
 
@@ -35,7 +37,6 @@ class PlaneModel:
 @dataclass(frozen=True)
 class Arc:
     points: FrozenSet[int]
-    is_hyperoval: bool
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,6 @@ def projective_plane(q: int, caps: Caps = DEFAULT_CAPS) -> PlaneModel:
     return PlaneModel(
         system=system,
         point_coords=coords,
-        line_coords=coords,
         order=q,
         field=F,
     )
@@ -183,7 +183,7 @@ def hyperoval(plane: PlaneModel) -> Arc:
     index = {c: i for i, c in enumerate(plane.point_coords)}
     pts = set(conic_points(plane))
     pts.add(index[(0, 1, 0)])
-    return Arc(points=frozenset(pts), is_hyperoval=True)
+    return Arc(points=frozenset(pts))
 
 
 def is_arc(plane: PlaneModel, points: Iterable[int]) -> bool:
@@ -192,41 +192,17 @@ def is_arc(plane: PlaneModel, points: Iterable[int]) -> bool:
     return all(len(pts & l) <= 2 for l in plane.system.lines)
 
 
-def dual_plane(plane: PlaneModel) -> PlaneModel:
-    """Swap points and lines: dual point i is primal line i, dual line j
-    collects the primal lines through primal point j."""
-    system = LinearSystem(
-        plane.system.num_lines,
-        plane.system.lines_through,
-        name=f"dual-PG(2,{plane.order})",
-        caps=None,
-    )
-    return PlaneModel(
-        system=system,
-        point_coords=plane.line_coords,
-        line_coords=plane.point_coords,
-        order=plane.order,
-        field=plane.field,
-    )
-
-
-def _dual_lines(plane: PlaneModel, points: Iterable[int]) -> FrozenSet[int]:
-    """Indices of the lines whose coordinates are the given points'
-    coordinates. A point x is on line a iff a . x = 0, so the number of
-    these lines through x is the number of the points on the line with
-    x's coordinates: for an arc, every plane point lies on at most two of
-    them, and they form a 2-packing."""
-    line_index = {c: i for i, c in enumerate(plane.line_coords)}
-    return frozenset(line_index[plane.point_coords[p]] for p in points)
-
-
 def dual_conic_lines(plane: PlaneModel) -> FrozenSet[int]:
     """The dual of the conic, a (q+1)-arc in every plane (Segre, Canad. J.
-    Math. 1955): a 2-packing of q+1 lines, maximum for odd q."""
-    return _dual_lines(plane, conic_points(plane))
+    Math. 1955): a 2-packing of q+1 lines, maximum for odd q. Point x is
+    on line j iff point j is on line x, so the lines with the conic's
+    point indices meet at x as often as line x meets the conic: at most
+    twice, the conic being an arc."""
+    return conic_points(plane)
 
 
 def dual_hyperoval_lines(plane: PlaneModel) -> FrozenSet[int]:
     """The dual of the hyperoval: a 2-packing of maximum size q+2, for
-    even q only."""
-    return _dual_lines(plane, hyperoval(plane).points)
+    even q only; the lines with the hyperoval's point indices, by the
+    argument of ``dual_conic_lines``."""
+    return hyperoval(plane).points

@@ -20,7 +20,8 @@ meet bound (an isolated point is on none). The search over the rest
 therefore prunes where the search over the whole incidence does below
 the node that takes every free line, and its first maximum packing in
 search order plus the free lines is the whole search's first. A system
-of free lines only settles in 1 node. The search stops at the root
+of free lines only hands the kernel an empty incidence, settled at the
+root in 1 node. The search stops at the root
 bound, the meet, parity and capacity rules proved in
 ``kernels._nu2_search``, and starts from the size of ``incumbent=``, a
 packing that ``verify_two_packing`` must accept, with no change to the
@@ -225,14 +226,11 @@ def two_packing_number(
     weights = (incidence & heavy).sum(axis=1)
     free = np.flatnonzero(weights == 0).tolist()
     kept = np.flatnonzero(weights)
-    if not kept.size:
-        dt = time.perf_counter() - t0
-        return SolveResult(KIND_TWO_PACKING, m, tuple(free), 1, dt)
     weights = weights[kept]
     f = len(free)
     # the capacity rule; with every weight at the largest one it is at
     # least that cheap count, so only a count below top needs the sort
-    if f + min(m - f, 2 * h // int(weights.max())) < top:
+    if f + min(m - f, 2 * h // int(weights.max(initial=1))) < top:
         top = min(top, f + _capacity(weights, h))
     best0 = max(len(incumbent) - f - 1, 0) if incumbent is not None else 0
     incidence = incidence[kept][:, heavy]

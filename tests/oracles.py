@@ -36,8 +36,9 @@ def reference_system(num_points, lines):
     time: every entry through the Integral check, every pair through
     setdefault. Returns the attributes the package's constructor sets, by
     name, or raises what it raises."""
-    if not isinstance(num_points, numbers.Integral) or num_points < 0:
-        shown = int(num_points) if isinstance(num_points, numbers.Integral) else f"type {type(num_points).__name__}"
+    integral = isinstance(num_points, numbers.Integral) and not isinstance(num_points, bool)
+    if not integral or num_points < 0:
+        shown = int(num_points) if integral else f"type {type(num_points).__name__}"
         raise BadIndex(f"num_points must be a nonnegative integer, got {shown}")
     n = int(num_points)
 

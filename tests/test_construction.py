@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linsys import (
+    BadIndex,
     LinearSystem,
     LinearityViolation,
     LinsysError,
-    dual_plane,
     extend_with_pendant_points,
     projective_plane,
 )
@@ -68,11 +68,21 @@ def test_corpus_matches_reference(sys_):
 def test_planes_match_reference(q):
     plane = projective_plane(q)
     ext = extend_with_pendant_points(plane.system)
-    for sys_ in (plane.system, dual_plane(plane).system, ext):
+    for sys_ in (plane.system, ext):
         assert_same_as_reference(sys_.num_points, [list(l) for l in sys_.line_tuples])
     # the plane's own input: each line a numpy row
     lines = [np.array(l, dtype=np.int64) for l in plane.system.line_tuples]
     assert_same_as_reference(plane.system.num_points, lines)
+
+
+@pytest.mark.parametrize("flag, lines", [(True, [[0]]), (False, [])])
+def test_bool_num_points_is_rejected(flag, lines):
+    # a bool is an Integral, but True is no point count
+    message = r"^num_points must be a nonnegative integer, got type bool$"
+    with pytest.raises(BadIndex, match=message):
+        LinearSystem(flag, lines)
+    with pytest.raises(BadIndex, match=message):
+        reference_system(flag, lines)
 
 
 def test_seeded_random_systems_match_reference():

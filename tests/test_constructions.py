@@ -335,6 +335,118 @@ def test_battery_rows_serialize():
         assert d["status"] in {"pass", "fail", "skip"}
 
 
+# under these caps every row of the battery runs, the solver and
+# reconstruction rows that the default caps skip at q = 16 included
+RAISED_CAPS = Caps(solver_points=1000, solver_lines=1000, iso_points=1000)
+RAISED_BATTERY_ROWS = {
+    4: [
+        ("plane-axioms", "pass", "order=4"),
+        ("plane-counts", "pass", "21 points, 21 lines"),
+        ("plane-transversal", "pass", "tau=5"),
+        ("plane-two-packing", "pass", "nu2=6"),
+        ("packing-gap-implication", "pass", "m=21, bound=13, hypothesis=False"),
+        ("hyperoval-arc", "pass", "6 points"),
+        ("hyperoval-dual-packing", "pass", "6 lines"),
+        (
+            "reconstruction-uniform-intersecting",
+            "pass",
+            "expected {'uniform': 5, 'intersecting': True}, got {'uniform': 5, 'intersecting': True}",
+        ),
+        ("reconstruction-point-count", "pass", "expected 21, got 21"),
+        ("reconstruction-line-count-range", "pass", "expected 12..21, got 21"),
+        (
+            "reconstruction-degree-structure",
+            "pass",
+            "expected {'max_degree': 5, 'deg2_points_per_line': '<=1'}, got {'max_degree': 5, 'deg2_points_per_line': 0}",
+        ),
+        (
+            "reconstruction-tau-nu2",
+            "pass",
+            "expected {'tau': 5, 'nu2': 6}, got {'tau': 5, 'nu2': 6}",
+        ),
+        (
+            "reconstruction-plane-embedding",
+            "pass",
+            "expected {'embeds': True, 'spanned_points': 21}, got {'embeds': True, 'spanned_points': 21}",
+        ),
+        ("reconstruction-domination-one", "pass", "expected 1, got 1"),
+        ("saturated-packing", "pass", "rank=6, nu2=7, tau=4, lines=7"),
+    ],
+    8: [
+        ("plane-axioms", "pass", "order=8"),
+        ("plane-counts", "pass", "73 points, 73 lines"),
+        ("plane-transversal", "pass", "tau=9"),
+        ("plane-two-packing", "pass", "nu2=10"),
+        ("packing-gap-implication", "pass", "m=73, bound=25, hypothesis=False"),
+        ("hyperoval-arc", "pass", "10 points"),
+        ("hyperoval-dual-packing", "pass", "10 lines"),
+        (
+            "reconstruction-uniform-intersecting",
+            "pass",
+            "expected {'uniform': 9, 'intersecting': True}, got {'uniform': 9, 'intersecting': True}",
+        ),
+        ("reconstruction-point-count", "pass", "expected 73, got 73"),
+        ("reconstruction-line-count-range", "pass", "expected 24..73, got 73"),
+        (
+            "reconstruction-degree-structure",
+            "pass",
+            "expected {'max_degree': 9, 'deg2_points_per_line': '<=1'}, got {'max_degree': 9, 'deg2_points_per_line': 0}",
+        ),
+        (
+            "reconstruction-tau-nu2",
+            "pass",
+            "expected {'tau': 9, 'nu2': 10}, got {'tau': 9, 'nu2': 10}",
+        ),
+        (
+            "reconstruction-plane-embedding",
+            "pass",
+            "expected {'embeds': True, 'spanned_points': 73}, got {'embeds': True, 'spanned_points': 73}",
+        ),
+        ("reconstruction-domination-one", "pass", "expected 1, got 1"),
+        ("saturated-packing", "pass", "rank=10, nu2=11, tau=6, lines=11"),
+    ],
+    16: [
+        ("plane-axioms", "pass", "order=16"),
+        ("plane-counts", "pass", "273 points, 273 lines"),
+        ("plane-transversal", "pass", "tau=17"),
+        ("plane-two-packing", "pass", "nu2=18"),
+        ("packing-gap-implication", "pass", "m=273, bound=49, hypothesis=False"),
+        ("hyperoval-arc", "pass", "18 points"),
+        ("hyperoval-dual-packing", "pass", "18 lines"),
+        (
+            "reconstruction-uniform-intersecting",
+            "pass",
+            "expected {'uniform': 17, 'intersecting': True}, got {'uniform': 17, 'intersecting': True}",
+        ),
+        ("reconstruction-point-count", "pass", "expected 273, got 273"),
+        ("reconstruction-line-count-range", "pass", "expected 48..273, got 273"),
+        (
+            "reconstruction-degree-structure",
+            "pass",
+            "expected {'max_degree': 17, 'deg2_points_per_line': '<=1'}, got {'max_degree': 17, 'deg2_points_per_line': 0}",
+        ),
+        (
+            "reconstruction-tau-nu2",
+            "pass",
+            "expected {'tau': 17, 'nu2': 18}, got {'tau': 17, 'nu2': 18}",
+        ),
+        (
+            "reconstruction-plane-embedding",
+            "pass",
+            "expected {'embeds': True, 'spanned_points': 273}, got {'embeds': True, 'spanned_points': 273}",
+        ),
+        ("reconstruction-domination-one", "pass", "expected 1, got 1"),
+        ("saturated-packing", "pass", "rank=18, nu2=19, tau=10, lines=19"),
+    ],
+}
+
+
+@pytest.mark.parametrize("q", sorted(RAISED_BATTERY_ROWS))
+def test_battery_rows_at_raised_caps(q):
+    rows = verification_battery(q, caps=RAISED_CAPS)
+    assert [(r.name, r.status, r.detail) for r in rows] == RAISED_BATTERY_ROWS[q]
+
+
 def test_reduced_system_rank_drops(ext_fano):
     d = derive(ext_fano, 4)
     assert rank(d.spanning) == 4
