@@ -49,11 +49,6 @@ def cmd_gen(args, caps: Caps) -> int:
     elif args.kind == "triangular":
         sys_ = constructions.triangular_system(args.m, caps)
         _emit(formats.dumps_json(sys_), args.out)
-    elif args.kind == "extend":
-        sys_ = constructions.extend_with_pendant_points(
-            _read_system(args.infile, caps), caps
-        )
-        _emit(formats.dumps_json(sys_), args.out)
     elif args.kind == "fano-minus-line":
         plane = geometry.projective_plane(2, caps=caps)
         data = formats.system_to_dict(core.delete_line(plane.system, args.index))
@@ -214,8 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--out")
     g = gens.add_parser("extend", help="pendant extension of a system file")
-    g.add_argument("--in", dest="infile", required=True)
+    g.add_argument("--in", dest="file", metavar="INFILE", required=True)
     g.add_argument("--out")
+    # overrides gen's func: the same handler as the extend command
+    g.set_defaults(func=cmd_extend)
     g = gens.add_parser("fano-minus-line", help="order-2 plane minus one line")
     g.add_argument("--index", type=int, required=True)
     g.add_argument("--out")

@@ -12,7 +12,7 @@ construction used to generate inputs.
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .core import (
     LinearSystem,
@@ -29,7 +29,6 @@ from .errors import (
     DerivationFailed,
     NotIntersecting,
     NotMember,
-    NotPrimePower,
     NotUniform,
     OddOrder,
     SizeLimit,

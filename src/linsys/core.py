@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, repeat
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +47,13 @@ from .limits import DEFAULT_CAPS, Caps
 
 _INT = {int}
 
+
+def _is_int(x) -> bool:
+    """Whether x, from outside the program, is an int or numpy int, and not
+    a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 # Up to this many point pairs on lines, counting the pair table's keys is
 # the faster linearity test, and it leaves the table built; above it,
 # sorting the pair keys is. Under timeit the two break even near 100
@@ -58,7 +65,7 @@ _KEYED_POINTS = math.isqrt(np.iinfo(np.int64).max)
 
 def _as_point(x, num_points: int, where: str, kind: str = "point") -> int:
     """x as an index below num_points: an int or numpy int, not a bool."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+    if not _is_int(x):
         raise BadIndex(f"{where}: {kind} of type {type(x).__name__} is not an integer")
     v = int(x)
     if not 0 <= v < num_points:
@@ -156,7 +163,7 @@ class LinearSystem:
         name: Optional[str] = None,
         caps: Caps = DEFAULT_CAPS,
     ):
-        integral = isinstance(num_points, numbers.Integral) and not isinstance(num_points, bool)
+        integral = _is_int(num_points)
         if not integral or num_points < 0:
             shown = _decimal(int(num_points)) if integral else f"type {type(num_points).__name__}"
             raise BadIndex(f"num_points must be a nonnegative integer, got {shown}")

@@ -10,14 +10,11 @@ LINSYS_CAPS sets).
 """
 
 import json
-import numbers
 from typing import Union
 
-from .core import LinearSystem
+from .core import _INT, LinearSystem, _is_int
 from .errors import FormatError
 from .limits import DEFAULT_CAPS, Caps
-
-_INT = {int}
 
 
 def system_to_dict(sys: LinearSystem) -> dict:
@@ -38,7 +35,7 @@ def system_from_dict(data: dict, caps: Caps = DEFAULT_CAPS) -> LinearSystem:
     if "lines" not in data:
         raise FormatError('missing required key "lines"')
     n = data["num_points"]
-    if isinstance(n, bool) or not isinstance(n, int):
+    if not _is_int(n):
         raise FormatError('"num_points" must be an integer')
     lines = data["lines"]
     if not isinstance(lines, list) or any(
@@ -48,7 +45,7 @@ def system_from_dict(data: dict, caps: Caps = DEFAULT_CAPS) -> LinearSystem:
     for i, l in enumerate(lines):
         if not _INT.issuperset(map(type, l)):
             for x in l:
-                if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                if not _is_int(x):
                     raise FormatError(
                         f"line {i} contains a non-integer entry of type {type(x).__name__}"
                     )

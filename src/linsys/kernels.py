@@ -14,7 +14,7 @@ all three invariants:
   its first bound tests would cut, so the tree is the one a node-by-node
   search visits, at a fraction of the numpy calls.
 - ``_nu2_search`` finds a maximum 2-packing, given as the (m, n) uint8
-  line-point incidence and its transpose, and stops when it reaches an
+  line-point incidence, its one input, and stops when it reaches an
   upper bound that the caller proved (the meet and parity rules on
   intersecting systems, the capacity rule on all). It can start from the
   size of a packing the caller verified. Its state is one row per depth,
@@ -36,22 +36,18 @@ compiles for integer arrays: elementwise ufuncs with broadcasting,
 ``@``/``np.dot`` (float-only in numba) and no boolean fancy indexing.
 
 Each search kernel is written once in numba-compatible form. When numba is
-importable and ``LINSYS_PURE_NUMPY`` is unset, jitted copies run; otherwise
-the same functions execute as plain Python over numpy arrays. Both paths
-perform the identical traversal, so values, witnesses and node counts match
-bit for bit.
+importable, jitted copies run; otherwise the same functions execute as
+plain Python over numpy arrays. Both paths perform the identical traversal,
+so values, witnesses and node counts match bit for bit.
 
 Both searches are self-contained on purpose: no calls into module helpers, so
 the uncompiled fallback never leaks into jitted code or vice versa.
 """
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-PURE_NUMPY_ENV = "LINSYS_PURE_NUMPY"
 
 
 def _pairwise(lines: np.ndarray) -> np.ndarray:
@@ -205,11 +201,12 @@ def _cover_search(covers, universe, best0):
     return best, improved, witness, nodes
 
 
-def _nu2_search(lines, through, top, best0=0):
+def _nu2_search(lines, top, best0=0):
     """Branch and bound for the maximum 2-packing.
 
-    lines: (m, n) uint8 line-point incidence; through: its C-contiguous
-    (n, m) transpose; top: an upper bound on nu2 proved by the caller
+    lines: (m, n) uint8 line-point incidence, of which the kernel makes
+    its own C-contiguous (n, m) transpose, through, to count the degrees
+    of the points; top: an upper bound on nu2 proved by the caller
     (m + 1 or more never stops the search early); best0: a size below
     nu2 proved by the caller (0 proves nothing).
 
@@ -267,6 +264,7 @@ def _nu2_search(lines, through, top, best0=0):
     entries of the buffer are the chosen line indices (ascending).
     """
     m, n = lines.shape
+    through = lines.T.copy()
     counts = np.zeros((m + 1, n), dtype=np.uint8)
     blocked = np.zeros((m + 1, m), dtype=np.uint8)
     deg = np.zeros((m + 1, n), dtype=np.int32)
@@ -362,28 +360,20 @@ PY_KERNELS = KernelSet(
     nu2_search=_nu2_search,
 )
 
-_pure_requested = os.environ.get(PURE_NUMPY_ENV, "").strip().lower() in {
-    "1",
-    "true",
-    "yes",
-    "on",
-}
-
 JIT_KERNELS = None
-if not _pure_requested:
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        _jit = njit(cache=True)
-        _jit_cover = _jit(_cover_search)
-        JIT_KERNELS = KernelSet(
-            name="numba",
-            pairwise_intersections=_pairwise,
-            tau_search=_jit_cover,
-            gamma_search=_jit_cover,
-            nu2_search=_jit(_nu2_search),
-        )
+try:
+    from numba import njit
+except ImportError:
+    pass
+else:
+    _jit = njit(cache=True)
+    _jit_cover = _jit(_cover_search)
+    JIT_KERNELS = KernelSet(
+        name="numba",
+        pairwise_intersections=_pairwise,
+        tau_search=_jit_cover,
+        gamma_search=_jit_cover,
+        nu2_search=_jit(_nu2_search),
+    )
 
 ACTIVE = JIT_KERNELS if JIT_KERNELS is not None else PY_KERNELS

@@ -35,7 +35,6 @@ the tests and the benchmark do. Checking each witness at runtime is open
 (ROADMAP item 7).
 """
 
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
@@ -43,7 +42,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .core import (
-    LinearSystem, _as_line, _line_arrays, degree_profile, is_intersecting,
+    LinearSystem, _as_line, _is_int, _line_arrays, degree_profile, is_intersecting,
 )
 from .errors import NoLines, NotTwoPacking, SizeLimit
 from .kernels import ACTIVE, KernelSet
@@ -233,10 +232,7 @@ def two_packing_number(
     if f + min(m - f, 2 * h // int(weights.max(initial=1))) < top:
         top = min(top, f + _capacity(weights, h))
     best0 = max(len(incumbent) - f - 1, 0) if incumbent is not None else 0
-    incidence = incidence[kept][:, heavy]
-    best, wit, nodes = ks.nu2_search(
-        incidence, np.ascontiguousarray(incidence.T), top - f, best0
-    )
+    best, wit, nodes = ks.nu2_search(incidence[kept][:, heavy], top - f, best0)
     witness = tuple(sorted(free + kept[wit[: int(best)]].tolist()))
     dt = time.perf_counter() - t0
     return SolveResult(
@@ -246,10 +242,7 @@ def two_packing_number(
 
 def _indices(values, bound: int) -> bool:
     """Whether every value is an int (not a bool) in 0..bound-1."""
-    return all(
-        not isinstance(v, bool) and isinstance(v, numbers.Integral) and 0 <= v < bound
-        for v in values
-    )
+    return all(_is_int(v) and 0 <= v < bound for v in values)
 
 
 def verify_transversal(sys: LinearSystem, points: Iterable[int]) -> bool:

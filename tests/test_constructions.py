@@ -142,6 +142,51 @@ def test_derive_solves_gamma_once_on_extended_planes(q, monkeypatch):
     }
 
 
+def test_derive_from_a_proper_subset():
+    # the four lines leave every point on two of them, so no line has a
+    # pendant point; the first three lines are the spanning subsystem,
+    # and its gamma is solved on its own
+    d = derive(triangular_system(4), 3)
+    assert d.spanning_line_indices == (0, 1, 2)
+    assert d.pendant_map == {0: 2, 1: 4, 2: 5}
+    assert d.reduced.line_tuples == ((0, 1), (0, 3), (1, 3))
+    assert set(d.chain.values()) == {2}
+    d = derive(LinearSystem(3, [[0, 2], [0, 1], [1, 2]]), 2)
+    assert d.spanning_line_indices == (0, 1)
+    assert d.reduced.line_tuples == ((0,),)
+
+
+def test_derive_skips_subsets_that_do_not_span():
+    # seven lines of PG(2,3); point 6 is on line 6 alone, so the first
+    # six-line subset, which drops line 6, leaves it uncovered
+    sys_ = LinearSystem(
+        13,
+        [
+            [1, 4, 7, 10],
+            [1, 5, 8, 11],
+            [0, 1, 2, 3],
+            [3, 5, 7, 12],
+            [2, 5, 9, 10],
+            [0, 10, 11, 12],
+            [2, 6, 7, 11],
+        ],
+    )
+    d = derive(sys_, 4)
+    assert d.spanning_line_indices == (0, 1, 2, 3, 4, 6)
+    assert d.pendant_map == {0: 4, 1: 8, 2: 0, 3: 12, 4: 9, 5: 6}
+    assert d.reduced.line_tuples == (
+        (1, 7, 10), (1, 5, 11), (1, 2, 3), (3, 5, 7), (2, 5, 10), (2, 7, 11),
+    )
+    assert set(d.chain.values()) == {3}
+
+
+def test_derive_subsets_cap():
+    with pytest.raises(
+        SizeLimit, match=r"^derivation explored 2 line subsets, cap is 1$"
+    ):
+        derive(triangular_system(4), 3, caps=Caps(derive_subsets=1))
+
+
 def test_derive_rejects_non_members(fano):
     with pytest.raises(NotMember):
         derive(fano, 3)

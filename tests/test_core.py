@@ -383,6 +383,52 @@ def test_isomorphism_negative(fano_input):
     assert not are_isomorphic(square, star).isomorphic
 
 
+def _counted_point_maps(monkeypatch):
+    """Calls of the point-map search, as a list that grows by one a call."""
+    import linsys.core as core
+
+    calls = []
+    search = core._map_points
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(core, "_map_points", counted)
+    return calls
+
+
+def test_isomorphism_rejected_by_colour_counts(monkeypatch):
+    # same support, line count and line sizes; the bowtie's degree-4
+    # centre has no counterpart, so the colour classes differ in size
+    calls = _counted_point_maps(monkeypatch)
+    bowtie = LinearSystem(5, [[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4]])
+    chorded = LinearSystem(5, [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4], [0, 2]])
+    cert = are_isomorphic(bowtie, chorded)
+    assert (cert.isomorphic, cert.point_bijection) == (False, None)
+    assert calls == []
+
+
+def test_isomorphism_rejected_by_point_map_search(monkeypatch):
+    # both 2-regular on 6 points, so colour refinement cannot tell them
+    # apart; the point-map search finds no map
+    calls = _counted_point_maps(monkeypatch)
+    hexagon = LinearSystem(6, [[i, (i + 1) % 6] for i in range(6)])
+    triangles = LinearSystem(6, [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]])
+    for a, b in ((hexagon, triangles), (triangles, hexagon)):
+        cert = are_isomorphic(a, b)
+        assert (cert.isomorphic, cert.point_bijection) == (False, None)
+    assert len(calls) == 2
+
+
+def test_embedding_size_cap():
+    plane = projective_plane(8).system
+    with pytest.raises(
+        SizeLimit, match=r"^embedding search over 73/73 points, cap is 64$"
+    ):
+        embeds_in(plane, plane)
+
+
 def test_isomorphism_ignores_pendants(fano_input):
     ext = extend_with_pendant_points(fano_input)
     assert are_isomorphic(ext, fano_input).isomorphic

@@ -113,6 +113,17 @@ def test_system_from_dict_names_the_first_bad_entry():
     assert system_from_dict(data).line_tuples == ((0, 3),)
 
 
+def test_system_from_dict_takes_num_points_as_the_constructor_does():
+    # one integer rule for the loader and LinearSystem: a numpy int passes
+    # both, a bool neither
+    data = {"num_points": np.int64(3), "lines": [[0, 1]]}
+    built = system_from_dict(data)
+    assert built == LinearSystem(np.int64(3), [[0, 1]])
+    assert type(built.num_points) is int and built.num_points == 3
+    with pytest.raises(FormatError, match=r'^"num_points" must be an integer$'):
+        system_from_dict({"num_points": True, "lines": [[0]]})
+
+
 def test_text_round_trip(sample):
     text = dumps_text(sample)
     lines = text.splitlines()

@@ -1,9 +1,6 @@
 import ast
 import inspect
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -19,7 +16,7 @@ from linsys import (
     two_packing_number,
 )
 from linsys import kernels
-from linsys.kernels import ACTIVE, JIT_KERNELS, PURE_NUMPY_ENV, PY_KERNELS
+from linsys.kernels import ACTIVE, JIT_KERNELS, PY_KERNELS
 from linsys.solvers import _closed_neighbourhoods, _greedy_cover, _incidence
 
 from corpus import build_corpus
@@ -81,28 +78,11 @@ def test_nu2_kernel_backends_identical_with_caller_top():
     for sys_ in build_corpus()[::9] + [projective_plane(3).system]:
         m = sys_.num_lines
         inc = _incidence(sys_)
-        inc_t = np.ascontiguousarray(inc.T)
         for top in (m, m + 1):
-            a_best, a_wit, a_nodes = PY_KERNELS.nu2_search(inc, inc_t, top)
-            b_best, b_wit, b_nodes = JIT_KERNELS.nu2_search(inc, inc_t, top)
+            a_best, a_wit, a_nodes = PY_KERNELS.nu2_search(inc, top)
+            b_best, b_wit, b_nodes = JIT_KERNELS.nu2_search(inc, top)
             assert (a_best, a_nodes) == (b_best, b_nodes)
             assert np.array_equal(a_wit[:a_best], b_wit[:b_best])
-
-
-def test_pure_numpy_env_flag():
-    code = (
-        "from linsys.kernels import ACTIVE, JIT_KERNELS;"
-        "assert JIT_KERNELS is None;"
-        "assert ACTIVE.name == 'numpy';"
-        "from linsys import transversal_number, LinearSystem;"
-        "sys_ = LinearSystem(7, [[0,1,2],[0,3,4],[0,5,6],[1,3,5],[1,4,6],[2,3,6],[2,4,5]]);"
-        "assert transversal_number(sys_).value == 3"
-    )
-    env = dict(os.environ, **{PURE_NUMPY_ENV: "1"})
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_domination_on_lineless_system_needs_no_kernels():

@@ -573,10 +573,7 @@ def test_solver_memory_is_bounded_by_the_cover_matrix(solve):
 def _rooted_nu2_search(sys_, top):
     """(value, witness, nodes) of the nu2 kernel on the full incidence,
     stopping at a caller's top."""
-    inc = _incidence(sys_)
-    best, wit, nodes = PY_KERNELS.nu2_search(
-        inc, np.ascontiguousarray(inc.T), top
-    )
+    best, wit, nodes = PY_KERNELS.nu2_search(_incidence(sys_), top)
     return int(best), tuple(int(i) for i in wit[: int(best)]), int(nodes)
 
 
