@@ -45,6 +45,7 @@ from .geometry import (
 )
 from .limits import DEFAULT_CAPS, Caps
 from .solvers import (
+    _two_packing_value,
     check_packing_gap,
     domination_number,
     transversal_number,
@@ -368,11 +369,11 @@ def _reconstruction(sys: LinearSystem, plane: PlaneModel, caps: Caps) -> Reconst
     )
     tau = derivation.chain["tau_reduced"]
     # the plane's dual hyperoval is a 2-packing of red when red has all
-    # of its lines, as derived from the pendant plane
+    # of its lines, as derived from the pendant plane, and settles nu2
     index = {l: i for i, l in enumerate(red.lines)}
     dual = [plane.system.lines[i] for i in dual_hyperoval_lines(plane)]
     incumbent = [index[l] for l in dual] if all(l in index for l in dual) else None
-    nu2 = two_packing_number(red, caps=caps, incumbent=incumbent).value
+    nu2 = _two_packing_value(red, caps, incumbent)
     clauses.append(
         ClauseCheck(
             "tau-nu2",
@@ -437,7 +438,8 @@ def verification_battery(q: int, caps: Caps = DEFAULT_CAPS) -> list:
         )
     )
 
-    # the dual arc, a verified 2-packing, starts the nu2 search
+    # the dual arc, a verified 2-packing as large as nu2's proved bound,
+    # settles nu2 with no search
     dual = dual_hyperoval_lines(plane) if q % 2 == 0 else dual_conic_lines(plane)
     try:
         gap = check_packing_gap(psys, caps=caps, incumbent=dual)

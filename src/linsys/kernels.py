@@ -12,7 +12,8 @@ all three invariants:
   A node hands its remaining count, residual row and allowed row down to
   its children, and settles in place each child that is a leaf or that
   its first bound tests would cut, so the tree is the one a node-by-node
-  search visits, at a fraction of the numpy calls.
+  search visits, at a fraction of the numpy calls. It stops when it
+  reaches a lower bound that the caller proved.
 - ``_nu2_search`` finds a maximum 2-packing, given as the (m, n) uint8
   line-point incidence, its one input, and stops when it reaches an
   upper bound that the caller proved (the meet and parity rules on
@@ -58,13 +59,15 @@ def _pairwise(lines: np.ndarray) -> np.ndarray:
     return (f @ f.T).astype(np.int32)
 
 
-def _cover_search(covers, universe, best0):
+def _cover_search(covers, universe, best0, floor):
     """Branch and bound for a minimum set cover.
 
     covers:   (k, e) uint8, covers[v, u] = 1 when candidate v covers
               element u, so column u holds the candidates of element u.
     universe: (e,) uint8, 1 at the elements to cover (at least one).
     best0:    incumbent size (from a greedy cover).
+    floor:    a lower bound on the minimum proved by the caller (0 proves
+              nothing).
 
     tau passes the points as candidates over the lines; gamma passes its
     closed-neighbourhood matrix.
@@ -83,6 +86,13 @@ def _cover_search(covers, universe, best0):
     always prunes, rightly, as no allowed candidate covers an uncovered
     element. The root is tested at entry, before any per-depth state is
     allocated; it is no leaf, as the universe is not empty.
+
+    Floor: the search returns at entry, with the incumbent, when
+    best0 <= floor, and returns as soon as the incumbent reaches floor. No
+    cover is smaller than floor, and the incumbent changes only for a
+    strictly smaller cover, so the search without the floor would keep
+    that incumbent to the end: up to the stop the traversal is unchanged,
+    values and witnesses are the same and node counts only fall.
 
     State is carried down from the parent. A node that expands keeps its
     maxcov, its candidate list and its residual row, the number of
@@ -123,7 +133,7 @@ def _cover_search(covers, universe, best0):
     improved = 0
     cap = best0 + 2
     witness = np.full(cap, -1, dtype=np.int32)
-    if best <= 1:
+    if best <= 1 or best <= floor:
         return best, improved, witness, nodes
     rem0 = np.int64(universe.sum())
     res = (covers & universe).sum(axis=1)
@@ -184,6 +194,8 @@ def _cover_search(covers, universe, best0):
                 for i in range(d):
                     witness[i] = chosen[i]
                 witness[d] = v
+                if best <= floor:
+                    break
             continue
         chosen[d] = v
         rem[d + 1] = left
@@ -223,30 +235,9 @@ def _nu2_search(lines, top, best0=0):
 
     Root bound: the search returns as soon as the incumbent reaches top.
     Up to that node the traversal is the full one, so the witness is the
-    same. Let r be the largest number of points of degree >= 2 on a line.
-    Two rules give top on an intersecting system with m lines (any two
-    lines meet in exactly one point); both use that lines meet only at
-    points of degree >= 2, so pendant points do not count:
-    - meet rule, nu2 <= r + 1: the other lines of a 2-packing R meet a
-      line l of R at such points of l, and at distinct ones, since a
-      point of l on two of them would be covered three times.
-    - parity rule, nu2 <= r when r is even and m >= r + 2 (the dual of
-      Bose 1947 and Qvist 1952: a plane of odd order has no (q+2)-arc):
-      if |R| = r + 1, the meet rule holds with equality for each l in R,
-      so each point of degree >= 2 on a line of R is on exactly two
-      lines of R. As m > |R|, some line M is not in R; M meets each line
-      of R once, at such a point, so |R| is the sum over p in M of the
-      number of lines of R through p, each 0 or 2. Then |R| is even,
-      while r + 1 is odd.
-    A third rule holds on any system. Call a line free when none of its
-    points is on three or more lines, and its weight the number of its
-    points that are; let f lines be free and h points be on three or more.
-    - capacity rule, nu2 <= f + t, with t the most lines whose weights,
-      smallest first, sum to at most 2h: a packing covers each of the h
-      points at most twice, so the weights of its lines that are not free
-      sum to at most 2h.
-    The caller settles the free lines before the search and passes the
-    other lines with top - f (see ``solvers``).
+    same. ``solvers._packing_bounds`` proves top by the meet, parity and
+    capacity rules; the caller settles the free lines before the search
+    and passes the other lines with top less their number.
 
     Incumbent: the search starts as if it had found a packing of best0
     lines; the caller passes L - 1 for a packing of L lines that it

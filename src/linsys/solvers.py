@@ -7,8 +7,10 @@ kernel improves on it. tau covers the lines with points (``_point_cover``,
 the transposed line-point incidence ``_incidence``); gamma covers the
 points with the symmetric closed-neighbourhood matrix
 (``_closed_neighbourhoods``, each line's block set directly) and forces
-its isolated points into the witness. Ties go to the lowest index
-throughout, so identical inputs always give identical witnesses.
+its isolated points into the witness. Each passes the kernel a proved
+floor, at which it stops: tau the size of a greedy set of disjoint
+lines, gamma the pendant-line floor proved in ``domination_number``. Ties go to the lowest index throughout, so
+identical inputs always give identical witnesses.
 
 nu2 settles its free lines, those with no point on three or more lines,
 before the search: adding one to a packing covers no point three times,
@@ -21,11 +23,18 @@ therefore prunes where the search over the whole incidence does below
 the node that takes every free line, and its first maximum packing in
 search order plus the free lines is the whole search's first. A system
 of free lines only hands the kernel an empty incidence, settled at the
-root in 1 node. The search stops at the root
-bound, the meet, parity and capacity rules proved in
-``kernels._nu2_search``, and starts from the size of ``incumbent=``, a
+root in 1 node. ``_packing_bounds`` does this set-up and proves the
+search's root bound top by the meet, parity and capacity rules. The
+search stops at top and starts from the size of ``incumbent=``, a
 packing that ``verify_two_packing`` must accept, with no change to the
-witness, as proved there too.
+witness, as proved in ``kernels._nu2_search``.
+
+The value path: ``check_packing_gap`` and the reconstruction's tau-nu2
+clause read nu2's value alone, through ``_two_packing_value``. When
+their verified incumbent has top lines it is a maximum 2-packing, so
+nu2 is top and no search runs, as for the dual conic of PG(2,q) at odd
+q and the dual hyperoval at even q; otherwise they take the value of
+``two_packing_number``.
 
 ``verify_transversal``, ``verify_domination`` and ``verify_two_packing``
 check a witness with plain set logic and share no code with the search;
@@ -129,36 +138,80 @@ def greedy_transversal(sys: LinearSystem) -> Tuple[int, ...]:
     return _greedy_cover(_point_cover(sys), np.ones(sys.num_lines, dtype=np.uint8))
 
 
-def _min_cover(kind, search, covers, universe, forced, t0) -> SolveResult:
+def _min_cover(kind, search, covers, universe, forced, floor, t0) -> SolveResult:
     """The least number of rows of covers that cover the universe, plus
     the forced points. The greedy seed is the search's incumbent and the
-    witness unless the search improves on it."""
+    witness unless the search improves on it; floor(s), given the seed's
+    size s, is a lower bound that the search stops at."""
     seed = _greedy_cover(covers, universe)
-    best, improved, wit, nodes = search(covers, universe, len(seed))
+    best, improved, wit, nodes = search(covers, universe, len(seed), floor(len(seed)))
     inner = wit[: int(best)].tolist() if improved else list(seed)
     witness = tuple(sorted(forced + inner))
     dt = time.perf_counter() - t0
     return SolveResult(kind, len(forced) + int(best), witness, int(nodes), dt)
 
 
+def _disjoint_lines(sys: LinearSystem) -> int:
+    """The size of a greedy set of pairwise disjoint lines, a floor for
+    tau: disjoint lines need distinct transversal points. Lines are taken
+    shortest first, lowest index on ties, each one that misses the lines
+    taken so far."""
+    held = set()
+    count = 0
+    for l in sorted(sys.line_tuples, key=len):
+        if held.isdisjoint(l):
+            held.update(l)
+            count += 1
+    return count
+
+
 def transversal_number(
     sys: LinearSystem, caps: Caps = DEFAULT_CAPS, kernels: KernelSet = None
 ) -> SolveResult:
+    """tau, with the disjoint-line floor: the kernel's root test already
+    settles a seed of at most ceil(m / max degree), so the floor is
+    counted only for a seed above that."""
     if not sys.lines:
         raise NoLines("a transversal needs at least one line")
     _check_caps(sys, caps)
     ks = kernels if kernels is not None else ACTIVE
     t0 = time.perf_counter()
     # points are the candidates and lines the elements to cover
-    universe = np.ones(sys.num_lines, dtype=np.uint8)
+    m = sys.num_lines
+    universe = np.ones(m, dtype=np.uint8)
+    root = -(-m // int(sys.degrees.max()))
     return _min_cover(
-        KIND_TRANSVERSAL, ks.tau_search, _point_cover(sys), universe, [], t0
+        KIND_TRANSVERSAL, ks.tau_search, _point_cover(sys), universe, [],
+        lambda seed: _disjoint_lines(sys) if seed > root else 0, t0,
     )
+
+
+def _pendant_line_floor(sys: LinearSystem) -> int:
+    """ceil(|L1| / d), with L1 the lines that hold a point of degree 1 and
+    d the most lines of L1 through one point: a floor for gamma less the
+    isolated points (see ``domination_number``)."""
+    ones = set(np.flatnonzero(sys.degrees == 1).tolist())
+    if not ones:
+        return 0
+    through = [0] * sys.num_points
+    count = 0
+    for l in sys.line_tuples:
+        if not ones.isdisjoint(l):
+            count += 1
+            for v in l:
+                through[v] += 1
+    return -(-count // max(through))
 
 
 def domination_number(
     sys: LinearSystem, caps: Caps = DEFAULT_CAPS, kernels: KernelSet = None
 ) -> SolveResult:
+    """gamma, with the isolated points forced and the pendant-line floor.
+    A point p of degree 1 on line l has N[p] = l, so every dominating set
+    meets every line of L1, the lines that hold such a point. A point is
+    on at most d lines of L1, so a dominating set of the support has at
+    least ceil(|L1| / d) points. On a pendant plane ext-PG(2,q) that is
+    ceil((q^2 + q + 1) / (q + 1)) = q + 1, the greedy seed."""
     _check_caps(sys, caps)
     ks = kernels if kernels is not None else ACTIVE
     t0 = time.perf_counter()
@@ -170,7 +223,7 @@ def domination_number(
     universe = (sys.degrees > 0).astype(np.uint8)
     return _min_cover(
         KIND_DOMINATION, ks.gamma_search, _closed_neighbourhoods(sys),
-        universe, forced, t0,
+        universe, forced, lambda seed: _pendant_line_floor(sys), t0,
     )
 
 
@@ -190,6 +243,62 @@ def _checked_packing(sys: LinearSystem, incumbent) -> Tuple[int, ...]:
     return idx
 
 
+def _packing_bounds(sys: LinearSystem):
+    """The set-up of the nu2 search: (top, incidence, free, kept, heavy).
+    top is an upper bound on nu2; incidence is the (m, n) line-point
+    incidence; free lists the free lines, those with no point on three or
+    more lines, which are in every maximum 2-packing; kept indexes the
+    other lines and heavy marks the h points on three or more lines, over
+    which the kernel decides them.
+
+    Let r be the largest number of points of degree >= 2 on a line. Two
+    rules bound nu2 on an intersecting system with m lines (any two lines
+    meet in exactly one point); both use that lines meet only at points
+    of degree >= 2, so pendant points do not count:
+    - meet rule, nu2 <= r + 1: the other lines of a 2-packing R meet a
+      line l of R at such points of l, and at distinct ones, since a
+      point of l on two of them would be covered three times.
+    - parity rule, nu2 <= r when r is even and m >= r + 2 (the dual of
+      Bose 1947 and Qvist 1952: a plane of odd order has no (q+2)-arc):
+      if |R| = r + 1, the meet rule holds with equality for each l in R,
+      so each point of degree >= 2 on a line of R is on exactly two
+      lines of R. As m > |R|, some line M is not in R; M meets each line
+      of R once, at such a point, so |R| is the sum over p in M of the
+      number of lines of R through p, each 0 or 2. Then |R| is even,
+      while r + 1 is odd.
+    A third rule holds on any system. Call a line's weight the number of
+    its points on three or more lines, so the free lines, f of them, are
+    those of weight 0.
+    - capacity rule, nu2 <= f + t, with t the most lines whose weights,
+      smallest first, sum to at most 2h: a packing covers each of the h
+      points at most twice, so the weights of its lines that are not free
+      sum to at most 2h.
+    top is the least of m and the rules that apply, so a verified
+    2-packing of top lines is maximum."""
+    incidence = _incidence(sys)
+    deg = sys.degrees
+    m = sys.num_lines
+    # the meet and parity rules, with r the most points of degree >= 2 on
+    # one line
+    r = int((incidence & (deg >= 2)).sum(axis=1).max())
+    top = m
+    if is_intersecting(sys):
+        top = r if r % 2 == 0 and m >= r + 2 else min(m, r + 1)
+
+    heavy = deg >= 3
+    h = int(heavy.sum())
+    weights = (incidence & heavy).sum(axis=1)
+    free = np.flatnonzero(weights == 0).tolist()
+    kept = np.flatnonzero(weights)
+    weights = weights[kept]
+    f = len(free)
+    # the capacity rule; with every weight at the largest one it is at
+    # least that cheap count, so only a count below top needs the sort
+    if f + min(m - f, 2 * h // int(weights.max(initial=1))) < top:
+        top = min(top, f + _capacity(weights, h))
+    return top, incidence, free, kept, heavy
+
+
 def two_packing_number(
     sys: LinearSystem,
     caps: Caps = DEFAULT_CAPS,
@@ -207,30 +316,8 @@ def two_packing_number(
     ks = kernels if kernels is not None else ACTIVE
     t0 = time.perf_counter()
 
-    incidence = _incidence(sys)
-    deg = sys.degrees
-    m = sys.num_lines
-    # the meet and parity rules of the kernel's root bound, with r the most
-    # points of degree >= 2 on one line
-    r = int((incidence & (deg >= 2)).sum(axis=1).max())
-    top = m
-    if is_intersecting(sys):
-        top = r if r % 2 == 0 and m >= r + 2 else min(m, r + 1)
-
-    # a line's weight is its number of points of degree >= 3, of which
-    # there are h; the free lines, of weight 0, are in every maximum
-    # packing, and the kernel decides the others over only those points
-    heavy = deg >= 3
-    h = int(heavy.sum())
-    weights = (incidence & heavy).sum(axis=1)
-    free = np.flatnonzero(weights == 0).tolist()
-    kept = np.flatnonzero(weights)
-    weights = weights[kept]
+    top, incidence, free, kept, heavy = _packing_bounds(sys)
     f = len(free)
-    # the capacity rule; with every weight at the largest one it is at
-    # least that cheap count, so only a count below top needs the sort
-    if f + min(m - f, 2 * h // int(weights.max(initial=1))) < top:
-        top = min(top, f + _capacity(weights, h))
     best0 = max(len(incumbent) - f - 1, 0) if incumbent is not None else 0
     best, wit, nodes = ks.nu2_search(incidence[kept][:, heavy], top - f, best0)
     witness = tuple(sorted(free + kept[wit[: int(best)]].tolist()))
@@ -238,6 +325,20 @@ def two_packing_number(
     return SolveResult(
         KIND_TWO_PACKING, f + int(best), witness, int(nodes), dt
     )
+
+
+def _two_packing_value(
+    sys: LinearSystem, caps: Caps, incumbent: Optional[Iterable[int]]
+) -> int:
+    """nu2 alone. A verified incumbent of top lines (``_packing_bounds``)
+    is a maximum 2-packing, so no search runs; otherwise the value of
+    ``two_packing_number``."""
+    if incumbent is not None and sys.lines:
+        _check_caps(sys, caps)
+        incumbent = _checked_packing(sys, incumbent)
+        if len(incumbent) == _packing_bounds(sys)[0]:
+            return len(incumbent)
+    return two_packing_number(sys, caps=caps, incumbent=incumbent).value
 
 
 def _indices(values, bound: int) -> bool:
@@ -309,10 +410,11 @@ def check_packing_gap(
 ) -> PackingGapReport:
     """Evaluate the degree-sum condition relating line count to the
     2-packing number, and whether tau stays below nu2. incumbent, a
-    2-packing of sys, goes to the nu2 search."""
+    2-packing of sys, settles nu2 when it reaches the proved bound and
+    starts the nu2 search otherwise."""
     profile = degree_profile(sys)
     tau = transversal_number(sys, caps=caps).value
-    nu2 = two_packing_number(sys, caps=caps, incumbent=incumbent).value
+    nu2 = _two_packing_value(sys, caps, incumbent)
     bound = profile.max_degree + profile.second_max_degree + nu2 - 3
     return PackingGapReport(
         num_lines=sys.num_lines,

@@ -1,7 +1,7 @@
 """Brute-force reference implementations for the three invariants and
 for isomorphism, embedding and the projective-plane axioms, the
-reference LinearSystem constructor, and the reference cover-search
-kernel.
+reference LinearSystem constructor, the reference cover-search kernel
+and the lex-first dual conic of PG(2,q).
 
 Deliberately naive: plain set arithmetic over itertools subsets and
 permutations, sharing no code with the package (the reference
@@ -10,7 +10,8 @@ constructor takes only its exception types). Only usable at small scale
 point-map oracles want at most about 7 points, the plane-axiom oracle
 at most about 21). The reference kernel is not brute force: it is the
 cover search one node at a time, whose tree, witness and node count
-the package's kernel must reproduce.
+the package's kernel must reproduce. The dual conic is geometry, not
+search: it takes a built plane's coordinates and field tables as data.
 """
 
 import itertools
@@ -330,3 +331,69 @@ def reference_cover_search(covers, cand_lists, cand_sizes, universe, best0):
         d += 1
         pending = True
     return best, improved, witness, nodes
+
+
+def lex_first_dual_conic(plane):
+    """The dual conic through the first five lines of PG(2,q) that the
+    greedy packing takes, for odd q, as line indices ascending.
+
+    Lines are taken in index order, each one that leaves no point on three
+    kept lines, until five are kept. No three of them are concurrent, so
+    their coordinates, as points of the dual plane, lie on exactly one
+    conic sum c_ij a_i a_j = 0 (Hirschfeld): the five linear equations in
+    the six coefficients c over GF(q) have a one-dimensional solution
+    space. The result is every line whose coordinates lie on that conic.
+    For odd q every (q+1)-arc is a conic (Segre 1955), so every maximum
+    2-packing of PG(2,q) is a dual conic, and the include-first search in
+    index order finds this one first. A non-Desarguesian plane of order 9
+    exists, so this holds only for ``projective_plane``'s PG(2,q), never
+    for a system that merely passes the plane axioms.
+    """
+    q = plane.order
+    assert q % 2 == 1 and q >= 5
+    add, mul, inv = plane.field.add_table, plane.field.mul_table, plane.field.inv_table
+    neg = [next(b for b in range(q) if add[a, b] == 0) for a in range(q)]
+
+    def monomials(a):
+        a0, a1, a2 = a
+        return [int(mul[x, y]) for x, y in ((a0, a0), (a1, a1), (a2, a2), (a0, a1), (a0, a2), (a1, a2))]
+
+    def on_conic(coef, a):
+        total = 0
+        for c, x in zip(coef, monomials(a)):
+            total = int(add[total, mul[c, x]])
+        return total == 0
+
+    covered = Counter()
+    five = []
+    for i, l in enumerate(plane.system.line_tuples):
+        if all(covered[v] < 2 for v in l):
+            five.append(i)
+            covered.update(l)
+            if len(five) == 5:
+                break
+
+    # Gauss-Jordan elimination over GF(q); the one column without a pivot
+    # is the free coefficient, set to 1
+    rows = [monomials(plane.point_coords[i]) for i in five]
+    pivots = []
+    for c in range(6):
+        r = len(pivots)
+        p = next((i for i in range(r, 5) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        f = inv[rows[r][c]]
+        rows[r] = [int(mul[f, x]) for x in rows[r]]
+        for i in range(5):
+            if i != r and rows[i][c]:
+                g = neg[rows[i][c]]
+                rows[i] = [int(add[x, mul[g, y]]) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    assert len(pivots) == 5, "five lines, no three concurrent, lie on one conic"
+    (free,) = set(range(6)) - set(pivots)
+    coef = [0] * 6
+    coef[free] = 1
+    for row, c in zip(rows, pivots):
+        coef[c] = neg[row[free]]
+    return tuple(i for i, a in enumerate(plane.point_coords) if on_conic(coef, a))

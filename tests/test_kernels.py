@@ -176,19 +176,25 @@ def _outcome(result):
 
 @pytest.mark.parametrize("ks", BACKENDS, ids=lambda ks: ks.name)
 def test_cover_search_matches_reference_kernel(ks):
-    # the kernel visits the reference's tree: same value, incumbent flag,
-    # witness and node count, as tau input and as gamma input (tau_search
-    # and gamma_search are the one cover kernel)
+    # at floor 0 the kernel visits the reference's tree: same value,
+    # incumbent flag, witness and node count, as tau input and as gamma
+    # input (tau_search and gamma_search are the one cover kernel). At the
+    # minimum as floor it stops at its first minimum cover: the same
+    # outcome in no more nodes, and fewer on some inputs
     systems = _differential_systems()
     isolated = sum(len(s.support) < s.num_points for s in systems)
     assert isolated >= 200
-    checked = 0
+    checked = cut = 0
     for sys_ in systems:
         for args in _cover_inputs(sys_):
             want = _outcome(reference_cover_search(*_reference_args(*args)))
-            assert _outcome(ks.tau_search(*args)) == want, (sys_.name, args[-1])
+            assert _outcome(ks.tau_search(*args, 0)) == want, (sys_.name, args[-1])
+            got = _outcome(ks.tau_search(*args, want[0]))
+            assert got[:3] == want[:3] and got[3] <= want[3], (sys_.name, args[-1])
             checked += 1
+            cut += got[3] < want[3]
     assert checked >= 2 * 1000
+    assert cut >= 100
 
 
 def test_cover_search_memory_stays_per_depth():
@@ -207,7 +213,7 @@ def test_cover_search_memory_stays_per_depth():
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        best, improved, _, nodes = PY_KERNELS.gamma_search(cover, universe, best0)
+        best, improved, _, nodes = PY_KERNELS.gamma_search(cover, universe, best0, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

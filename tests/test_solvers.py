@@ -19,6 +19,7 @@ from linsys import (
     delete_point,
     domination_number,
     dual_conic_lines,
+    dual_hyperoval_lines,
     extend_with_pendant_points,
     greedy_transversal,
     is_intersecting,
@@ -31,12 +32,15 @@ from linsys import (
     verify_transversal,
     verify_two_packing,
 )
+from linsys import solvers
 from linsys.kernels import PY_KERNELS
 from linsys.limits import Caps
 from linsys.solvers import _closed_neighbourhoods, _incidence
 
 from corpus import build_corpus
-from oracles import brute_domination, brute_transversal, brute_two_packing
+from oracles import (
+    brute_domination, brute_transversal, brute_two_packing, lex_first_dual_conic,
+)
 
 
 def test_transversal_fano(fano):
@@ -303,28 +307,38 @@ def test_pinned_values_and_witnesses(name):
         assert (res.value, res.witness) == answer, kind
 
 
-# (value, witness, nodes) of gamma. No search bound changed since these
-# were recorded, so the node counts are fixed too: a faster kernel must do
-# the same traversal. ext-PG(2,8) has 146 points, past the default solver
-# cap and past one 64-bit word.
+def _no_floors(monkeypatch):
+    """Pass the cover kernel floor 0, so that it walks its whole tree."""
+    monkeypatch.setattr(solvers, "_disjoint_lines", lambda sys_: 0)
+    monkeypatch.setattr(solvers, "_pendant_line_floor", lambda sys_: 0)
+
+
+# (value, witness, nodes) of gamma with the kernel at floor 0, and the
+# nodes with the pendant-line floor. The floor-0 counts are those of the
+# traversal before the floor, so a faster kernel must do the same one.
+# The floor settles the pendant planes at the root, where the greedy seed
+# is q + 1; the triangular systems have no point of degree 1. ext-PG(2,8)
+# has 146 points, past the default solver cap and past one 64-bit word.
 PINNED_GAMMA_NODES = {
-    "triangular-9": (lambda: triangular_system(9), (4, (0, 15, 26, 33), 166)),
+    "triangular-9": (lambda: triangular_system(9), (4, (0, 15, 26, 33), 166), 166),
     "triangular-10": (
-        lambda: triangular_system(10), (5, (0, 7, 17, 30, 39), 2041)
+        lambda: triangular_system(10), (5, (0, 7, 17, 30, 39), 2041), 2041
     ),
-    "ext-PG(2,3)": (lambda: _extended_plane(3), (4, (0, 1, 2, 3), 10)),
-    "ext-PG(2,4)": (lambda: _extended_plane(4), (5, (0, 1, 2, 3, 4), 17)),
-    "ext-PG(2,8)": (lambda: _extended_plane(8), (9, tuple(range(9)), 56)),
+    "ext-PG(2,3)": (lambda: _extended_plane(3), (4, (0, 1, 2, 3), 10), 1),
+    "ext-PG(2,4)": (lambda: _extended_plane(4), (5, (0, 1, 2, 3, 4), 17), 1),
+    "ext-PG(2,8)": (lambda: _extended_plane(8), (9, tuple(range(9)), 56), 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_GAMMA_NODES))
-def test_pinned_gamma_nodes(name):
-    build, answer = PINNED_GAMMA_NODES[name]
-    res = domination_number(
-        build(), caps=Caps(solver_points=1000, solver_lines=1000)
-    )
-    assert (res.value, res.witness, res.nodes_explored) == answer
+def test_pinned_gamma_nodes(name, monkeypatch):
+    build, (value, witness, full), nodes = PINNED_GAMMA_NODES[name]
+    caps = Caps(solver_points=1000, solver_lines=1000)
+    res = domination_number(build(), caps=caps)
+    assert (res.value, res.witness, res.nodes_explored) == (value, witness, nodes)
+    _no_floors(monkeypatch)
+    res = domination_number(build(), caps=caps)
+    assert (res.value, res.witness, res.nodes_explored) == (value, witness, full)
 
 
 def _deep_random_system():
@@ -342,15 +356,18 @@ def _deep_random_system():
     )
 
 
-# (value, witness, nodes) of tau on systems where its search branches. A
-# change of search bound may move the node counts (never the value or the
-# witness); it must say so and re-record them here.
+# (value, witness, nodes) of tau on systems where its search branches,
+# and the nodes with the kernel at floor 0. A change of search bound may
+# move the node counts (never the value or the witness); it must say so
+# and re-record them here. The disjoint-line floor reaches the value on
+# all but random-28b: random-28a's seed is its value, and its 11 disjoint
+# lines settle it at the root.
 PINNED_TAU_NODES = {
     "deep-random-30": (
-        _deep_random_system, (8, (3, 10, 12, 16, 19, 23, 25, 27), 28)
+        _deep_random_system, (8, (3, 10, 12, 16, 19, 23, 25, 27), 26), 28
     ),
     "PG(2,3)-minus-point": (
-        lambda: delete_point(_plane(3), 0), (4, (1, 4, 7, 10), 13)
+        lambda: delete_point(_plane(3), 0), (4, (1, 4, 7, 10), 5), 13
     ),
     "random-28a": (
         lambda: LinearSystem(
@@ -363,7 +380,8 @@ PINNED_TAU_NODES = {
                 [6, 15, 21], [11, 20, 22], [23], [27], [10, 11, 21], [4, 21],
             ],
         ),
-        (11, (0, 4, 6, 7, 12, 17, 19, 20, 21, 23, 27), 34),
+        (11, (0, 4, 6, 7, 12, 17, 19, 20, 21, 23, 27), 1),
+        34,
     ),
     "random-28b": (
         lambda: LinearSystem(
@@ -377,15 +395,19 @@ PINNED_TAU_NODES = {
             ],
         ),
         (8, (1, 7, 10, 14, 18, 23, 26, 27), 23),
+        23,
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_TAU_NODES))
-def test_pinned_tau_nodes(name):
-    build, answer = PINNED_TAU_NODES[name]
+def test_pinned_tau_nodes(name, monkeypatch):
+    build, (value, witness, nodes), full = PINNED_TAU_NODES[name]
     res = transversal_number(build())
-    assert (res.value, res.witness, res.nodes_explored) == answer
+    assert (res.value, res.witness, res.nodes_explored) == (value, witness, nodes)
+    _no_floors(monkeypatch)
+    res = transversal_number(build())
+    assert (res.value, res.witness, res.nodes_explored) == (value, witness, full)
 
 
 # (value, witness, nodes) of tau and gamma on systems where the search
@@ -492,15 +514,9 @@ def test_pinned_nu2_nodes_on_corpus():
     assert sum(r.nodes_explored for r in results) == 630
 
 
-CORPUS_TAU_GAMMA_SHA256 = (
-    "2e9198e3a270de29ddad6ae997ec52ccf2018f1615317c42a831890d407f3882"
-)
-
-
-def test_pinned_tau_gamma_on_corpus():
-    # the sha256 of the repr of the list of ((value, witness, nodes) of tau,
-    # None on a lineless system; (value, witness, nodes) of gamma) in corpus
-    # order, and the node totals over the 110 systems
+def _corpus_tau_gamma():
+    """((value, witness, nodes) of tau, None on a lineless system;
+    (value, witness, nodes) of gamma) per corpus system, in order."""
     rows = []
     for s in build_corpus():
         tau = transversal_number(s) if s.lines else None
@@ -511,11 +527,54 @@ def test_pinned_tau_gamma_on_corpus():
                 (gamma.value, gamma.witness, gamma.nodes_explored),
             )
         )
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        CORPUS_TAU_GAMMA_SHA256
+    return rows
+
+
+def _sha256(x):
+    return hashlib.sha256(repr(x).encode()).hexdigest()
+
+
+def test_pinned_tau_gamma_on_corpus():
+    # the sha256 of the repr of the (value, witness) pairs of tau and gamma
+    # in corpus order, unchanged by the floors, and of their node counts,
+    # and the node totals over the 110 systems
+    rows = _corpus_tau_gamma()
+    assert _sha256([(t and t[:2], g[:2]) for t, g in rows]) == (
+        "d062b4c47258254374568db7017d4eaaa7fd0ecd47ebce5ef3da9cebfce012c6"
+    )
+    assert _sha256([(t and t[2], g[2]) for t, g in rows]) == (
+        "ba5b2a9c20db42b1c2f06e9efd0bfbd9ac56d32dd55791dd1479dfa4c5e32d86"
+    )
+    assert sum(t[2] for t, _ in rows if t is not None) == 217
+    assert sum(g[2] for _, g in rows) == 128
+
+
+def test_pinned_tau_gamma_on_corpus_at_floor_zero(monkeypatch):
+    # the sha256 of the repr of the rows, nodes included, and the node
+    # totals, as they stood before the floors
+    _no_floors(monkeypatch)
+    rows = _corpus_tau_gamma()
+    assert _sha256(rows) == (
+        "2e9198e3a270de29ddad6ae997ec52ccf2018f1615317c42a831890d407f3882"
     )
     assert sum(t[2] for t, _ in rows if t is not None) == 253
     assert sum(g[2] for _, g in rows) == 144
+
+
+def test_floors_are_at_most_the_oracles():
+    # each floor is at most the brute-force minimum it bounds: tau, and
+    # gamma less the isolated points; both reach it on some systems
+    reached = {"tau": 0, "gamma": 0}
+    for s in build_corpus():
+        n, lines = s.num_points, s.line_tuples
+        if lines:
+            tau = brute_transversal(n, lines)
+            assert solvers._disjoint_lines(s) <= tau, lines
+            reached["tau"] += solvers._disjoint_lines(s) == tau
+        inner = brute_domination(n, lines) - (n - len(s.support))
+        assert solvers._pendant_line_floor(s) <= inner, lines
+        reached["gamma"] += solvers._pendant_line_floor(s) == inner
+    assert min(reached.values()) >= 10, reached
 
 
 def test_incidence_rows_are_the_lines():
@@ -544,7 +603,7 @@ def test_closed_neighbourhoods_match_set_logic():
 
 
 @pytest.mark.parametrize("solve", [transversal_number, domination_number])
-def test_solver_memory_is_bounded_by_the_cover_matrix(solve):
+def test_solver_memory_is_bounded_by_the_cover_matrix(solve, monkeypatch):
     # ext-PG(2,16): 546 points on 273 lines. The cover matrix is (k, e)
     # uint8, points over lines for tau and points over points for gamma.
     # A solve may hold four arrays of its size (the matrix, the greedy
@@ -552,7 +611,9 @@ def test_solver_memory_is_bounded_by_the_cover_matrix(solve):
     # numpy's casting buffer for a row sum (getbufsize() elements of 8
     # bytes) and O(cap * (k + e)) per-depth rows; one (k, e) int32 or
     # intp array more, such as candidate lists built from the matrix,
-    # does not fit
+    # does not fit. At floor 0 gamma searches its whole tree, which the
+    # pendant-line floor would settle at the root
+    _no_floors(monkeypatch)
     s = _extended_plane(16)
     n, m = s.num_points, s.num_lines
     k, e = (n, m) if solve is transversal_number else (n, n)
@@ -771,6 +832,89 @@ def test_nu2_from_dual_conic_on_pg17():
         262, 289, 303,
     )
     assert res.nodes_explored == 20209
+    assert res.witness == lex_first_dual_conic(plane)
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
+def test_nu2_witness_is_the_lex_first_dual_conic(q):
+    # the search's first maximum 2-packing is the dual conic through the
+    # greedy packing's first five lines; q = 17 is checked above
+    caps = Caps(solver_points=200, solver_lines=200)
+    plane = projective_plane(q, caps=caps)
+    res = two_packing_number(
+        plane.system, caps=caps, incumbent=dual_conic_lines(plane)
+    )
+    assert res.witness == lex_first_dual_conic(plane)
+
+
+@pytest.mark.parametrize("q", [19, 23, 25, 27, 29, 31])
+def test_lex_first_dual_conic_is_a_maximum_packing(q):
+    # q + 1 lines, the most the parity rule allows at odd q. At q = 23 the
+    # search from the dual conic walks 1,448,282 nodes (122.6 s, 2 cores);
+    # its witness, pinned here, is the oracle's
+    plane = projective_plane(q, caps=Caps(plane_order=q))
+    conic = lex_first_dual_conic(plane)
+    assert len(conic) == q + 1 and verify_two_packing(plane.system, conic)
+    if q == 23:
+        assert conic == (
+            0, 1, 24, 48, 73, 102, 147, 176, 201, 225, 244, 272, 292, 307,
+            334, 351, 390, 411, 427, 444, 471, 486, 529, 534,
+        )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
+def test_packing_value_settles_at_a_dual_arc(q, monkeypatch):
+    # the dual hyperoval (q + 2 lines, the meet rule) and the dual conic
+    # (q + 1 lines, the parity rule) reach top, so no search runs
+    caps = Caps(solver_points=200, solver_lines=200)
+    plane = projective_plane(q, caps=caps)
+    dual = dual_hyperoval_lines(plane) if q % 2 == 0 else dual_conic_lines(plane)
+    want = two_packing_number(plane.system, caps=caps, incumbent=dual).value
+    monkeypatch.setattr(solvers, "two_packing_number", None)
+    assert solvers._two_packing_value(plane.system, caps, dual) == want
+    assert check_packing_gap(plane.system, caps=caps, incumbent=dual).nu2 == want
+
+
+def test_packing_bound_is_at_least_the_oracle():
+    # top, at which a verified incumbent settles nu2, is an upper bound,
+    # and it is nu2 on many corpus systems
+    reached = 0
+    for s in build_corpus():
+        if s.lines:
+            nu2 = brute_two_packing(s.num_points, s.line_tuples)
+            top = solvers._packing_bounds(s)[0]
+            assert top >= nu2, s.line_tuples
+            reached += top == nu2
+    assert reached >= 50
+
+
+def test_packing_value_falls_back_to_the_search():
+    # no incumbent, or one below top, leaves nu2 to the search
+    fell_back = 0
+    for s in build_corpus():
+        if not s.lines:
+            continue
+        want = two_packing_number(s).value
+        assert solvers._two_packing_value(s, Caps(), None) == want
+        assert solvers._two_packing_value(s, Caps(), [0]) == want
+        fell_back += want > 1
+    assert fell_back >= 50
+
+
+@pytest.mark.parametrize(
+    "sys_, incumbent, caps, error",
+    [
+        (LinearSystem(3, []), [], Caps(), NoLines),
+        (projective_plane(2).system, [0, 7], Caps(), BadIndex),
+        (projective_plane(2).system, [0, 1, 2], Caps(), NotTwoPacking),
+        (projective_plane(2).system, [0], Caps(solver_lines=6), SizeLimit),
+    ],
+)
+def test_packing_value_raises_what_the_search_raises(sys_, incumbent, caps, error):
+    with pytest.raises(error):
+        two_packing_number(sys_, caps=caps, incumbent=incumbent)
+    with pytest.raises(error):
+        solvers._two_packing_value(sys_, caps, incumbent)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
