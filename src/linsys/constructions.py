@@ -16,6 +16,8 @@ from typing import Dict, Tuple
 
 from .core import (
     LinearSystem,
+    _check_embed_caps,
+    _check_size,
     degree_profile,
     delete_points,
     drop_isolated,
@@ -33,7 +35,6 @@ from .errors import (
     OddOrder,
     SizeLimit,
 )
-from .field import _decimal
 from .geometry import (
     PlaneModel,
     dual_conic_lines,
@@ -189,41 +190,43 @@ def derive(sys: LinearSystem, r: int, caps: Caps = DEFAULT_CAPS) -> Derivation:
 
 def extend_with_pendant_points(sys: LinearSystem, caps: Caps = DEFAULT_CAPS) -> LinearSystem:
     """Append one fresh point to every line of a uniform intersecting
-    system; the result is (r+1)-uniform and pendant-reduces back."""
+    system; the result is (r+1)-uniform and pendant-reduces back. It is
+    linear: a fresh point lies on one line only, so two lines share what
+    they shared before. Its n + m points and m * C(r + 1, 2) point pairs
+    on lines are held to the caps before any line is built."""
     r = rank(sys)
     if not is_uniform(sys, r):
         raise NotUniform("pendant extension needs an r-uniform input")
     if not is_intersecting(sys):
         raise NotIntersecting("pendant extension needs an intersecting input")
     n, m = sys.num_points, sys.num_lines
-    lines = [list(l) + [n + i] for i, l in enumerate(sys.line_tuples)]
+    _check_size(n + m, m * ((r + 1) * r // 2), caps)
+    lines = [l.union((n + i,)) for i, l in enumerate(sys.lines)]
     name = f"{sys.name}+pendants" if sys.name else None
-    return LinearSystem(n + m, lines, name, caps)
+    return LinearSystem._derived(n + m, lines, name)
 
 
 def triangular_system(m: int, caps: Caps = DEFAULT_CAPS) -> LinearSystem:
     """Points are the unordered pairs from {1..m} in lexicographic order;
     line i collects the pairs containing i. (m-1)-uniform, intersecting,
-    every point on exactly two lines. The C(m, 2) points and the
-    m * C(m-1, 2) point pairs on lines are held to the caps before any
-    line is built."""
+    every point on exactly two lines, and linear: lines i != j share
+    exactly the pair {i, j}. The C(m, 2) points and the m * C(m-1, 2)
+    point pairs on lines are held to the caps before any line is built."""
     if m < 3:
         raise ValueError(f"triangular system needs m >= 3, got {m}")
     n = m * (m - 1) // 2
-    if n > caps.system_points:
-        raise SizeLimit(f"{_decimal(n)} points exceeds cap {caps.system_points}")
-    total = m * ((m - 1) * (m - 2) // 2)
-    if total > caps.system_pairs:
-        raise SizeLimit(f"{total} point pairs on lines exceeds cap {caps.system_pairs}")
+    _check_size(n, m * ((m - 1) * (m - 2) // 2), caps)
     # counting from 0, pair a < b is point start[a] + b - a - 1, start[a]
     # being the number of pairs whose smaller entry is below a
     start = [a * m - a * (a + 1) // 2 for a in range(m)]
     lines = [
-        [start[a] + i - a - 1 for a in range(i)]
-        + list(range(start[i], start[i] + m - 1 - i))
+        frozenset(
+            [start[a] + i - a - 1 for a in range(i)]
+            + list(range(start[i], start[i] + m - 1 - i))
+        )
         for i in range(m)
     ]
-    return LinearSystem(n, lines, name=f"triangular-{m}", caps=caps)
+    return LinearSystem._derived(n, lines, name=f"triangular-{m}")
 
 
 @dataclass(frozen=True)
@@ -382,14 +385,24 @@ def _reconstruction(sys: LinearSystem, plane: PlaneModel, caps: Caps) -> Reconst
             tau == q + 1 and nu2 == q + 2,
         )
     )
-    emb = embeds_in(red, plane.system, caps=caps)
-    spanned = len(emb.point_map) if emb is not None else 0
+    # When every line of red is a line of the plane, as when red comes
+    # from the pendant plane, the identity embeds red, and embeds_in's
+    # point map would cover red's support too, so the clause reads the
+    # same. Only otherwise does the search run: its first map found need
+    # not be the identity. The iso_points cap holds either way.
+    _check_embed_caps(red, plane.system, caps)
+    host = set(plane.system.lines)
+    if all(l in host for l in red.lines):
+        embeds, spanned = True, len(red.support)
+    else:
+        emb = embeds_in(red, plane.system, caps=caps)
+        embeds, spanned = emb is not None, len(emb.point_map) if emb is not None else 0
     clauses.append(
         ClauseCheck(
             "plane-embedding",
             {"embeds": True, "spanned_points": n_expected},
-            {"embeds": emb is not None, "spanned_points": spanned},
-            emb is not None and spanned == n_expected,
+            {"embeds": embeds, "spanned_points": spanned},
+            embeds and spanned == n_expected,
         )
     )
     compacted, _ = drop_isolated(red)

@@ -21,7 +21,9 @@ the pair count meet their caps before either is allocated.
 Deleting points or lines, keeping some lines and dropping isolated
 points keep a system linear, so those results are built from the
 source's lines by the constructor's container code without its tests,
-and build no pair table.
+and build no pair table. So are the projective planes, pendant
+extensions and triangular systems, linear by construction, after their
+sizes meet the caps (``_check_size``).
 """
 
 import math
@@ -77,6 +79,15 @@ def _as_point(x, num_points: int, where: str, kind: str = "point") -> int:
 
 def _as_line(x, num_lines: int, where: str) -> int:
     return _as_point(x, num_lines, where, "line")
+
+
+def _check_size(n: int, pairs: int, caps: Caps) -> None:
+    """Hold a system's n points, then its point pairs on lines (the sum of
+    C(|l|, 2)), to the caps, before either is allocated."""
+    if n > caps.system_points:
+        raise SizeLimit(f"{_decimal(n)} points exceeds cap {caps.system_points}")
+    if pairs > caps.system_pairs:
+        raise SizeLimit(f"{pairs} point pairs on lines exceeds cap {caps.system_pairs}")
 
 
 def _pair_table(line_tuples) -> Dict[Tuple[int, int], int]:
@@ -168,8 +179,7 @@ class LinearSystem:
             shown = _decimal(int(num_points)) if integral else f"type {type(num_points).__name__}"
             raise BadIndex(f"num_points must be a nonnegative integer, got {shown}")
         n = int(num_points)
-        if n > caps.system_points:
-            raise SizeLimit(f"{_decimal(n)} points exceeds cap {caps.system_points}")
+        _check_size(n, 0, caps)
 
         cleaned = []
         seen: Dict[frozenset, int] = {}
@@ -192,8 +202,7 @@ class LinearSystem:
         # exactly sum C(|l|, 2) distinct pairs. Only a system that holds
         # fewer is searched for its least clashing line pair.
         total = sum(k * (k - 1) // 2 for k in map(len, line_tuples))
-        if total > caps.system_pairs:
-            raise SizeLimit(f"{total} point pairs on lines exceeds cap {caps.system_pairs}")
+        _check_size(n, total, caps)
         pair = None
         if total <= _TABLE_PAIRS or n > _KEYED_POINTS:
             pair = _pair_table(line_tuples)
@@ -606,14 +615,18 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
                 image[i] = pair_line[(min(x, w), max(x, w))]
 
 
-def embeds_in(sub: LinearSystem, host: LinearSystem, caps: Caps = DEFAULT_CAPS) -> Optional[Embedding]:
-    """Backtracking search for an injective map of sub's support into host
-    carrying every line of sub into a distinct host line."""
+def _check_embed_caps(sub: LinearSystem, host: LinearSystem, caps: Caps) -> None:
     if len(sub.support) > caps.iso_points or len(host.support) > caps.iso_points:
         raise SizeLimit(
             f"embedding search over {len(sub.support)}/{len(host.support)} points,"
             f" cap is {caps.iso_points}"
         )
+
+
+def embeds_in(sub: LinearSystem, host: LinearSystem, caps: Caps = DEFAULT_CAPS) -> Optional[Embedding]:
+    """Backtracking search for an injective map of sub's support into host
+    carrying every line of sub into a distinct host line."""
+    _check_embed_caps(sub, host, caps)
     if not sub.lines:
         return Embedding(point_map={}, line_map={})
 

@@ -16,12 +16,15 @@ from typing import FrozenSet, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .core import LinearSystem, is_intersecting
+from .core import LinearSystem, _check_size, is_intersecting
 from .errors import NotPrimePower, OddOrder, SizeLimit
 from .field import FieldTable, _decimal, make_field
 from .limits import DEFAULT_CAPS, Caps
 
 Triple = Tuple[int, int, int]
+
+# (line, point) cells per chunk of the plane's incidence test
+_PLANE_CELLS = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,25 +83,49 @@ def normalized_triples(q: int) -> Tuple[Triple, ...]:
 
 
 def projective_plane(q: int, caps: Caps = DEFAULT_CAPS) -> PlaneModel:
-    """PG(2,q) for a prime power q within the configured order cap."""
+    """PG(2,q) for a prime power q within the configured order cap.
+
+    The result is linear by construction, so it is built without
+    ``LinearSystem``'s tests: two distinct lines a and b meet exactly in
+    the points x with a.x = b.x = 0, and two independent linear equations
+    in three homogeneous unknowns have a one-dimensional solution space,
+    one projective point (Hirschfeld, Projective Geometries over Finite
+    Fields, ch. 2). The q^2 + q + 1 points and the C(q + 1, 2) point
+    pairs on each line meet the caps before any line is built, with the
+    messages that ``LinearSystem`` gives. The incidence test a.x = 0 runs
+    on a chunk of lines against every point in one broadcast, a chunk
+    holding about ``_PLANE_CELLS`` (line, point) cells."""
     if q > caps.plane_order:
         raise SizeLimit(
             f"plane order {_decimal(q)} exceeds cap {caps.plane_order}"
         )
     p, k = _prime_power(q)
     F = make_field(p, k, caps=caps)
+    n = q * q + q + 1
+    _check_size(n, n * (q * (q + 1) // 2), caps)
 
     coords = normalized_triples(q)
-    n = len(coords)
-    C = np.array(coords, dtype=np.int64)
-    add, mul = F.add_table, F.mul_table
+    C = np.array(coords, dtype=np.intp)
+    # a.x = 0 iff a0*x0 + a1*x1 = -(a2*x2). Over all points x, row c of
+    # first, second and minus holds q*c*x0 (a row offset in the flat
+    # addition table), c*x1 and -(c*x2), so a chunk of lines reads whole
+    # rows, and one lookup in the flat table adds the first two terms
+    add = F.add_table
+    first, second, third = (np.take(F.mul_table, x, axis=1).astype(np.int32) for x in C.T)
+    first *= q
+    minus = np.nonzero(add == 0)[1].astype(add.dtype)[third]
 
+    # one int object per point, shared by every line through it
+    points = np.array(range(n), dtype=object)
     lines = []
-    for a0, a1, a2 in coords:
-        s = add[mul[a0, C[:, 0]], mul[a1, C[:, 1]]]
-        s = add[s, mul[a2, C[:, 2]]]
-        lines.append(np.nonzero(s == 0)[0].tolist())
-    system = LinearSystem(n, lines, name=f"PG(2,{q})", caps=caps)
+    step = max(1, _PLANE_CELLS // n)
+    for at in range(0, n, step):
+        a0, a1, a2 = C[at : at + step].T
+        on = add.ravel()[first[a0] + second[a1]] == minus[a2]
+        # each line holds q + 1 points, listed row by row in ascending order
+        rows = np.nonzero(on)[1].reshape(-1, q + 1)
+        lines.extend(map(frozenset, points[rows].tolist()))
+    system = LinearSystem._derived(n, lines, name=f"PG(2,{q})")
     return PlaneModel(
         system=system,
         point_coords=coords,

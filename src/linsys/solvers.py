@@ -4,7 +4,7 @@ Each invariant has one solve path. tau and gamma are minimum set covers
 and share one kernel and one driver, ``_min_cover``, whose greedy seed
 (``_greedy_cover``) is the kernel's incumbent and the witness unless the
 kernel improves on it. tau covers the lines with points (``_point_cover``,
-the transposed line-point incidence ``_incidence``); gamma covers the
+the point-line incidence, filled from ``lines_through``); gamma covers the
 points with the symmetric closed-neighbourhood matrix
 (``_closed_neighbourhoods``, each line's block set directly) and forces
 its isolated points into the witness. Each passes the kernel a proved
@@ -22,8 +22,9 @@ meet bound (an isolated point is on none). The search over the rest
 therefore prunes where the search over the whole incidence does below
 the node that takes every free line, and its first maximum packing in
 search order plus the free lines is the whole search's first. A system
-of free lines only hands the kernel an empty incidence, settled at the
-root in 1 node. ``_packing_bounds`` does this set-up and proves the
+of free lines only would hand the kernel an empty incidence, which it
+settles at the root, so nu2 answers it without the kernel, in 1 node.
+``_packing_bounds`` does this set-up and proves the
 search's root bound top by the meet, parity and capacity rules. The
 search stops at top and starts from the size of ``incumbent=``, a
 packing that ``verify_two_packing`` must accept, with no change to the
@@ -127,7 +128,10 @@ def _greedy_cover(covers: np.ndarray, universe: np.ndarray) -> Tuple[int, ...]:
 
 def _point_cover(sys: LinearSystem) -> np.ndarray:
     """(n, m) uint8 matrix: row v marks the lines through point v."""
-    return np.ascontiguousarray(_incidence(sys).T)
+    m = sys.num_lines
+    out = np.zeros(sys.num_points * m, dtype=np.uint8)
+    out[[v * m + i for v, ls in enumerate(sys.lines_through) for i in ls]] = 1
+    return out.reshape(-1, m)
 
 
 def greedy_transversal(sys: LinearSystem) -> Tuple[int, ...]:
@@ -318,6 +322,10 @@ def two_packing_number(
 
     top, incidence, free, kept, heavy = _packing_bounds(sys)
     f = len(free)
+    if not len(kept):
+        # the free lines alone, which the kernel settles at its root
+        dt = time.perf_counter() - t0
+        return SolveResult(KIND_TWO_PACKING, f, tuple(free), 1, dt)
     best0 = max(len(incumbent) - f - 1, 0) if incumbent is not None else 0
     best, wit, nodes = ks.nu2_search(incidence[kept][:, heavy], top - f, best0)
     witness = tuple(sorted(free + kept[wit[: int(best)]].tolist()))

@@ -12,6 +12,8 @@ at most about 21). The reference kernel is not brute force: it is the
 cover search one node at a time, whose tree, witness and node count
 the package's kernel must reproduce. The dual conic is geometry, not
 search: it takes a built plane's coordinates and field tables as data.
+``system_fields`` lists what a built system exposes, to compare a
+system built without the constructor's tests with its validated rebuild.
 """
 
 import itertools
@@ -397,3 +399,19 @@ def lex_first_dual_conic(plane):
     for row, c in zip(rows, pivots):
         coef[c] = neg[row[free]]
     return tuple(i for i, a in enumerate(plane.point_coords) if on_conic(coef, a))
+
+
+def system_fields(sys):
+    """Every field of a built system, the lazily built pair table too,
+    keys in their order."""
+    return (
+        sys.num_points,
+        sys.name,
+        sys.lines,
+        sys.line_tuples,
+        sys.degrees.dtype,
+        sys.degrees.tolist(),
+        sys.lines_through,
+        sys.support,
+        list(sys.pair_line.items()),
+    )

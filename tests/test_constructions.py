@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from linsys import (
+    CheckRow,
     LinearSystem,
     NotIntersecting,
     NotMember,
@@ -31,6 +32,9 @@ from linsys import (
 )
 from linsys.limits import Caps
 
+from corpus import build_corpus
+from oracles import system_fields
+
 
 @pytest.fixture(scope="module")
 def ext_fano():
@@ -53,6 +57,42 @@ def test_extension_rejects_bad_inputs():
         extend_with_pendant_points(LinearSystem(4, [[0, 1], [1, 2, 3]]))
     with pytest.raises(NotIntersecting):
         extend_with_pendant_points(LinearSystem(4, [[0, 1], [2, 3]]))
+
+
+def _qualifies_for_extension(sys):
+    return bool(sys.lines) and is_uniform(sys, rank(sys)) and is_intersecting(sys)
+
+
+def test_extension_equals_its_validated_rebuild():
+    # the extension is built without LinearSystem's tests; the validated
+    # constructor, given line i plus point n + i, builds the same system
+    systems = [s for s in build_corpus() if _qualifies_for_extension(s)]
+    systems += [projective_plane(q).system for q in (2, 3, 4, 5)]
+    assert len(systems) >= 20
+    for s in systems:
+        n = s.num_points
+        lines = [list(l) + [n + i] for i, l in enumerate(s.line_tuples)]
+        rebuilt = LinearSystem(n + s.num_lines, lines, s.name and f"{s.name}+pendants")
+        assert system_fields(extend_with_pendant_points(s)) == system_fields(rebuilt)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_extension_caps_one_below_the_need(q):
+    plane = projective_plane(q).system
+    n = plane.num_points
+    pairs = n * ((q + 2) * (q + 1) // 2)
+    lines = [list(l) + [n + i] for i, l in enumerate(plane.line_tuples)]
+    for caps, message in (
+        (Caps(system_points=2 * n - 1), f"{2 * n} points exceeds cap {2 * n - 1}"),
+        (Caps(system_pairs=pairs - 1), f"{pairs} point pairs on lines exceeds cap {pairs - 1}"),
+    ):
+        with pytest.raises(SizeLimit) as built:
+            extend_with_pendant_points(plane, caps)
+        with pytest.raises(SizeLimit) as rebuilt:
+            LinearSystem(2 * n, lines, caps=caps)
+        assert str(built.value) == str(rebuilt.value) == message
+    exact = Caps(system_points=2 * n, system_pairs=pairs)
+    assert extend_with_pendant_points(plane, exact) == extend_with_pendant_points(plane)
 
 
 def test_membership_of_extension(ext_fano):
@@ -219,6 +259,13 @@ def test_triangular_lines_are_the_pairs_through_each_number(m):
     assert tri.line_tuples == want
 
 
+@pytest.mark.parametrize("m", range(3, 13))
+def test_triangular_equals_its_validated_rebuild(m):
+    tri = triangular_system(m)
+    rebuilt = LinearSystem(tri.num_points, tri.line_tuples, name=tri.name)
+    assert system_fields(tri) == system_fields(rebuilt)
+
+
 def test_triangular_refuses_over_cap_before_building():
     tracemalloc.start()
     try:
@@ -236,9 +283,9 @@ def test_triangular_refuses_over_cap_before_building():
     assert peak < 2**16
     # the bounds are exact: C(5, 2) = 10 points, 5 * C(4, 2) = 30 pairs
     assert triangular_system(5, Caps(system_points=10, system_pairs=30)).num_points == 10
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit, match=r"^10 points exceeds cap 9$"):
         triangular_system(5, Caps(system_points=9))
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit, match=r"^30 point pairs on lines exceeds cap 29$"):
         triangular_system(5, Caps(system_pairs=29))
 
 
@@ -490,6 +537,70 @@ RAISED_BATTERY_ROWS = {
 def test_battery_rows_at_raised_caps(q):
     rows = verification_battery(q, caps=RAISED_CAPS)
     assert [(r.name, r.status, r.detail) for r in rows] == RAISED_BATTERY_ROWS[q]
+
+
+def _pendant_plane_rows(q):
+    """The reconstruction clause rows of the pendant plane of order q."""
+    n = q * q + q + 1
+    return [
+        {"clause": "uniform-intersecting", "expected": {"uniform": q + 1, "intersecting": True},
+         "actual": {"uniform": q + 1, "intersecting": True}, "pass": True},
+        {"clause": "point-count", "expected": n, "actual": n, "pass": True},
+        {"clause": "line-count-range", "expected": f"{3 * q}..{n}", "actual": n, "pass": True},
+        {"clause": "degree-structure", "expected": {"max_degree": q + 1, "deg2_points_per_line": "<=1"},
+         "actual": {"max_degree": q + 1, "deg2_points_per_line": 0}, "pass": True},
+        {"clause": "tau-nu2", "expected": {"tau": q + 1, "nu2": q + 2},
+         "actual": {"tau": q + 1, "nu2": q + 2}, "pass": True},
+        {"clause": "plane-embedding", "expected": {"embeds": True, "spanned_points": n},
+         "actual": {"embeds": True, "spanned_points": n}, "pass": True},
+        {"clause": "domination-one", "expected": 1, "actual": 1, "pass": True},
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_reconstruction_of_a_pendant_plane_runs_no_point_map_search(q, monkeypatch):
+    # the reduced system has the plane's own lines, so the identity embeds it
+    from linsys import constructions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the point-map search ran")
+
+    monkeypatch.setattr(constructions, "embeds_in", refuse)
+    ext = extend_with_pendant_points(projective_plane(q).system, RAISED_CAPS)
+    report = check_plane_reconstruction(ext, q, RAISED_CAPS)
+    assert report.to_rows() == _pendant_plane_rows(q)
+
+
+def test_reconstruction_of_a_relabelled_pendant_plane_searches(monkeypatch):
+    # a relabelling that is no collineation leaves the reduced system with
+    # lines that are not the plane's, so the point-map search decides the
+    # embedding clause
+    from linsys import constructions
+
+    calls = []
+    real = constructions.embeds_in
+    monkeypatch.setattr(
+        constructions, "embeds_in", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    ext = extend_with_pendant_points(projective_plane(2).system)
+    perm = [3, 0, 6, 1, 5, 2, 4] + list(range(7, 14))
+    relabelled = LinearSystem(14, [[perm[v] for v in l] for l in ext.line_tuples])
+    report = check_plane_reconstruction(relabelled, 2)
+    assert report.derivation.reduced.line_tuples == (
+        (0, 1, 2), (1, 3, 5), (1, 4, 6), (0, 3, 6), (0, 4, 5), (2, 3, 4), (2, 5, 6)
+    )
+    assert len(calls) == 1
+    # a relabelling changes none of the clause rows
+    assert report.to_rows() == _pendant_plane_rows(2)
+
+
+def test_reconstruction_keeps_the_embedding_cap():
+    # the identity check refuses what the point-map search refuses, so the
+    # battery skips the same rows under the same caps
+    rows = verification_battery(4, Caps(iso_points=20))
+    assert [r for r in rows if r.name.startswith("reconstruction")] == [
+        CheckRow("reconstruction", "skip", "size cap: embedding search over 21/21 points, cap is 20")
+    ]
 
 
 def test_reduced_system_rank_drops(ext_fano):

@@ -28,7 +28,7 @@ from linsys import (
 from linsys.limits import Caps
 
 from corpus import build_corpus
-from oracles import brute_plane_axioms
+from oracles import brute_plane_axioms, system_fields
 
 PLANE_ORDERS = [2, 3, 4, 5, 7, 8]
 
@@ -61,6 +61,38 @@ def test_normalized_triples():
         first = next(x for x in t if x != 0)
         assert first == 1
     assert triples[0] == (0, 0, 1)
+
+
+PRIME_POWERS_TO_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_32)
+def test_plane_equals_its_validated_rebuild(q):
+    # the plane is built without LinearSystem's tests, its lines being
+    # linear by construction; the validated constructor accepts the same
+    # lines and builds the same system
+    plane = projective_plane(q, caps=Caps(plane_order=32)).system
+    rebuilt = LinearSystem(plane.num_points, plane.line_tuples, name=plane.name)
+    assert system_fields(plane) == system_fields(rebuilt)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_plane_caps_one_below_the_need(q):
+    # the point and pair caps are checked by arithmetic before any line is
+    # built, with the messages of the validated constructor
+    plane = projective_plane(q).system
+    n = q * q + q + 1
+    pairs = n * (q * (q + 1) // 2)
+    for caps, message in (
+        (Caps(system_points=n - 1), f"{n} points exceeds cap {n - 1}"),
+        (Caps(system_pairs=pairs - 1), f"{pairs} point pairs on lines exceeds cap {pairs - 1}"),
+    ):
+        with pytest.raises(SizeLimit) as built:
+            projective_plane(q, caps=caps)
+        with pytest.raises(SizeLimit) as rebuilt:
+            LinearSystem(n, plane.line_tuples, caps=caps)
+        assert str(built.value) == str(rebuilt.value) == message
+    assert projective_plane(q, caps=Caps(system_points=n, system_pairs=pairs)).system == plane
 
 
 def test_plane_rejects_bad_orders():

@@ -33,7 +33,7 @@ from linsys import (
     verify_two_packing,
 )
 from linsys import solvers
-from linsys.kernels import PY_KERNELS
+from linsys.kernels import JIT_KERNELS, PY_KERNELS
 from linsys.limits import Caps
 from linsys.solvers import _closed_neighbourhoods, _incidence
 
@@ -586,6 +586,17 @@ def test_incidence_rows_are_the_lines():
         ] == list(s.line_tuples)
 
 
+def test_point_cover_rows_are_the_lines_through_each_point():
+    systems = build_corpus() + [_extended_plane(3), LinearSystem(3, [[1]])]
+    for s in systems:
+        cover = solvers._point_cover(s)
+        assert cover.dtype == np.uint8 and cover.flags.c_contiguous
+        assert np.array_equal(cover, _incidence(s).T)
+        assert [
+            tuple(np.flatnonzero(row).tolist()) for row in cover
+        ] == list(s.lines_through)
+
+
 def test_closed_neighbourhoods_match_set_logic():
     # row v of gamma's matrix is N[v], {v} for an isolated point
     systems = build_corpus() + [_extended_plane(q) for q in (2, 3, 4)]
@@ -683,6 +694,40 @@ def _free_lines(sys_):
         i for i, l in enumerate(sys_.lines)
         if all(sys_.degrees[v] <= 2 for v in l)
     ]
+
+
+def _build_style_system(rng, n, target):
+    """A random linear system on n points with up to target lines of 2..5
+    points, drawn as the benchmark's build workload draws them."""
+    lines = []
+    for _ in range(200):
+        if len(lines) == target:
+            break
+        cand = frozenset(rng.sample(range(n), rng.randint(2, min(5, n))))
+        if cand in lines or any(len(cand & l) > 1 for l in lines):
+            continue
+        lines.append(cand)
+    return LinearSystem(n, lines)
+
+
+@pytest.mark.parametrize("ks", [k for k in (PY_KERNELS, JIT_KERNELS) if k], ids=lambda k: k.name)
+def test_nu2_of_an_all_free_system_is_the_kernels_root_answer(ks):
+    # a system of free lines only is answered without the kernel, with the
+    # result the kernel gives on the empty incidence it would be handed
+    rng = random.Random(2018)
+    free_only = 0
+    for i in range(300):
+        sys_ = _build_style_system(rng, 5 + i % 12, 3 + 7 * i % 10)
+        if (sys_.degrees >= 3).any():
+            continue
+        free_only += 1
+        got = two_packing_number(sys_, kernels=ks)
+        top, incidence, free, kept, heavy = solvers._packing_bounds(sys_)
+        best, wit, nodes = ks.nu2_search(incidence[kept][:, heavy], top - len(free), 0)
+        want = (KIND_TWO_PACKING, len(free) + int(best), tuple(free), int(nodes))
+        assert (got.kind, got.value, got.witness, got.nodes_explored) == want
+        assert want == (KIND_TWO_PACKING, sys_.num_lines, tuple(range(sys_.num_lines)), 1)
+    assert free_only >= 20
 
 
 def _random_nu2_system(rng, kind):
