@@ -17,7 +17,9 @@ from typing import Dict, Tuple
 from .core import (
     LinearSystem,
     _check_embed_caps,
-    _check_size,
+    _check_pairs,
+    _check_points,
+    _Linear,
     degree_profile,
     delete_points,
     drop_isolated,
@@ -200,10 +202,11 @@ def extend_with_pendant_points(sys: LinearSystem, caps: Caps = DEFAULT_CAPS) -> 
     if not is_intersecting(sys):
         raise NotIntersecting("pendant extension needs an intersecting input")
     n, m = sys.num_points, sys.num_lines
-    _check_size(n + m, m * ((r + 1) * r // 2), caps)
+    _check_points(n + m, caps)
+    _check_pairs(m * ((r + 1) * r // 2), caps)
     lines = [l.union((n + i,)) for i, l in enumerate(sys.lines)]
     name = f"{sys.name}+pendants" if sys.name else None
-    return LinearSystem._derived(n + m, lines, name)
+    return LinearSystem(n + m, _Linear(lines), name)
 
 
 def triangular_system(m: int, caps: Caps = DEFAULT_CAPS) -> LinearSystem:
@@ -215,7 +218,8 @@ def triangular_system(m: int, caps: Caps = DEFAULT_CAPS) -> LinearSystem:
     if m < 3:
         raise ValueError(f"triangular system needs m >= 3, got {m}")
     n = m * (m - 1) // 2
-    _check_size(n, m * ((m - 1) * (m - 2) // 2), caps)
+    _check_points(n, caps)
+    _check_pairs(m * ((m - 1) * (m - 2) // 2), caps)
     # counting from 0, pair a < b is point start[a] + b - a - 1, start[a]
     # being the number of pairs whose smaller entry is below a
     start = [a * m - a * (a + 1) // 2 for a in range(m)]
@@ -226,7 +230,7 @@ def triangular_system(m: int, caps: Caps = DEFAULT_CAPS) -> LinearSystem:
         )
         for i in range(m)
     ]
-    return LinearSystem._derived(n, lines, name=f"triangular-{m}")
+    return LinearSystem(n, _Linear(lines), name=f"triangular-{m}")
 
 
 @dataclass(frozen=True)

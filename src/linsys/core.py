@@ -21,9 +21,11 @@ the pair count meet their caps before either is allocated.
 Deleting points or lines, keeping some lines and dropping isolated
 points keep a system linear, so those results are built from the
 source's lines by the constructor's container code without its tests,
-and build no pair table. So are the projective planes, pendant
-extensions and triangular systems, linear by construction, after their
-sizes meet the caps (``_check_size``).
+and build no pair table (``LinearSystem._derived``). The projective
+planes, pendant extensions and triangular systems are linear by
+construction: each holds its size to the caps (``_check_points``,
+``_check_pairs``) before it builds a line, and hands the constructor its
+lines as ``_Linear``, which skips the constructor's tests too.
 """
 
 import math
@@ -81,13 +83,22 @@ def _as_line(x, num_lines: int, where: str) -> int:
     return _as_point(x, num_lines, where, "line")
 
 
-def _check_size(n: int, pairs: int, caps: Caps) -> None:
-    """Hold a system's n points, then its point pairs on lines (the sum of
-    C(|l|, 2)), to the caps, before either is allocated."""
+def _check_points(n: int, caps: Caps) -> None:
     if n > caps.system_points:
         raise SizeLimit(f"{_decimal(n)} points exceeds cap {caps.system_points}")
+
+
+def _check_pairs(pairs: int, caps: Caps) -> None:
+    """pairs is the number of point pairs on lines, the sum of C(|l|, 2)."""
     if pairs > caps.system_pairs:
         raise SizeLimit(f"{pairs} point pairs on lines exceeds cap {caps.system_pairs}")
+
+
+class _Linear(tuple):
+    """The lines of a system that is linear by construction: frozensets,
+    nonempty, distinct and within its points, whose count and pairs were
+    held to the caps before they were built. ``LinearSystem`` takes them
+    without its tests."""
 
 
 def _pair_table(line_tuples) -> Dict[Tuple[int, int], int]:
@@ -154,7 +165,8 @@ class LinearSystem:
     indices, or any pair of lines sharing two or more points.
 
     caps bounds num_points and the number of point pairs on lines before
-    either is allocated (SizeLimit)."""
+    either is allocated (SizeLimit). Lines given as ``_Linear`` are taken
+    as they are."""
 
     __slots__ = (
         "num_points",
@@ -174,12 +186,16 @@ class LinearSystem:
         name: Optional[str] = None,
         caps: Caps = DEFAULT_CAPS,
     ):
+        if type(lines) is _Linear:
+            lines = tuple(lines)
+            self._fill(num_points, lines, tuple(tuple(sorted(l)) for l in lines), name)
+            return
         integral = _is_int(num_points)
         if not integral or num_points < 0:
             shown = _decimal(int(num_points)) if integral else f"type {type(num_points).__name__}"
             raise BadIndex(f"num_points must be a nonnegative integer, got {shown}")
         n = int(num_points)
-        _check_size(n, 0, caps)
+        _check_points(n, caps)
 
         cleaned = []
         seen: Dict[frozenset, int] = {}
@@ -202,7 +218,7 @@ class LinearSystem:
         # exactly sum C(|l|, 2) distinct pairs. Only a system that holds
         # fewer is searched for its least clashing line pair.
         total = sum(k * (k - 1) // 2 for k in map(len, line_tuples))
-        _check_size(n, total, caps)
+        _check_pairs(total, caps)
         pair = None
         if total <= _TABLE_PAIRS or n > _KEYED_POINTS:
             pair = _pair_table(line_tuples)
@@ -219,7 +235,9 @@ class LinearSystem:
     def _derived(cls, num_points: int, lines: Iterable[frozenset], name: Optional[str] = None):
         """The system on lines taken from a built system: nonempty,
         distinct, in range and linear, so none of it is tested again, and
-        no pair table is built until ``pair_line`` is read."""
+        no pair table is built until ``pair_line`` is read. A new system
+        that is linear by construction goes through the constructor
+        instead, with its lines as ``_Linear``."""
         self = object.__new__(cls)
         lines = tuple(lines)
         self._fill(num_points, lines, tuple(tuple(sorted(l)) for l in lines), name)

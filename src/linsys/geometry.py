@@ -16,7 +16,7 @@ from typing import FrozenSet, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .core import LinearSystem, _check_size, is_intersecting
+from .core import LinearSystem, _check_pairs, _check_points, _Linear, is_intersecting
 from .errors import NotPrimePower, OddOrder, SizeLimit
 from .field import FieldTable, _decimal, make_field
 from .limits import DEFAULT_CAPS, Caps
@@ -85,16 +85,17 @@ def normalized_triples(q: int) -> Tuple[Triple, ...]:
 def projective_plane(q: int, caps: Caps = DEFAULT_CAPS) -> PlaneModel:
     """PG(2,q) for a prime power q within the configured order cap.
 
-    The result is linear by construction, so it is built without
-    ``LinearSystem``'s tests: two distinct lines a and b meet exactly in
-    the points x with a.x = b.x = 0, and two independent linear equations
-    in three homogeneous unknowns have a one-dimensional solution space,
-    one projective point (Hirschfeld, Projective Geometries over Finite
-    Fields, ch. 2). The q^2 + q + 1 points and the C(q + 1, 2) point
-    pairs on each line meet the caps before any line is built, with the
-    messages that ``LinearSystem`` gives. The incidence test a.x = 0 runs
-    on a chunk of lines against every point in one broadcast, a chunk
-    holding about ``_PLANE_CELLS`` (line, point) cells."""
+    The result is linear by construction, so the constructor takes its
+    lines without its tests (``_Linear``): two distinct lines a and b
+    meet exactly in the points x with a.x = b.x = 0, and two independent
+    linear equations in three homogeneous unknowns have a one-dimensional
+    solution space, one projective point (Hirschfeld, Projective
+    Geometries over Finite Fields, ch. 2). The q^2 + q + 1 points and the
+    C(q + 1, 2) point pairs on each line meet the caps before any line is
+    built, with the messages that ``LinearSystem`` gives. The incidence
+    test a.x = 0 runs on a chunk of lines against every point in one
+    broadcast, a chunk holding about ``_PLANE_CELLS`` (line, point)
+    cells."""
     if q > caps.plane_order:
         raise SizeLimit(
             f"plane order {_decimal(q)} exceeds cap {caps.plane_order}"
@@ -102,7 +103,8 @@ def projective_plane(q: int, caps: Caps = DEFAULT_CAPS) -> PlaneModel:
     p, k = _prime_power(q)
     F = make_field(p, k, caps=caps)
     n = q * q + q + 1
-    _check_size(n, n * (q * (q + 1) // 2), caps)
+    _check_points(n, caps)
+    _check_pairs(n * (q * (q + 1) // 2), caps)
 
     coords = normalized_triples(q)
     C = np.array(coords, dtype=np.intp)
@@ -125,7 +127,7 @@ def projective_plane(q: int, caps: Caps = DEFAULT_CAPS) -> PlaneModel:
         # each line holds q + 1 points, listed row by row in ascending order
         rows = np.nonzero(on)[1].reshape(-1, q + 1)
         lines.extend(map(frozenset, points[rows].tolist()))
-    system = LinearSystem._derived(n, lines, name=f"PG(2,{q})")
+    system = LinearSystem(n, _Linear(lines), name=f"PG(2,{q})")
     return PlaneModel(
         system=system,
         point_coords=coords,

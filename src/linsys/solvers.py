@@ -22,9 +22,8 @@ meet bound (an isolated point is on none). The search over the rest
 therefore prunes where the search over the whole incidence does below
 the node that takes every free line, and its first maximum packing in
 search order plus the free lines is the whole search's first. A system
-of free lines only would hand the kernel an empty incidence, which it
-settles at the root, so nu2 answers it without the kernel, in 1 node.
-``_packing_bounds`` does this set-up and proves the
+of free lines only hands the kernel an empty incidence, settled at the
+root in 1 node. ``_packing_bounds`` does this set-up and proves the
 search's root bound top by the meet, parity and capacity rules. The
 search stops at top and starts from the size of ``incumbent=``, a
 packing that ``verify_two_packing`` must accept, with no change to the
@@ -322,10 +321,6 @@ def two_packing_number(
 
     top, incidence, free, kept, heavy = _packing_bounds(sys)
     f = len(free)
-    if not len(kept):
-        # the free lines alone, which the kernel settles at its root
-        dt = time.perf_counter() - t0
-        return SolveResult(KIND_TWO_PACKING, f, tuple(free), 1, dt)
     best0 = max(len(incumbent) - f - 1, 0) if incumbent is not None else 0
     best, wit, nodes = ks.nu2_search(incidence[kept][:, heavy], top - f, best0)
     witness = tuple(sorted(free + kept[wit[: int(best)]].tolist()))

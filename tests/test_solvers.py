@@ -712,8 +712,8 @@ def _build_style_system(rng, n, target):
 
 @pytest.mark.parametrize("ks", [k for k in (PY_KERNELS, JIT_KERNELS) if k], ids=lambda k: k.name)
 def test_nu2_of_an_all_free_system_is_the_kernels_root_answer(ks):
-    # a system of free lines only is answered without the kernel, with the
-    # result the kernel gives on the empty incidence it would be handed
+    # a system of free lines only hands the kernel an empty incidence,
+    # settled at the root: every line, in 1 node
     rng = random.Random(2018)
     free_only = 0
     for i in range(300):
