@@ -37,6 +37,7 @@ from .errors import (
     OddOrder,
     SizeLimit,
 )
+from .field import _as_int
 from .geometry import (
     PlaneModel,
     dual_conic_lines,
@@ -204,7 +205,8 @@ def extend_with_pendant_points(sys: LinearSystem, caps: Caps = DEFAULT_CAPS) -> 
     n, m = sys.num_points, sys.num_lines
     _check_points(n + m, caps)
     _check_pairs(m * ((r + 1) * r // 2), caps)
-    lines = [l.union((n + i,)) for i, l in enumerate(sys.lines)]
+    # the fresh point is above every old one, so each line stays ascending
+    lines = [t + (n + i,) for i, t in enumerate(sys.line_tuples)]
     name = f"{sys.name}+pendants" if sys.name else None
     return LinearSystem(n + m, _Linear(lines), name)
 
@@ -215,6 +217,7 @@ def triangular_system(m: int, caps: Caps = DEFAULT_CAPS) -> LinearSystem:
     every point on exactly two lines, and linear: lines i != j share
     exactly the pair {i, j}. The C(m, 2) points and the m * C(m-1, 2)
     point pairs on lines are held to the caps before any line is built."""
+    m = _as_int(m, "triangular_system", "m")
     if m < 3:
         raise ValueError(f"triangular system needs m >= 3, got {m}")
     n = m * (m - 1) // 2
@@ -223,8 +226,9 @@ def triangular_system(m: int, caps: Caps = DEFAULT_CAPS) -> LinearSystem:
     # counting from 0, pair a < b is point start[a] + b - a - 1, start[a]
     # being the number of pairs whose smaller entry is below a
     start = [a * m - a * (a + 1) // 2 for a in range(m)]
+    # line i lists its pairs (a, i), a < i, then (i, b), b > i: ascending
     lines = [
-        frozenset(
+        tuple(
             [start[a] + i - a - 1 for a in range(i)]
             + list(range(start[i], start[i] + m - 1 - i))
         )

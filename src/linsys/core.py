@@ -18,22 +18,21 @@ only when ``pair_line`` is first read. Only a system that fails is
 searched for its least clashing line pair. The declared point count and
 the pair count meet their caps before either is allocated.
 
-Deleting points or lines, keeping some lines and dropping isolated
-points keep a system linear, so those results are built from the
-source's lines by the constructor's container code without its tests,
-and build no pair table (``LinearSystem._derived``). The projective
-planes, pendant extensions and triangular systems are linear by
-construction: each holds its size to the caps (``_check_points``,
-``_check_pairs``) before it builds a line, and hands the constructor its
-lines as ``_Linear``, which skips the constructor's tests too.
+A system that is linear by construction is built by the constructor
+from its lines as ``_Linear``, ascending int tuples that become its
+``line_tuples`` as they are: no test, no sort and no pair table. Deleting
+points or lines, keeping some lines and dropping isolated points keep a
+system linear and each source line ascending, so they take this path, as
+do the projective planes, pendant extensions and triangular systems,
+which hold their size to the caps (``_check_points``, ``_check_pairs``)
+before they build a line.
 """
 
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, filterfalse, repeat
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -46,16 +45,10 @@ from .errors import (
     NoLines,
     SizeLimit,
 )
-from .field import _decimal
+from .field import _as_int, _decimal, _is_int
 from .limits import DEFAULT_CAPS, Caps
 
 _INT = {int}
-
-
-def _is_int(x) -> bool:
-    """Whether x, from outside the program, is an int or numpy int, and not
-    a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 # Up to this many point pairs on lines, counting the pair table's keys is
@@ -69,9 +62,7 @@ _KEYED_POINTS = math.isqrt(np.iinfo(np.int64).max)
 
 def _as_point(x, num_points: int, where: str, kind: str = "point") -> int:
     """x as an index below num_points: an int or numpy int, not a bool."""
-    if not _is_int(x):
-        raise BadIndex(f"{where}: {kind} of type {type(x).__name__} is not an integer")
-    v = int(x)
+    v = _as_int(x, where, kind)
     if not 0 <= v < num_points:
         raise BadIndex(
             f"{where}: {kind} {_decimal(v)} outside 0..{_decimal(num_points - 1)}"
@@ -95,10 +86,11 @@ def _check_pairs(pairs: int, caps: Caps) -> None:
 
 
 class _Linear(tuple):
-    """The lines of a system that is linear by construction: frozensets,
-    nonempty, distinct and within its points, whose count and pairs were
-    held to the caps before they were built. ``LinearSystem`` takes them
-    without its tests."""
+    """The lines of a system that is linear by construction, each an
+    ascending tuple of ints: nonempty, distinct and within its points,
+    their count and pairs held to the caps before they were built.
+    ``LinearSystem`` takes them as its ``line_tuples``, without its tests
+    and without sorting them."""
 
 
 def _pair_table(line_tuples) -> Dict[Tuple[int, int], int]:
@@ -187,8 +179,7 @@ class LinearSystem:
         caps: Caps = DEFAULT_CAPS,
     ):
         if type(lines) is _Linear:
-            lines = tuple(lines)
-            self._fill(num_points, lines, tuple(tuple(sorted(l)) for l in lines), name)
+            self._fill(num_points, tuple(map(frozenset, lines)), tuple(lines), name)
             return
         integral = _is_int(num_points)
         if not integral or num_points < 0:
@@ -230,18 +221,6 @@ class LinearSystem:
             raise LinearityViolation(h, i, cleaned[h] & cleaned[i])
         self._fill(n, tuple(cleaned), line_tuples, name)
         self._pair_line = pair
-
-    @classmethod
-    def _derived(cls, num_points: int, lines: Iterable[frozenset], name: Optional[str] = None):
-        """The system on lines taken from a built system: nonempty,
-        distinct, in range and linear, so none of it is tested again, and
-        no pair table is built until ``pair_line`` is read. A new system
-        that is linear by construction goes through the constructor
-        instead, with its lines as ``_Linear``."""
-        self = object.__new__(cls)
-        lines = tuple(lines)
-        self._fill(num_points, lines, tuple(tuple(sorted(l)) for l in lines), name)
-        return self
 
     def _fill(self, n: int, lines, line_tuples, name: Optional[str]) -> None:
         self.num_points = n
@@ -328,11 +307,12 @@ def delete_points(sys: LinearSystem, points: Iterable[int]) -> LinearSystem:
     points become isolated."""
     gone = {_as_point(p, sys.num_points, "delete_points") for p in points}
     out = {}  # insertion-ordered set of the surviving lines
-    for l in sys.lines:
-        nl = l - gone
-        if nl:
-            out.setdefault(nl)
-    return LinearSystem._derived(sys.num_points, out)
+    for t in sys.line_tuples:
+        # ascending tuples are equal exactly when their point sets are
+        nt = tuple(filterfalse(gone.__contains__, t))
+        if nt:
+            out.setdefault(nt)
+    return LinearSystem(sys.num_points, _Linear(out))
 
 
 def delete_point(sys: LinearSystem, point: int) -> LinearSystem:
@@ -342,8 +322,8 @@ def delete_point(sys: LinearSystem, point: int) -> LinearSystem:
 
 def delete_line(sys: LinearSystem, line_index: int) -> LinearSystem:
     i = _as_line(line_index, sys.num_lines, "delete_line")
-    out = sys.lines[:i] + sys.lines[i + 1 :]
-    return LinearSystem._derived(sys.num_points, out)
+    out = sys.line_tuples[:i] + sys.line_tuples[i + 1 :]
+    return LinearSystem(sys.num_points, _Linear(out))
 
 
 def induced_subsystem(sys: LinearSystem, line_indices: Iterable[int]) -> LinearSystem:
@@ -351,7 +331,7 @@ def induced_subsystem(sys: LinearSystem, line_indices: Iterable[int]) -> LinearS
     kept lines) is available as the result's ``support``."""
     m = sys.num_lines
     idx = sorted({_as_line(i, m, "induced_subsystem") for i in line_indices})
-    return LinearSystem._derived(sys.num_points, [sys.lines[i] for i in idx])
+    return LinearSystem(sys.num_points, _Linear(sys.line_tuples[i] for i in idx))
 
 
 def is_spanning_subsystem(sub: LinearSystem, sys: LinearSystem) -> bool:
@@ -385,8 +365,9 @@ def drop_isolated(sys: LinearSystem) -> Tuple[LinearSystem, Dict[int, int]]:
     """Reindex onto the support, removing isolated points. Returns the
     compacted system and the old-index -> new-index map."""
     remap = {old: new for new, old in enumerate(sorted(sys.support))}
-    lines = [frozenset(map(remap.__getitem__, l)) for l in sys.lines]
-    return LinearSystem._derived(len(remap), lines, sys.name), remap
+    # the remap preserves order, so each line stays ascending
+    lines = _Linear(tuple(map(remap.__getitem__, t)) for t in sys.line_tuples)
+    return LinearSystem(len(remap), lines, sys.name), remap
 
 
 def pendant_reduction(sys: LinearSystem) -> Tuple[LinearSystem, Tuple[int, ...]]:

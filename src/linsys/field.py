@@ -7,11 +7,12 @@ are reproducible across runs and machines.
 """
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPrime, SizeLimit
+from .errors import BadIndex, NotPrime, SizeLimit
 from .limits import DEFAULT_CAPS, Caps
 
 
@@ -101,8 +102,22 @@ def _decimal(x) -> str:
         return f"<{x.bit_length()}-bit integer>"
 
 
+def _is_int(x) -> bool:
+    """Whether x, from outside the program, is an int or numpy int, and not
+    a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _as_int(x, where: str, kind: str) -> int:
+    """x as an int when ``_is_int(x)``; BadIndex naming its type otherwise."""
+    if not _is_int(x):
+        raise BadIndex(f"{where}: {kind} of type {type(x).__name__} is not an integer")
+    return int(x)
+
+
 def make_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FieldTable:
     """Build GF(p^k) tables. p must be prime, k >= 1, p**k within caps."""
+    p, k = _as_int(p, "make_field", "p"), _as_int(k, "make_field", "k")
     cap = caps.field_order
     # above the cap, refuse k < 1 and p**k > cap before the sqrt(p)-step
     # primality test; build p**k for the message only while that is cheap

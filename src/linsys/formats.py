@@ -12,8 +12,9 @@ LINSYS_CAPS sets).
 import json
 from typing import Union
 
-from .core import _INT, LinearSystem, _is_int
+from .core import _INT, LinearSystem
 from .errors import FormatError
+from .field import _is_int
 from .limits import DEFAULT_CAPS, Caps
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import LinearSystem, _check_pairs, _check_points, _Linear, is_intersecting
 from .errors import NotPrimePower, OddOrder, SizeLimit
-from .field import FieldTable, _decimal, make_field
+from .field import FieldTable, _as_int, _decimal, make_field
 from .limits import DEFAULT_CAPS, Caps
 
 Triple = Tuple[int, int, int]
@@ -96,6 +96,7 @@ def projective_plane(q: int, caps: Caps = DEFAULT_CAPS) -> PlaneModel:
     test a.x = 0 runs on a chunk of lines against every point in one
     broadcast, a chunk holding about ``_PLANE_CELLS`` (line, point)
     cells."""
+    q = _as_int(q, "projective_plane", "order")
     if q > caps.plane_order:
         raise SizeLimit(
             f"plane order {_decimal(q)} exceeds cap {caps.plane_order}"
@@ -126,7 +127,7 @@ def projective_plane(q: int, caps: Caps = DEFAULT_CAPS) -> PlaneModel:
         on = add.ravel()[first[a0] + second[a1]] == minus[a2]
         # each line holds q + 1 points, listed row by row in ascending order
         rows = np.nonzero(on)[1].reshape(-1, q + 1)
-        lines.extend(map(frozenset, points[rows].tolist()))
+        lines.extend(map(tuple, points[rows].tolist()))
     system = LinearSystem(n, _Linear(lines), name=f"PG(2,{q})")
     return PlaneModel(
         system=system,

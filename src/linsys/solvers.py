@@ -3,8 +3,8 @@
 Each invariant has one solve path. tau and gamma are minimum set covers
 and share one kernel and one driver, ``_min_cover``, whose greedy seed
 (``_greedy_cover``) is the kernel's incumbent and the witness unless the
-kernel improves on it. tau covers the lines with points (``_point_cover``,
-the point-line incidence, filled from ``lines_through``); gamma covers the
+kernel improves on it. tau covers the lines with points (``_incidence``
+of ``lines_through``, the point-line incidence); gamma covers the
 points with the symmetric closed-neighbourhood matrix
 (``_closed_neighbourhoods``, each line's block set directly) and forces
 its isolated points into the witness. Each passes the kernel a proved
@@ -50,10 +50,9 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .core import (
-    LinearSystem, _as_line, _is_int, _line_arrays, degree_profile, is_intersecting,
-)
+from .core import LinearSystem, _as_line, _line_arrays, degree_profile, is_intersecting
 from .errors import NoLines, NotTwoPacking, SizeLimit
+from .field import _is_int
 from .kernels import ACTIVE, KernelSet
 from .limits import DEFAULT_CAPS, Caps
 
@@ -91,12 +90,13 @@ def _check_caps(sys: LinearSystem, caps: Caps) -> None:
         )
 
 
-def _incidence(sys: LinearSystem) -> np.ndarray:
-    """(m, n) uint8 line-point incidence matrix."""
-    n = sys.num_points
-    out = np.zeros(sys.num_lines * n, dtype=np.uint8)
-    out[[i * n + v for i, l in enumerate(sys.line_tuples) for v in l]] = 1
-    return out.reshape(-1, n)
+def _incidence(rows, width: int) -> np.ndarray:
+    """(len(rows), width) uint8 matrix with a 1 at (i, v) for each v in
+    rows[i]: the line-point incidence from (``line_tuples``, n), the
+    point-line cover from (``lines_through``, m)."""
+    out = np.zeros(len(rows) * width, dtype=np.uint8)
+    out[[i * width + v for i, r in enumerate(rows) for v in r]] = 1
+    return out.reshape(len(rows), width)
 
 
 def _closed_neighbourhoods(sys: LinearSystem) -> np.ndarray:
@@ -125,20 +125,13 @@ def _greedy_cover(covers: np.ndarray, universe: np.ndarray) -> Tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def _point_cover(sys: LinearSystem) -> np.ndarray:
-    """(n, m) uint8 matrix: row v marks the lines through point v."""
-    m = sys.num_lines
-    out = np.zeros(sys.num_points * m, dtype=np.uint8)
-    out[[v * m + i for v, ls in enumerate(sys.lines_through) for i in ls]] = 1
-    return out.reshape(-1, m)
-
-
 def greedy_transversal(sys: LinearSystem) -> Tuple[int, ...]:
     """Pick the point hitting the most uncovered lines (lowest index on
     ties) until every line is hit."""
     if not sys.lines:
         raise NoLines("a transversal needs at least one line")
-    return _greedy_cover(_point_cover(sys), np.ones(sys.num_lines, dtype=np.uint8))
+    m = sys.num_lines
+    return _greedy_cover(_incidence(sys.lines_through, m), np.ones(m, dtype=np.uint8))
 
 
 def _min_cover(kind, search, covers, universe, forced, floor, t0) -> SolveResult:
@@ -184,7 +177,7 @@ def transversal_number(
     universe = np.ones(m, dtype=np.uint8)
     root = -(-m // int(sys.degrees.max()))
     return _min_cover(
-        KIND_TRANSVERSAL, ks.tau_search, _point_cover(sys), universe, [],
+        KIND_TRANSVERSAL, ks.tau_search, _incidence(sys.lines_through, m), universe, [],
         lambda seed: _disjoint_lines(sys) if seed > root else 0, t0,
     )
 
@@ -278,7 +271,7 @@ def _packing_bounds(sys: LinearSystem):
       sum to at most 2h.
     top is the least of m and the rules that apply, so a verified
     2-packing of top lines is maximum."""
-    incidence = _incidence(sys)
+    incidence = _incidence(sys.line_tuples, sys.num_points)
     deg = sys.degrees
     m = sys.num_lines
     # the meet and parity rules, with r the most points of degree >= 2 on

@@ -1,9 +1,11 @@
 import itertools
 import time
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from linsys import NotPrime, SizeLimit, make_field
+from linsys import BadIndex, NotPrime, SizeLimit, make_field, projective_plane, triangular_system
 from linsys.limits import Caps
 
 
@@ -87,6 +89,32 @@ def test_rejects_bad_input():
     # a tighter cap bites earlier
     with pytest.raises(SizeLimit):
         make_field(2, 3, caps=Caps(field_order=4))
+
+
+# each generator's order, and make_field's p and k, as the call and the
+# message's prefix
+GENERATOR_ORDERS = {
+    "projective_plane": (projective_plane, "projective_plane: order"),
+    "triangular_system": (triangular_system, "triangular_system: m"),
+    "make_field-p": (lambda x: make_field(x, 1), "make_field: p"),
+    "make_field-k": (lambda x: make_field(2, x), "make_field: k"),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, "3", None, Fraction(4, 1), True], ids=repr)
+@pytest.mark.parametrize("call", list(GENERATOR_ORDERS))
+def test_generator_orders_must_be_integers(call, value):
+    build, where = GENERATOR_ORDERS[call]
+    kind = type(value).__name__
+    with pytest.raises(BadIndex, match=rf"^{where} of type {kind} is not an integer$"):
+        build(value)
+
+
+def test_generator_orders_take_numpy_integers():
+    assert projective_plane(np.int64(3)).system == projective_plane(3).system
+    assert triangular_system(np.int32(5)) == triangular_system(5)
+    F = make_field(np.int64(3), np.int8(2))
+    assert (F.p, F.k, F.q) == (3, 2, 9) and type(F.q) is int
 
 
 def test_tables_are_read_only():

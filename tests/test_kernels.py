@@ -34,7 +34,7 @@ def test_active_backend_selection():
 
 
 def test_pairwise_matches_set_arithmetic(fano):
-    counts = ACTIVE.pairwise_intersections(_incidence(fano))
+    counts = ACTIVE.pairwise_intersections(_incidence(fano.line_tuples, fano.num_points))
     for i in range(7):
         for j in range(7):
             assert counts[i, j] == len(fano.lines[i] & fano.lines[j])
@@ -77,7 +77,7 @@ def test_nu2_kernel_backends_identical_with_caller_top():
     # never stops early
     for sys_ in build_corpus()[::9] + [projective_plane(3).system]:
         m = sys_.num_lines
-        inc = _incidence(sys_)
+        inc = _incidence(sys_.line_tuples, sys_.num_points)
         for top in (m, m + 1):
             a_best, a_wit, a_nodes = PY_KERNELS.nu2_search(inc, top)
             b_best, b_wit, b_nodes = JIT_KERNELS.nu2_search(inc, top)
@@ -122,7 +122,7 @@ def _cover_inputs(sys_):
     greedy seed as the incumbent."""
     out = []
     if sys_.lines:
-        point_cover = np.ascontiguousarray(_incidence(sys_).T)
+        point_cover = _incidence(sys_.lines_through, sys_.num_lines)
         universe = np.ones(sys_.num_lines, dtype=np.uint8)
         seed = _greedy_cover(point_cover, universe)
         out.append((point_cover, universe, len(seed)))

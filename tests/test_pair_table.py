@@ -2,11 +2,13 @@
 the reference constructor in oracles.py, attribute by attribute, with
 ``pair_line`` item for item in insertion order.
 
-Derived systems (point and line deletion, induced subsystems, isolated
-points dropped, pendant reduction) are built from their source's lines
-without the constructor's tests; systems above ``_TABLE_PAIRS`` point
-pairs test linearity by sorting pair keys. Both must raise, or not raise,
-and fill every container exactly as the reference does."""
+Systems linear by construction (point and line deletion, induced
+subsystems, isolated points dropped, pendant reduction, planes, pendant
+extensions and triangular systems) are built by one constructor call
+each, from ascending line tuples taken as they are, without the
+constructor's tests; systems above ``_TABLE_PAIRS`` point pairs test
+linearity by sorting pair keys. Both must raise, or not raise, and fill
+every container exactly as the reference does."""
 
 import random
 import tracemalloc
@@ -27,10 +29,11 @@ from linsys import (
     induced_subsystem,
     pendant_reduction,
     projective_plane,
+    triangular_system,
     verify_plane_axioms,
 )
 from linsys import core
-from linsys.core import _TABLE_PAIRS
+from linsys.core import _TABLE_PAIRS, _Linear
 from linsys.solvers import _closed_neighbourhoods
 
 from corpus import build_corpus
@@ -311,3 +314,45 @@ def test_collinearity_adjacent_equals_the_table(sys_):
         for v in range(n):
             want = u == v or (min(u, v), max(u, v)) in sys_.pair_line
             assert collinearity_adjacent(sys_, u, v) == want
+
+
+PLANE3 = SMALL_PLANES[1]
+SHRUNK3 = delete_points(PLANE3, [0, 1, 2])
+EXTENDED2 = extend_with_pendant_points(SMALL_PLANES[0])
+# each builds one system, from sources built before the count starts
+SINGLE_PATH = {
+    "delete_points": lambda: delete_points(PLANE3, [0, 4, 9]),
+    "delete_line": lambda: delete_line(PLANE3, 5),
+    "induced_subsystem": lambda: induced_subsystem(PLANE3, [7, 2, 11, 2]),
+    "drop_isolated": lambda: drop_isolated(SHRUNK3)[0],
+    # one round: the pendant points go, and the plane has none
+    "pendant_reduction": lambda: pendant_reduction(EXTENDED2)[0],
+    "projective_plane": lambda: projective_plane(4).system,
+    "extend_with_pendant_points": lambda: extend_with_pendant_points(PLANE3),
+    "triangular_system": lambda: triangular_system(7),
+}
+
+
+@pytest.mark.parametrize("name", list(SINGLE_PATH))
+def test_each_system_is_built_by_one_constructor_call(name, monkeypatch):
+    built = []
+    init = LinearSystem.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(LinearSystem, "__init__", counted)
+    got = SINGLE_PATH[name]()
+    assert len(built) == 1 and built[0] is got
+    assert got._pair_line is None
+    assert all(type(t) is tuple for t in got.line_tuples)
+    assert all(a < b for t in got.line_tuples for a, b in zip(t, t[1:]))
+    assert got.lines == tuple(map(frozenset, got.line_tuples))
+
+
+def test_linear_lines_are_taken_unsorted_and_uncopied():
+    ts = [(0, 1, 2), (2, 3), (4,)]
+    got = LinearSystem(5, _Linear(ts))
+    assert all(got.line_tuples[i] is ts[i] for i in range(len(ts)))
+    assert got.lines == (frozenset({0, 1, 2}), frozenset({2, 3}), frozenset({4}))

@@ -579,7 +579,7 @@ def test_floors_are_at_most_the_oracles():
 
 def test_incidence_rows_are_the_lines():
     for s in build_corpus() + [_extended_plane(3)]:
-        inc = _incidence(s)
+        inc = _incidence(s.line_tuples, s.num_points)
         assert inc.dtype == np.uint8 and inc.flags.c_contiguous
         assert [
             tuple(np.flatnonzero(row).tolist()) for row in inc
@@ -589,9 +589,9 @@ def test_incidence_rows_are_the_lines():
 def test_point_cover_rows_are_the_lines_through_each_point():
     systems = build_corpus() + [_extended_plane(3), LinearSystem(3, [[1]])]
     for s in systems:
-        cover = solvers._point_cover(s)
+        cover = _incidence(s.lines_through, s.num_lines)
         assert cover.dtype == np.uint8 and cover.flags.c_contiguous
-        assert np.array_equal(cover, _incidence(s).T)
+        assert np.array_equal(cover, _incidence(s.line_tuples, s.num_points).T)
         assert [
             tuple(np.flatnonzero(row).tolist()) for row in cover
         ] == list(s.lines_through)
@@ -645,7 +645,7 @@ def test_solver_memory_is_bounded_by_the_cover_matrix(solve, monkeypatch):
 def _rooted_nu2_search(sys_, top):
     """(value, witness, nodes) of the nu2 kernel on the full incidence,
     stopping at a caller's top."""
-    best, wit, nodes = PY_KERNELS.nu2_search(_incidence(sys_), top)
+    best, wit, nodes = PY_KERNELS.nu2_search(_incidence(sys_.line_tuples, sys_.num_points), top)
     return int(best), tuple(int(i) for i in wit[: int(best)]), int(nodes)
 
 
