@@ -110,14 +110,14 @@ def _subset_is_valid(sys: LinearSystem, combo) -> bool:
     # sys to be intersecting, so any subset of its lines meets pairwise
     union = set()
     for i in combo:
-        union |= sys.lines[i]
+        union.update(sys.line_tuples[i])
     if union != sys.support:
         return False
     deg: Dict[int, int] = {}
     for i in combo:
-        for v in sys.lines[i]:
+        for v in sys.line_tuples[i]:
             deg[v] = deg.get(v, 0) + 1
-    return all(any(deg[v] == 1 for v in sys.lines[i]) for i in combo)
+    return all(any(deg[v] == 1 for v in sys.line_tuples[i]) for i in combo)
 
 
 def derive(sys: LinearSystem, r: int, caps: Caps = DEFAULT_CAPS) -> Derivation:
@@ -136,7 +136,7 @@ def derive(sys: LinearSystem, r: int, caps: Caps = DEFAULT_CAPS) -> Derivation:
             f" domination {report.gamma} (want {r - 1}){isolated}"
         )
 
-    candidates = [i for i, l in enumerate(sys.lines) if len(l) == r]
+    candidates = [i for i, l in enumerate(sys.line_tuples) if len(l) == r]
     tried = 0
     found = None
     for k in range(len(candidates), 0, -1):
@@ -348,7 +348,7 @@ def _reconstruction(sys: LinearSystem, plane: PlaneModel, caps: Caps) -> Reconst
         ClauseCheck(
             "uniform-intersecting",
             {"uniform": q + 1, "intersecting": True},
-            {"uniform": q + 1 if uniform_ok else sorted({len(l) for l in red.lines}),
+            {"uniform": q + 1 if uniform_ok else sorted({len(l) for l in red.line_tuples}),
              "intersecting": inter_ok},
             uniform_ok and inter_ok,
         )
@@ -366,7 +366,7 @@ def _reconstruction(sys: LinearSystem, plane: PlaneModel, caps: Caps) -> Reconst
     )
     profile = degree_profile(red)
     max_deg2 = max(
-        (sum(1 for v in l if profile.degrees[v] == 2) for l in red.lines),
+        (sum(1 for v in l if profile.degrees[v] == 2) for l in red.line_tuples),
         default=0,
     )
     delta_ok = profile.max_degree == q + 1
@@ -381,8 +381,8 @@ def _reconstruction(sys: LinearSystem, plane: PlaneModel, caps: Caps) -> Reconst
     tau = derivation.chain["tau_reduced"]
     # the plane's dual hyperoval is a 2-packing of red when red has all
     # of its lines, as derived from the pendant plane, and settles nu2
-    index = {l: i for i, l in enumerate(red.lines)}
-    dual = [plane.system.lines[i] for i in dual_hyperoval_lines(plane)]
+    index = {l: i for i, l in enumerate(red.line_tuples)}
+    dual = [plane.system.line_tuples[i] for i in dual_hyperoval_lines(plane)]
     incumbent = [index[l] for l in dual] if all(l in index for l in dual) else None
     nu2 = _two_packing_value(red, caps, incumbent)
     clauses.append(
@@ -399,8 +399,8 @@ def _reconstruction(sys: LinearSystem, plane: PlaneModel, caps: Caps) -> Reconst
     # same. Only otherwise does the search run: its first map found need
     # not be the identity. The iso_points cap holds either way.
     _check_embed_caps(red, plane.system, caps)
-    host = set(plane.system.lines)
-    if all(l in host for l in red.lines):
+    host = set(plane.system.line_tuples)
+    if all(l in host for l in red.line_tuples):
         embeds, spanned = True, len(red.support)
     else:
         emb = embeds_in(red, plane.system, caps=caps)

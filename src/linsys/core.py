@@ -1,10 +1,11 @@
 """Linear systems: point/line incidence structures with pairwise line
 intersections of size at most one.
 
-Points are integer indices 0..num_points-1; lines are nonempty distinct
-point sets. Structural operations keep point indices stable, so a deleted
-point simply becomes isolated and witness maps stay valid across
-derivations. All systems are immutable once built.
+Points are integer indices 0..num_points-1; each line is a nonempty
+distinct point set, stored once as an ascending tuple of ints in
+``line_tuples``. Structural operations keep point indices stable, so a
+deleted point simply becomes isolated and witness maps stay valid
+across derivations. All systems are immutable once built.
 
 Construction validates whole lines at C speed where it can. A line of
 plain ints within range is accepted by one type-set test and its min and
@@ -153,7 +154,8 @@ def _least_clash(line_tuples) -> Tuple[int, int]:
 
 
 class LinearSystem:
-    """Validated linear system. Raises on empty/duplicate lines, bad
+    """Validated linear system, its lines stored once as ascending int
+    tuples in ``line_tuples``. Raises on empty/duplicate lines, bad
     indices, or any pair of lines sharing two or more points.
 
     caps bounds num_points and the number of point pairs on lines before
@@ -162,7 +164,6 @@ class LinearSystem:
 
     __slots__ = (
         "num_points",
-        "lines",
         "name",
         "line_tuples",
         "degrees",
@@ -179,7 +180,7 @@ class LinearSystem:
         caps: Caps = DEFAULT_CAPS,
     ):
         if type(lines) is _Linear:
-            self._fill(num_points, tuple(map(frozenset, lines)), tuple(lines), name)
+            self._fill(num_points, tuple(lines), name)
             return
         integral = _is_int(num_points)
         if not integral or num_points < 0:
@@ -188,22 +189,21 @@ class LinearSystem:
         n = int(num_points)
         _check_points(n, caps)
 
-        cleaned = []
-        seen: Dict[frozenset, int] = {}
+        seen: Dict[Tuple[int, ...], int] = {}
         for i, raw in enumerate(lines):
             t = tuple(raw)
             # a line of plain ints in range is taken whole; any other goes
             # point by point, which converts numpy ints and names a bad one
             if set(map(type, t)) != _INT or min(t) < 0 or max(t) >= n:
                 t = [_as_point(x, n, f"line {i}") for x in t]
-            members = frozenset(t)
-            if not members:
+            # ascending tuples are equal exactly when their point sets are
+            t = tuple(sorted(set(t)))
+            if not t:
                 raise EmptyLine(f"line {i} is empty")
-            if members in seen:
-                raise DuplicateLine(f"lines {seen[members]} and {i} are equal")
-            seen[members] = i
-            cleaned.append(members)
-        line_tuples = tuple(tuple(sorted(l)) for l in cleaned)
+            if t in seen:
+                raise DuplicateLine(f"lines {seen[t]} and {i} are equal")
+            seen[t] = i
+        line_tuples = tuple(seen)
 
         # Linearity: no point pair lies on two lines, so the lines hold
         # exactly sum C(|l|, 2) distinct pairs. Only a system that holds
@@ -218,13 +218,12 @@ class LinearSystem:
             linear = _pairs_distinct(line_tuples, n, total)
         if not linear:
             h, i = _least_clash(line_tuples)
-            raise LinearityViolation(h, i, cleaned[h] & cleaned[i])
-        self._fill(n, tuple(cleaned), line_tuples, name)
+            raise LinearityViolation(h, i, set(line_tuples[h]).intersection(line_tuples[i]))
+        self._fill(n, line_tuples, name)
         self._pair_line = pair
 
-    def _fill(self, n: int, lines, line_tuples, name: Optional[str]) -> None:
+    def _fill(self, n: int, line_tuples, name: Optional[str]) -> None:
         self.num_points = n
-        self.lines: Tuple[frozenset, ...] = lines
         self.name = name
         self.line_tuples: Tuple[Tuple[int, ...], ...] = line_tuples
         incident = [[] for _ in range(n)]
@@ -235,7 +234,7 @@ class LinearSystem:
         degs = np.fromiter(map(len, incident), dtype=np.int32, count=n)
         degs.setflags(write=False)
         self.degrees = degs
-        self.support = frozenset().union(*lines)
+        self.support = frozenset(np.flatnonzero(degs).tolist())
         self._pair_line = None
 
     @property
@@ -249,12 +248,12 @@ class LinearSystem:
 
     @property
     def num_lines(self) -> int:
-        return len(self.lines)
+        return len(self.line_tuples)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearSystem):
             return NotImplemented
-        return self.num_points == other.num_points and self.lines == other.lines
+        return self.num_points == other.num_points and self.line_tuples == other.line_tuples
 
     __hash__ = None
 
@@ -281,9 +280,9 @@ def degree_profile(sys: LinearSystem) -> DegreeProfile:
 
 
 def rank(sys: LinearSystem) -> int:
-    if not sys.lines:
+    if not sys.line_tuples:
         raise NoLines("rank is undefined for a system with no lines")
-    return max(len(l) for l in sys.lines)
+    return max(map(len, sys.line_tuples))
 
 
 def is_intersecting(sys: LinearSystem) -> bool:
@@ -296,7 +295,7 @@ def is_intersecting(sys: LinearSystem) -> bool:
 
 
 def is_uniform(sys: LinearSystem, r: int) -> bool:
-    return all(len(l) == r for l in sys.lines)
+    return all(len(l) == r for l in sys.line_tuples)
 
 
 def delete_points(sys: LinearSystem, points: Iterable[int]) -> LinearSystem:
@@ -341,8 +340,8 @@ def is_spanning_subsystem(sub: LinearSystem, sys: LinearSystem) -> bool:
         return False
     if sub.support != sys.support:
         return False
-    host = set(sys.lines)
-    return all(l in host for l in sub.lines)
+    host = set(sys.line_tuples)
+    return all(l in host for l in sub.line_tuples)
 
 
 def collinearity_adjacent(sys: LinearSystem, u: int, v: int) -> bool:
@@ -350,14 +349,14 @@ def collinearity_adjacent(sys: LinearSystem, u: int, v: int) -> bool:
     adjacent to itself by convention."""
     a = _as_point(u, sys.num_points, "collinearity_adjacent")
     b = _as_point(v, sys.num_points, "collinearity_adjacent")
-    return a == b or any(b in sys.lines[i] for i in sys.lines_through[a])
+    return a == b or any(b in sys.line_tuples[i] for i in sys.lines_through[a])
 
 
 def closed_neighborhood(sys: LinearSystem, v: int) -> frozenset:
     p = _as_point(v, sys.num_points, "closed_neighborhood")
     out = {p}
     for i in sys.lines_through[p]:
-        out |= sys.lines[i]
+        out.update(sys.line_tuples[i])
     return frozenset(out)
 
 
@@ -416,11 +415,11 @@ def _refine_colors(sys: LinearSystem) -> Tuple[Dict[int, int], Dict[int, int]]:
     pcol = {
         v: (
             int(sys.degrees[v]),
-            tuple(sorted(len(sys.lines[i]) for i in sys.lines_through[v])),
+            tuple(sorted(len(sys.line_tuples[i]) for i in sys.lines_through[v])),
         )
         for v in pts
     }
-    lcol = {i: (len(sys.lines[i]),) for i in lns}
+    lcol = {i: (len(sys.line_tuples[i]),) for i in lns}
 
     def canon(raw):
         table = {}
@@ -432,7 +431,7 @@ def _refine_colors(sys: LinearSystem) -> Tuple[Dict[int, int], Dict[int, int]]:
     pcol, lcol = canon(pcol), canon(lcol)
     while True:
         nl = {
-            i: (lcol[i], tuple(sorted(pcol[v] for v in sys.lines[i])))
+            i: (lcol[i], tuple(sorted(pcol[v] for v in sys.line_tuples[i])))
             for i in lns
         }
         npc = {
@@ -461,7 +460,7 @@ def are_isomorphic(a: LinearSystem, b: LinearSystem, caps: Caps = DEFAULT_CAPS) 
         raise SizeLimit(
             f"reduced system has {len(ra.support)} points, cap is {caps.iso_points}"
         )
-    if sorted(len(l) for l in ra.lines) != sorted(len(l) for l in rb.lines):
+    if sorted(map(len, ra.line_tuples)) != sorted(map(len, rb.line_tuples)):
         return no
 
     pcol_a, _ = _refine_colors(ra)
@@ -538,12 +537,12 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
 
     def feasible(u: int, w: int) -> bool:
         for i in sub.lines_through[u]:
-            if count[i] >= 2 and w not in host.lines[image[i]]:
+            if count[i] >= 2 and w not in host.line_tuples[image[i]]:
                 return False
             if count[i] == 1:
                 x = first[i]
                 j = pair_line.get((min(x, w), max(x, w)))
-                if j is None or len(host.lines[j]) < len(sub.lines[i]):
+                if j is None or len(host.line_tuples[j]) < len(sub.line_tuples[i]):
                     return False
         return True
 
@@ -588,7 +587,7 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
             if u in mapping:
                 used.discard(mapping.pop(u))
                 for i in sub.lines_through[u]:
-                    for v in sub.lines[i]:
+                    for v in sub.line_tuples[i]:
                         near[v] -= 1
                     count[i] -= 1
             cands = candidates[u]
@@ -604,7 +603,7 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
         mapping[u] = w
         used.add(w)
         for i in sub.lines_through[u]:
-            for v in sub.lines[i]:
+            for v in sub.line_tuples[i]:
                 near[v] += 1
             count[i] += 1
             if count[i] == 1:
@@ -626,11 +625,11 @@ def embeds_in(sub: LinearSystem, host: LinearSystem, caps: Caps = DEFAULT_CAPS) 
     """Backtracking search for an injective map of sub's support into host
     carrying every line of sub into a distinct host line."""
     _check_embed_caps(sub, host, caps)
-    if not sub.lines:
+    if not sub.line_tuples:
         return Embedding(point_map={}, line_map={})
 
-    host_sizes = sorted((len(l) for l in host.lines), reverse=True)
-    sub_sizes = sorted((len(l) for l in sub.lines), reverse=True)
+    host_sizes = sorted(map(len, host.line_tuples), reverse=True)
+    sub_sizes = sorted(map(len, sub.line_tuples), reverse=True)
     if len(sub_sizes) > len(host_sizes) or any(
         s > h for s, h in zip(sub_sizes, host_sizes)
     ):

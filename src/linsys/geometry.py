@@ -183,7 +183,7 @@ def verify_plane_axioms(sys: LinearSystem) -> PlaneReport:
     # system is a projective plane of order q = r - 1: every line has
     # q + 1 points, every point lies on q + 1 lines and n = m = q^2+q+1
     # (Hirschfeld, Projective Geometries over Finite Fields, ch. 2).
-    r = max(map(len, sys.lines), default=0)
+    r = max(map(len, sys.line_tuples), default=0)
     if n < 4 or r > n - 2:
         return PlaneReport(
             False,
@@ -219,7 +219,7 @@ def hyperoval(plane: PlaneModel) -> Arc:
 def is_arc(plane: PlaneModel, points: Iterable[int]) -> bool:
     """True when no line of the plane meets the set in three points."""
     pts = set(points)
-    return all(len(pts & l) <= 2 for l in plane.system.lines)
+    return all(len(pts.intersection(l)) <= 2 for l in plane.system.line_tuples)
 
 
 def dual_conic_lines(plane: PlaneModel) -> FrozenSet[int]:

@@ -128,7 +128,7 @@ def _greedy_cover(covers: np.ndarray, universe: np.ndarray) -> Tuple[int, ...]:
 def greedy_transversal(sys: LinearSystem) -> Tuple[int, ...]:
     """Pick the point hitting the most uncovered lines (lowest index on
     ties) until every line is hit."""
-    if not sys.lines:
+    if not sys.line_tuples:
         raise NoLines("a transversal needs at least one line")
     m = sys.num_lines
     return _greedy_cover(_incidence(sys.lines_through, m), np.ones(m, dtype=np.uint8))
@@ -167,7 +167,7 @@ def transversal_number(
     """tau, with the disjoint-line floor: the kernel's root test already
     settles a seed of at most ceil(m / max degree), so the floor is
     counted only for a seed above that."""
-    if not sys.lines:
+    if not sys.line_tuples:
         raise NoLines("a transversal needs at least one line")
     _check_caps(sys, caps)
     ks = kernels if kernels is not None else ACTIVE
@@ -304,7 +304,7 @@ def two_packing_number(
     """nu2 with the first maximum 2-packing in search order as witness.
     incumbent, a 2-packing of sys that is checked first, only speeds the
     search up: the value and witness are the same without it."""
-    if not sys.lines:
+    if not sys.line_tuples:
         raise NoLines("a 2-packing needs at least one line")
     _check_caps(sys, caps)
     if incumbent is not None:
@@ -329,7 +329,7 @@ def _two_packing_value(
     """nu2 alone. A verified incumbent of top lines (``_packing_bounds``)
     is a maximum 2-packing, so no search runs; otherwise the value of
     ``two_packing_number``."""
-    if incumbent is not None and sys.lines:
+    if incumbent is not None and sys.line_tuples:
         _check_caps(sys, caps)
         incumbent = _checked_packing(sys, incumbent)
         if len(incumbent) == _packing_bounds(sys)[0]:
@@ -346,17 +346,16 @@ def verify_transversal(sys: LinearSystem, points: Iterable[int]) -> bool:
     pts = list(points)
     if not _indices(pts, sys.num_points):
         return False
-    return all(not l.isdisjoint(pts) for l in sys.lines)
+    chosen = set(pts)
+    return all(not chosen.isdisjoint(l) for l in sys.line_tuples)
 
 
 def verify_domination(sys: LinearSystem, points: Iterable[int]) -> bool:
     pts = list(points)
     if not _indices(pts, sys.num_points):
         return False
-    covered = set(pts)
-    for l in sys.lines:
-        if not l.isdisjoint(pts):
-            covered |= l
+    chosen = set(pts)
+    covered = chosen.union(*(l for l in sys.line_tuples if not chosen.isdisjoint(l)))
     return covered == set(range(sys.num_points))
 
 
@@ -366,7 +365,7 @@ def verify_two_packing(sys: LinearSystem, line_indices: Iterable[int]) -> bool:
         return False
     counts = {}
     for i in idx:
-        for v in sys.lines[i]:
+        for v in sys.line_tuples[i]:
             counts[v] = counts.get(v, 0) + 1
     return all(c <= 2 for c in counts.values())
 

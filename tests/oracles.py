@@ -75,7 +75,6 @@ def reference_system(num_points, lines):
     degrees = np.fromiter(map(len, incident), dtype=np.int32, count=n)
     return {
         "num_points": n,
-        "lines": tuple(cleaned),
         "line_tuples": line_tuples,
         "degrees": degrees,
         "support": frozenset(int(v) for v in np.nonzero(degrees)[0]),
@@ -407,7 +406,6 @@ def system_fields(sys):
     return (
         sys.num_points,
         sys.name,
-        sys.lines,
         sys.line_tuples,
         sys.degrees.dtype,
         sys.degrees.tolist(),

@@ -69,7 +69,7 @@ def test_criterion_01_plane_axioms(tmp_path):
         assert report.is_plane and report.order == q
         n = q * q + q + 1
         assert sys_.num_points == n and sys_.num_lines == n
-        assert all(len(l) == q + 1 for l in sys_.lines)
+        assert all(len(l) == q + 1 for l in sys_.line_tuples)
         assert set(sys_.degrees.tolist()) == {q + 1}
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -111,7 +111,7 @@ def test_criterion_04_hyperoval_arcs():
         # exhaustive triple check: no line through any three arc points
         for a, b, c in itertools.combinations(pts, 3):
             line = plane.system.pair_line[(a, b)]
-            assert c not in plane.system.lines[line]
+            assert c not in plane.system.line_tuples[line]
         dual = dual_hyperoval_lines(plane)
         assert len(dual) == q + 2
         assert verify_two_packing(plane.system, dual)
@@ -172,8 +172,8 @@ def test_criterion_08_derivations_with_certificates():
     cert = are_isomorphic(d.reduced, fano)
     assert cert.isomorphic
     phi = cert.point_bijection
-    mapped = {frozenset(phi[v] for v in l) for l in cert.reduced_a.lines}
-    assert mapped == set(cert.reduced_b.lines)
+    mapped = {tuple(sorted(phi[v] for v in l)) for l in cert.reduced_a.line_tuples}
+    assert mapped == set(cert.reduced_b.line_tuples)
 
     frag = delete_line(fano, 0)
     d2 = derive(extend_with_pendant_points(frag), 4)
@@ -181,8 +181,8 @@ def test_criterion_08_derivations_with_certificates():
     cert2 = are_isomorphic(d2.reduced, frag)
     assert cert2.isomorphic
     phi2 = cert2.point_bijection
-    mapped2 = {frozenset(phi2[v] for v in l) for l in cert2.reduced_a.lines}
-    assert mapped2 == set(cert2.reduced_b.lines)
+    mapped2 = {tuple(sorted(phi2[v] for v in l)) for l in cert2.reduced_a.line_tuples}
+    assert mapped2 == set(cert2.reduced_b.line_tuples)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

@@ -161,7 +161,7 @@ def test_derive_json(capsys, tmp_path, ext_file):
     assert len(data["spanning_line_indices"]) == 7
     reduced = loads_json(out_path.read_text())
     assert reduced.num_lines == 7
-    assert all(len(l) == 3 for l in reduced.lines)
+    assert all(len(l) == 3 for l in reduced.line_tuples)
 
 
 def test_derive_non_member_exits_one(capsys, plane_file):

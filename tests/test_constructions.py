@@ -60,7 +60,7 @@ def test_extension_rejects_bad_inputs():
 
 
 def _qualifies_for_extension(sys):
-    return bool(sys.lines) and is_uniform(sys, rank(sys)) and is_intersecting(sys)
+    return bool(sys.line_tuples) and is_uniform(sys, rank(sys)) and is_intersecting(sys)
 
 
 def test_extension_equals_its_validated_rebuild():

@@ -184,7 +184,7 @@ def test_incidence_indexes_match_line_tuples():
                 through[v].append(i)
         assert sys_.lines_through == tuple(map(tuple, through))
         assert is_intersecting(sys_) == all(
-            len(a & b) == 1 for a, b in combinations(sys_.lines, 2)
+            len(set(a).intersection(b)) == 1 for a, b in combinations(sys_.line_tuples, 2)
         )
 
 
@@ -195,16 +195,16 @@ def test_is_intersecting_cases(fano_input):
 
 
 def test_delete_point_counts(fano_input):
-    sizes = sorted(len(l) for l in delete_point(fano_input, 0).lines)
+    sizes = sorted(len(l) for l in delete_point(fano_input, 0).line_tuples)
     assert sizes == [2, 2, 2, 3, 3, 3, 3]
 
 
 def test_delete_point_keeps_size_one_lines(triangle):
     out = delete_point(triangle, 0)
-    assert sorted(tuple(sorted(l)) for l in out.lines) == [(1,), (1, 2), (2,)]
+    assert sorted(out.line_tuples) == [(1,), (1, 2), (2,)]
     # deleting an isolated point leaves lines untouched
     again = delete_point(LinearSystem(8, FANO_LINES), 7)
-    assert again.lines == LinearSystem(8, FANO_LINES).lines
+    assert again.line_tuples == LinearSystem(8, FANO_LINES).line_tuples
 
 
 def test_delete_point_merges_collapsed_lines(triangle):
@@ -220,8 +220,8 @@ def test_delete_points_matches_repeated_delete_point():
         subsets = [support[:1], support[::2], support[1::3], support]
         for pts in subsets:
             folded = functools.reduce(delete_point, pts, sys_)
-            assert delete_points(sys_, pts).lines == folded.lines
-            assert delete_points(sys_, reversed(pts)).lines == folded.lines
+            assert delete_points(sys_, pts).line_tuples == folded.line_tuples
+            assert delete_points(sys_, reversed(pts)).line_tuples == folded.line_tuples
 
 
 def test_delete_points_rejects_bad_index(triangle):
@@ -242,7 +242,7 @@ def test_delete_line(fano_input):
 def test_induced_subsystem(fano_input):
     assert induced_subsystem(fano_input, range(7)) == LinearSystem(7, FANO_LINES)
     one = induced_subsystem(fano_input, [3])
-    assert one.lines == (frozenset({1, 3, 5}),)
+    assert one.line_tuples == ((1, 3, 5),)
     two = induced_subsystem(fano_input, [0, 1])
     assert len(two.support) == 5
     with pytest.raises(BadIndex):
@@ -330,7 +330,7 @@ def test_adjacency_matches_line_scan():
     for sys_ in build_corpus():
         for u in range(sys_.num_points):
             for v in range(sys_.num_points):
-                expected = u == v or any(u in l and v in l for l in sys_.lines)
+                expected = u == v or any(u in l and v in l for l in sys_.line_tuples)
                 assert collinearity_adjacent(sys_, u, v) == expected
 
 
@@ -339,7 +339,7 @@ def test_pendant_reduction_path():
     path = LinearSystem(4, [[0, 1], [1, 2], [2, 3]])
     reduced, removed = pendant_reduction(path)
     assert set(removed) == {0, 3}
-    assert sorted(tuple(sorted(l)) for l in reduced.lines) == [(1,), (1, 2), (2,)]
+    assert sorted(reduced.line_tuples) == [(1,), (1, 2), (2,)]
 
 
 def test_pendant_reduction_single_line():
@@ -352,7 +352,7 @@ def test_pendant_reduction_of_extension(fano_input):
     ext = extend_with_pendant_points(fano_input)
     reduced, removed = pendant_reduction(ext)
     assert set(removed) == set(range(7, 14))
-    assert set(reduced.lines) == set(fano_input.lines)
+    assert set(reduced.line_tuples) == set(fano_input.line_tuples)
 
 
 def test_delete_then_readd_round_trip(fano_input):
@@ -371,8 +371,8 @@ def test_isomorphism_relabeled(fano_input):
     cert = are_isomorphic(fano_input, relabeled)
     assert cert.isomorphic
     phi = cert.point_bijection
-    mapped = {frozenset(phi[v] for v in l) for l in cert.reduced_a.lines}
-    assert mapped == set(cert.reduced_b.lines)
+    mapped = {tuple(sorted(phi[v] for v in l)) for l in cert.reduced_a.line_tuples}
+    assert mapped == set(cert.reduced_b.line_tuples)
     assert phi == {0: 0, 1: 1, 2: 2, 3: 3, 4: 6, 5: 4, 6: 5}
 
 
@@ -443,9 +443,9 @@ def test_embeds_examples(fano_input, triangle):
     missing = delete_line(fano_input, 0)
     emb = embeds_in(missing, fano_input)
     assert emb is not None
-    for i, l in enumerate(missing.lines):
-        image = frozenset(emb.point_map[v] for v in l)
-        assert image <= fano_input.lines[emb.line_map[i]]
+    for i, l in enumerate(missing.line_tuples):
+        image = {emb.point_map[v] for v in l}
+        assert image <= set(fano_input.line_tuples[emb.line_map[i]])
     assert len(set(emb.line_map.values())) == missing.num_lines
     assert emb.point_map == {0: 2, 1: 4, 2: 5, 3: 0, 4: 1, 5: 3, 6: 6}
     assert emb.line_map == {0: 0, 1: 5, 2: 1, 3: 4, 4: 2, 5: 3}
@@ -474,7 +474,7 @@ def test_drop_isolated(fano_input):
 
 def test_within_line_duplicates_collapse():
     sys_ = LinearSystem(3, [[0, 0, 1]])
-    assert sys_.lines == (frozenset({0, 1}),)
+    assert sys_.line_tuples == ((0, 1),)
 
 
 def _relabelled(sys_, rng):
@@ -549,8 +549,8 @@ def test_point_maps_match_brute_force():
             assert len(set(pm.values())) == len(pm)
             assert set(lm) == set(range(a.num_lines))
             assert len(set(lm.values())) == len(lm)
-            for k, l in enumerate(a.lines):
-                assert {pm[v] for v in l} <= host.lines[lm[k]]
+            for k, l in enumerate(a.line_tuples):
+                assert {pm[v] for v in l} <= set(host.line_tuples[lm[k]])
     assert found == 922
 
 
@@ -564,8 +564,8 @@ def test_point_map_search_is_not_bounded_by_recursion_depth():
     assert set(emb.point_map) == s.support
     assert sorted(emb.line_map) == list(range(s.num_lines))
     assert len(set(emb.line_map.values())) == s.num_lines
-    for i, l in enumerate(s.lines):
-        assert {emb.point_map[v] for v in l} == s.lines[emb.line_map[i]]
+    for i, l in enumerate(s.line_tuples):
+        assert {emb.point_map[v] for v in l} == set(s.line_tuples[emb.line_map[i]])
 
 
 def test_single_line_matching_follows_long_augmenting_paths():

@@ -131,12 +131,12 @@ def test_text_round_trip(sample):
     assert lines[1:] == ["0 1", "1 2 3"]
     assert text.endswith("\n")
     back = loads_text(text)
-    assert back.num_points == 4 and back.lines == sample.lines
+    assert back.num_points == 4 and back.line_tuples == sample.line_tuples
 
 
 def test_text_tolerates_blank_lines(sample):
     noisy = "\n4 2\n\n0 1\n\n1 2 3\n\n"
-    assert loads_text(noisy).lines == sample.lines
+    assert loads_text(noisy).line_tuples == sample.line_tuples
 
 
 def test_text_rejects_bad_input():

@@ -48,7 +48,7 @@ def test_plane_counts(q):
     n = q * q + q + 1
     assert plane.system.num_points == n
     assert plane.system.num_lines == n
-    assert all(len(l) == q + 1 for l in plane.system.lines)
+    assert all(len(l) == q + 1 for l in plane.system.line_tuples)
     assert set(plane.system.degrees.tolist()) == {q + 1}
     assert plane.system.name == f"PG(2,{q})"
 
@@ -106,7 +106,7 @@ def test_plane_rejects_bad_orders():
 def test_plane_build_is_deterministic():
     a = projective_plane(4)
     b = projective_plane(4)
-    assert a.system.lines == b.system.lines
+    assert a.system.line_tuples == b.system.line_tuples
     assert a.point_coords == b.point_coords
 
 
@@ -186,7 +186,7 @@ def test_dual_hyperoval_lines_pack(q):
     chosen = dual_hyperoval_lines(plane)
     assert len(chosen) == q + 2
     for v in range(plane.system.num_points):
-        hits = sum(1 for i in chosen if v in plane.system.lines[i])
+        hits = sum(1 for i in chosen if v in plane.system.line_tuples[i])
         assert hits <= 2
 
 
@@ -206,10 +206,10 @@ def _nearly_joined(rng):
     kind = rng.randrange(3)
     if kind == 0:
         base = projective_plane(rng.choice([2, 2, 3, 4])).system
-        n, lines = base.num_points, [set(l) for l in base.lines]
+        n, lines = base.num_points, [set(l) for l in base.line_tuples]
     elif kind == 1:
         n = rng.randint(3, 12)
-        lines = [set(l) for l in _near_pencil(n).lines]
+        lines = [set(l) for l in _near_pencil(n).line_tuples]
     else:
         n = rng.randint(4, 12)
         lines = []
@@ -267,7 +267,7 @@ def _axiom_cases():
     for q in (2, 3, 4):
         plane = projective_plane(q)
         out.append(plane.system)
-        out.append(LinearSystem(plane.system.num_points, plane.system.lines + ({0},)))
+        out.append(LinearSystem(plane.system.num_points, plane.system.line_tuples + ((0,),)))
         for i in range(plane.system.num_lines):
             out.append(delete_line(plane.system, i))
         for v in range(plane.system.num_points):

@@ -37,7 +37,7 @@ def test_pairwise_matches_set_arithmetic(fano):
     counts = ACTIVE.pairwise_intersections(_incidence(fano.line_tuples, fano.num_points))
     for i in range(7):
         for j in range(7):
-            assert counts[i, j] == len(fano.lines[i] & fano.lines[j])
+            assert counts[i, j] == len(set(fano.line_tuples[i]).intersection(fano.line_tuples[j]))
 
 
 @pytest.mark.skipif(JIT_KERNELS is None, reason="numba unavailable")
@@ -121,7 +121,7 @@ def _cover_inputs(sys_):
     """The cover kernel's arguments as tau and as gamma build them, the
     greedy seed as the incumbent."""
     out = []
-    if sys_.lines:
+    if sys_.line_tuples:
         point_cover = _incidence(sys_.lines_through, sys_.num_lines)
         universe = np.ones(sys_.num_lines, dtype=np.uint8)
         seed = _greedy_cover(point_cover, universe)

@@ -34,12 +34,13 @@ from linsys import (
 )
 from linsys import core
 from linsys.core import _TABLE_PAIRS, _Linear
+from linsys.limits import Caps
 from linsys.solvers import _closed_neighbourhoods
 
 from corpus import build_corpus
 from oracles import brute_pendant_reduction, reference_system
 
-ATTRIBUTES = ("num_points", "lines", "line_tuples", "support", "lines_through")
+ATTRIBUTES = ("num_points", "line_tuples", "support", "lines_through")
 CORPUS = build_corpus()
 SMALL_PLANES = [projective_plane(q).system for q in (2, 3, 4, 5, 7, 8, 9)]
 
@@ -128,7 +129,7 @@ def test_corpus_derivations_match_reference(sys_):
     reduced, removed = pendant_reduction(sys_)
     lines, want_removed = _pendant_reduced(sys_.line_tuples)
     assert removed == tuple(want_removed)
-    assert set(reduced.lines) == brute_pendant_reduction(sys_.line_tuples)
+    assert set(map(frozenset, reduced.line_tuples)) == brute_pendant_reduction(sys_.line_tuples)
     assert_equals_reference(reduced, sys_.num_points, lines)
 
 
@@ -249,6 +250,22 @@ def test_large_system_builds_no_table_until_read():
     assert sys_.pair_line is sys_.pair_line
 
 
+def test_a_plane_keeps_one_store_of_its_lines():
+    # PG(2,32) holds 1,057 lines of 33 points: their tuples, the lines
+    # through each point and the support take under 1 MB, and a frozenset
+    # per line would add over 2 MB more
+    caps = Caps(plane_order=32, solver_points=3000, solver_lines=3000, iso_points=3000)
+    tracemalloc.start()
+    try:
+        plane = projective_plane(32, caps=caps)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plane.system.num_lines == 1057
+    assert held < 1.5 * 2**20
+    assert not hasattr(plane.system, "lines")
+
+
 def test_points_past_the_key_range_use_the_table(monkeypatch):
     # pair keys u * n + v would overflow int64 past _KEYED_POINTS points;
     # such a system counts the table's keys instead
@@ -348,11 +365,9 @@ def test_each_system_is_built_by_one_constructor_call(name, monkeypatch):
     assert got._pair_line is None
     assert all(type(t) is tuple for t in got.line_tuples)
     assert all(a < b for t in got.line_tuples for a, b in zip(t, t[1:]))
-    assert got.lines == tuple(map(frozenset, got.line_tuples))
 
 
 def test_linear_lines_are_taken_unsorted_and_uncopied():
     ts = [(0, 1, 2), (2, 3), (4,)]
     got = LinearSystem(5, _Linear(ts))
     assert all(got.line_tuples[i] is ts[i] for i in range(len(ts)))
-    assert got.lines == (frozenset({0, 1, 2}), frozenset({2, 3}), frozenset({4}))

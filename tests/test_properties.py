@@ -47,7 +47,7 @@ def test_corpus_is_large_and_small():
 
 def test_corpus_is_deterministic():
     again = build_corpus()
-    assert [s.lines for s in again] == [s.lines for s in CORPUS]
+    assert [s.line_tuples for s in again] == [s.line_tuples for s in CORPUS]
 
 
 @pytest.mark.parametrize("sys_", CORPUS, ids=IDS)
@@ -173,7 +173,7 @@ def test_nu2_capacity_rule_and_incumbents_match_brute_force(sys_):
     n, rows = sys_.num_points, sys_.line_tuples
     best = brute_two_packing(n, rows)
     heavy = {v for v in range(n) if sys_.degrees[v] >= 3}
-    weights = [len(heavy & l) for l in sys_.lines]
+    weights = [len(heavy.intersection(l)) for l in sys_.line_tuples]
     free = weights.count(0)
     assert free + solvers._capacity([w for w in weights if w], len(heavy)) >= best
     # any 2-packing as incumbent leaves the value and the witness
@@ -207,7 +207,7 @@ def _root_bound_cases():
     dual_arc = sorted(dual_hyperoval_lines(pg4))
 
     def lines_of(plane, idx):
-        return LinearSystem(plane.num_points, [plane.lines[i] for i in idx])
+        return LinearSystem(plane.num_points, [plane.line_tuples[i] for i in idx])
 
     cases = [
         ("ext-Fano", extend_with_pendant_points(fano), "parity"),
@@ -280,7 +280,7 @@ def test_nu2_root_bound_rules_match_brute_force(sys_, rule):
 def _shared_rank(sys_):
     """The most points of degree >= 2 on one line: the r of the solver's
     nu2 root bound."""
-    return max(sum(1 for v in l if sys_.degrees[v] >= 2) for l in sys_.lines)
+    return max(sum(1 for v in l if sys_.degrees[v] >= 2) for l in sys_.line_tuples)
 
 
 @pytest.mark.parametrize(

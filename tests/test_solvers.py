@@ -519,7 +519,7 @@ def _corpus_tau_gamma():
     (value, witness, nodes) of gamma) per corpus system, in order."""
     rows = []
     for s in build_corpus():
-        tau = transversal_number(s) if s.lines else None
+        tau = transversal_number(s) if s.line_tuples else None
         gamma = domination_number(s)
         rows.append(
             (
@@ -683,7 +683,7 @@ def _meet_parity_top(sys_):
     """The root bound from the meet and parity rules alone, the top of a
     search over every line and point."""
     m = sys_.num_lines
-    r = max(sum(1 for v in l if sys_.degrees[v] >= 2) for l in sys_.lines)
+    r = max(sum(1 for v in l if sys_.degrees[v] >= 2) for l in sys_.line_tuples)
     if not is_intersecting(sys_):
         return m
     return r if r % 2 == 0 and m >= r + 2 else min(m, r + 1)
@@ -691,7 +691,7 @@ def _meet_parity_top(sys_):
 
 def _free_lines(sys_):
     return [
-        i for i, l in enumerate(sys_.lines)
+        i for i, l in enumerate(sys_.line_tuples)
         if all(sys_.degrees[v] <= 2 for v in l)
     ]
 
@@ -777,7 +777,7 @@ def _random_nu2_system(rng, kind):
     plane = _plane(rng.choice((2, 3, 4)))
     m = plane.num_lines
     idx = sorted(rng.sample(range(m), rng.randint(1, min(m, 12))))
-    sub = LinearSystem(plane.num_points, [plane.lines[i] for i in idx])
+    sub = LinearSystem(plane.num_points, [plane.line_tuples[i] for i in idx])
     return extend_with_pendant_points(sub) if rng.random() < 0.3 else sub
 
 
@@ -829,7 +829,7 @@ def test_nu2_of_reduced_pendant_plane_is_the_planes(q):
     caps = Caps(solver_points=200)
     plane = projective_plane(q).system
     reduced, _ = pendant_reduction(extend_with_pendant_points(plane, caps))
-    assert reduced.lines == plane.lines
+    assert reduced.line_tuples == plane.line_tuples
     assert reduced.num_points == 2 * plane.num_points
     assert set(reduced.degrees.tolist()) == {0, q + 1}
     got = two_packing_number(reduced, caps=caps)
@@ -925,7 +925,7 @@ def test_packing_bound_is_at_least_the_oracle():
     # and it is nu2 on many corpus systems
     reached = 0
     for s in build_corpus():
-        if s.lines:
+        if s.line_tuples:
             nu2 = brute_two_packing(s.num_points, s.line_tuples)
             top = solvers._packing_bounds(s)[0]
             assert top >= nu2, s.line_tuples
@@ -937,7 +937,7 @@ def test_packing_value_falls_back_to_the_search():
     # no incumbent, or one below top, leaves nu2 to the search
     fell_back = 0
     for s in build_corpus():
-        if not s.lines:
+        if not s.line_tuples:
             continue
         want = two_packing_number(s).value
         assert solvers._two_packing_value(s, Caps(), None) == want
