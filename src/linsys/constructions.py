@@ -516,7 +516,7 @@ def verification_battery(q: int, caps: Caps = DEFAULT_CAPS) -> list:
 
     # triangular-(q+3) has rank q + 2, even with q
     try:
-        rep = check_saturated_packing(triangular_system(q + 3), caps=caps)
+        rep = check_saturated_packing(triangular_system(q + 3, caps), caps=caps)
         rows.append(
             _row(
                 "saturated-packing",

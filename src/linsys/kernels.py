@@ -13,13 +13,18 @@ all three invariants:
   its children, and settles in place each child that is a leaf or that
   its first bound tests would cut, so the tree is the one a node-by-node
   search visits, at a fraction of the numpy calls. It stops when it
-  reaches a lower bound that the caller proved.
+  reaches a lower bound that the caller proved. The callers run the same
+  root tests on their greedy seed before they build covers, so a solve
+  settled at the root reaches the kernel with an empty (0, 0) matrix and
+  floor = best0, and returns at entry in 1 node, as on the matrix.
 - ``_nu2_search`` finds a maximum 2-packing, given as the (m, n) uint8
   line-point incidence, its one input, and stops when it reaches an
   upper bound that the caller proved (the meet and parity rules on
   intersecting systems, the capacity rule on all). It can start from the
   size of a packing the caller verified. Its state is one row per depth,
-  O(m * n) in all; it needs no (m, m) table of meeting points.
+  O(m * n) in all; it needs no (m, m) table of meeting points. A system
+  whose lines are all free reaches it with an empty (0, 0) incidence and
+  is settled in 1 node.
 
 ``_pairwise``, one matrix product over an incidence, has no caller in
 the package: the plane-axiom check names its least disjoint line pair

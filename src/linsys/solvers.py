@@ -2,15 +2,22 @@
 
 Each invariant has one solve path. tau and gamma are minimum set covers
 and share one kernel and one driver, ``_min_cover``, whose greedy seed
-(``_greedy_cover``) is the kernel's incumbent and the witness unless the
-kernel improves on it. tau covers the lines with points (``_incidence``
-of ``lines_through``, the point-line incidence); gamma covers the
-points with the symmetric closed-neighbourhood matrix
-(``_closed_neighbourhoods``, each line's block set directly) and forces
-its isolated points into the witness. Each passes the kernel a proved
-floor, at which it stops: tau the size of a greedy set of disjoint
-lines, gamma the pendant-line floor proved in ``domination_number``. Ties go to the lowest index throughout, so
+is the kernel's incumbent and the witness unless the kernel improves on
+it. tau covers the lines with points; gamma covers the points with
+closed neighbourhoods and forces its isolated points into the witness.
+Each passes a proved floor, at which the search stops: tau the size of
+a greedy set of disjoint lines, gamma the pendant-line floor proved in
+``domination_number``. Ties go to the lowest index throughout, so
 identical inputs always give identical witnesses.
+
+The seeds come from the lines (``_tau_seed``, ``_gamma_seed``): pick
+the point that covers the most uncovered elements, lowest index on
+ties, until all are covered, lowering the counts as elements get
+covered, in O(incidences) plus an argmax per pick. ``_min_cover`` runs
+the kernel's root tests on the seed, before any matrix exists, and
+builds the kernel's matrix (``_incidence`` of ``lines_through`` for
+tau, ``_closed_neighbourhoods`` for gamma) only when they leave the
+search open.
 
 nu2 settles its free lines, those with no point on three or more lines,
 before the search: adding one to a packing covers no point three times,
@@ -22,9 +29,11 @@ meet bound (an isolated point is on none). The search over the rest
 therefore prunes where the search over the whole incidence does below
 the node that takes every free line, and its first maximum packing in
 search order plus the free lines is the whole search's first. A system
-of free lines only hands the kernel an empty incidence, settled at the
-root in 1 node. ``_packing_bounds`` does this set-up and proves the
-search's root bound top by the meet, parity and capacity rules. The
+of free lines only hands the kernel the empty matrix, settled at the
+root in 1 node. ``_packing_bounds`` does this set-up from the lines and
+the degrees and proves the search's root bound top by the meet, parity
+and capacity rules; the kernel's (kept x heavy) incidence is built only
+when kept lines exist, and the value path below builds none. The
 search stops at top and starts from the size of ``incumbent=``, a
 packing that ``verify_two_packing`` must accept, with no change to the
 witness, as proved in ``kernels._nu2_search``.
@@ -45,7 +54,9 @@ the tests and the benchmark do. Checking each witness at runtime is open
 """
 
 import time
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -92,8 +103,8 @@ def _check_caps(sys: LinearSystem, caps: Caps) -> None:
 
 def _incidence(rows, width: int) -> np.ndarray:
     """(len(rows), width) uint8 matrix with a 1 at (i, v) for each v in
-    rows[i]: the line-point incidence from (``line_tuples``, n), the
-    point-line cover from (``lines_through``, m)."""
+    rows[i]: the point-line cover from (``lines_through``, m) for tau, the
+    kept lines over all points for nu2."""
     out = np.zeros(len(rows) * width, dtype=np.uint8)
     out[[i * width + v for i, r in enumerate(rows) for v in r]] = 1
     return out.reshape(len(rows), width)
@@ -110,19 +121,73 @@ def _closed_neighbourhoods(sys: LinearSystem) -> np.ndarray:
     return cover
 
 
-def _greedy_cover(covers: np.ndarray, universe: np.ndarray) -> Tuple[int, ...]:
-    """Pick the candidate (row of covers) covering the most uncovered
-    elements of the universe, lowest index on ties, until all are covered.
-    Returns the picks in ascending order."""
-    # the columns of the elements still uncovered
-    left = covers[:, universe == 1]
+# the kernels' input when the solve is settled before the search: an
+# empty matrix and an empty universe
+_EMPTY = np.zeros((0, 0), dtype=np.uint8)
+_EMPTY_ROW = np.zeros(0, dtype=np.uint8)
+
+
+def _tau_seed(sys: LinearSystem) -> Tuple[Tuple[int, ...], int]:
+    """(seed, maxcov): tau's greedy seed, ascending, and the most lines
+    through one point. count[v] is the number of uncovered lines through
+    v; a pick covers its uncovered lines and lowers the count of each of
+    their points by one."""
+    count = sys.degrees.tolist()
+    maxcov = max(count)
+    uncovered = bytearray(b"\x01") * sys.num_lines
+    left = sys.num_lines
     chosen = []
-    while left.shape[1]:
-        # argmax takes the first of equal counts: the lowest index
-        v = int(left.sum(axis=1).argmax())
+    while left:
+        # index takes the first of equal counts: the lowest index
+        v = count.index(max(count))
         chosen.append(v)
-        left = left[:, left[v] == 0]
-    return tuple(sorted(chosen))
+        for l in sys.lines_through[v]:
+            if uncovered[l]:
+                uncovered[l] = 0
+                left -= 1
+                for w in sys.line_tuples[l]:
+                    count[w] -= 1
+    return tuple(sorted(chosen)), maxcov
+
+
+def _gamma_seed(sys: LinearSystem) -> Tuple[Tuple[int, ...], int]:
+    """(seed, maxcov): gamma's greedy seed, ascending, and the largest
+    closed neighbourhood. With U the uncovered points, count[v] is
+    |N[v] & U|, which is sum_{l through v} |l & U| - (deg v - 1)[v in U],
+    as the lines through v meet only at v. A pick covers U', its
+    neighbours in U; each line l loses |l & U'| uncovered points and each
+    point of l as many from its count, and each point of U' then gets
+    deg - 1 back."""
+    lines, through = sys.line_tuples, sys.lines_through
+    deg = sys.degrees.tolist()
+    uncovered = bytearray(d > 0 for d in deg)
+    # at the start every point of a line is in U: count[v] is |N[v]|, 1
+    # plus |l| - 1 for each line l through v, or 0 when v is isolated
+    count = [1 if d else 0 for d in deg]
+    for l in lines:
+        for w in l:
+            count[w] += len(l) - 1
+    maxcov = max(count)
+    left = len(sys.support)
+    chosen = []
+    while left:
+        # index takes the first of equal counts: the lowest index
+        v = count.index(max(count))
+        chosen.append(v)
+        new = []
+        for l in through[v]:
+            for u in lines[l]:
+                if uncovered[u]:
+                    uncovered[u] = 0
+                    new.append(u)
+        left -= len(new)
+        if left:
+            for l, lost in Counter(chain.from_iterable(map(through.__getitem__, new))).items():
+                for w in lines[l]:
+                    count[w] -= lost
+            for u in new:
+                count[u] += deg[u] - 1
+    return tuple(sorted(chosen)), maxcov
 
 
 def greedy_transversal(sys: LinearSystem) -> Tuple[int, ...]:
@@ -130,17 +195,27 @@ def greedy_transversal(sys: LinearSystem) -> Tuple[int, ...]:
     ties) until every line is hit."""
     if not sys.line_tuples:
         raise NoLines("a transversal needs at least one line")
-    m = sys.num_lines
-    return _greedy_cover(_incidence(sys.lines_through, m), np.ones(m, dtype=np.uint8))
+    return _tau_seed(sys)[0]
 
 
-def _min_cover(kind, search, covers, universe, forced, floor, t0) -> SolveResult:
-    """The least number of rows of covers that cover the universe, plus
-    the forced points. The greedy seed is the search's incumbent and the
-    witness unless the search improves on it; floor(s), given the seed's
-    size s, is a lower bound that the search stops at."""
-    seed = _greedy_cover(covers, universe)
-    best, improved, wit, nodes = search(covers, universe, len(seed), floor(len(seed)))
+def _min_cover(kind, search, greedy, rem, floor, build, forced, t0) -> SolveResult:
+    """The least number of candidates that cover the rem elements, plus
+    the forced points. greedy is (seed, maxcov): the greedy cover, the
+    search's incumbent and the witness unless the search improves on it,
+    and the most elements one candidate covers. floor() is a lower bound
+    that the search stops at; build() gives the kernel's (covers,
+    universe).
+
+    The kernel's root tests run here first: a seed s is minimum when
+    s <= 1, s <= floor, or rem > (s - 1) * maxcov, as s - 1 candidates
+    cover at most that many elements. A solve they settle builds no
+    matrix and hands the kernel the empty one with floor s, so it
+    returns at entry in 1 node."""
+    seed, maxcov = greedy
+    s = len(seed)
+    low = s if s <= 1 or rem > (s - 1) * maxcov else floor()
+    covers, universe = build() if s > low else (_EMPTY, _EMPTY_ROW)
+    best, improved, wit, nodes = search(covers, universe, s, low)
     inner = wit[: int(best)].tolist() if improved else list(seed)
     witness = tuple(sorted(forced + inner))
     dt = time.perf_counter() - t0
@@ -164,9 +239,7 @@ def _disjoint_lines(sys: LinearSystem) -> int:
 def transversal_number(
     sys: LinearSystem, caps: Caps = DEFAULT_CAPS, kernels: KernelSet = None
 ) -> SolveResult:
-    """tau, with the disjoint-line floor: the kernel's root test already
-    settles a seed of at most ceil(m / max degree), so the floor is
-    counted only for a seed above that."""
+    """tau, with the disjoint-line floor."""
     if not sys.line_tuples:
         raise NoLines("a transversal needs at least one line")
     _check_caps(sys, caps)
@@ -174,11 +247,10 @@ def transversal_number(
     t0 = time.perf_counter()
     # points are the candidates and lines the elements to cover
     m = sys.num_lines
-    universe = np.ones(m, dtype=np.uint8)
-    root = -(-m // int(sys.degrees.max()))
     return _min_cover(
-        KIND_TRANSVERSAL, ks.tau_search, _incidence(sys.lines_through, m), universe, [],
-        lambda seed: _disjoint_lines(sys) if seed > root else 0, t0,
+        KIND_TRANSVERSAL, ks.tau_search, _tau_seed(sys), m,
+        lambda: _disjoint_lines(sys),
+        lambda: (_incidence(sys.lines_through, m), np.ones(m, dtype=np.uint8)), [], t0,
     )
 
 
@@ -216,10 +288,11 @@ def domination_number(
     if not sys.support:
         dt = time.perf_counter() - t0
         return SolveResult(KIND_DOMINATION, len(forced), tuple(forced), 0, dt)
-    universe = (sys.degrees > 0).astype(np.uint8)
     return _min_cover(
-        KIND_DOMINATION, ks.gamma_search, _closed_neighbourhoods(sys),
-        universe, forced, lambda seed: _pendant_line_floor(sys), t0,
+        KIND_DOMINATION, ks.gamma_search, _gamma_seed(sys), len(sys.support),
+        lambda: _pendant_line_floor(sys),
+        lambda: (_closed_neighbourhoods(sys), (sys.degrees > 0).astype(np.uint8)),
+        forced, t0,
     )
 
 
@@ -239,13 +312,18 @@ def _checked_packing(sys: LinearSystem, incumbent) -> Tuple[int, ...]:
     return idx
 
 
+def _marked(lines, marks: np.ndarray):
+    """The number of marked points on each line, lazily."""
+    return map(sum, map(map, repeat(marks.tolist().__getitem__), lines))
+
+
 def _packing_bounds(sys: LinearSystem):
-    """The set-up of the nu2 search: (top, incidence, free, kept, heavy).
-    top is an upper bound on nu2; incidence is the (m, n) line-point
-    incidence; free lists the free lines, those with no point on three or
-    more lines, which are in every maximum 2-packing; kept indexes the
-    other lines and heavy marks the h points on three or more lines, over
-    which the kernel decides them.
+    """The set-up of the nu2 search: (top, free, kept, heavy). top is an
+    upper bound on nu2; free lists the free lines, those with no point on
+    three or more lines, which are in every maximum 2-packing; kept
+    indexes the other lines and heavy marks the h points on three or more
+    lines, over which the kernel decides them. All four come from the
+    lines and the degrees; no incidence matrix is built.
 
     Let r be the largest number of points of degree >= 2 on a line. Two
     rules bound nu2 on an intersecting system with m lines (any two lines
@@ -271,28 +349,27 @@ def _packing_bounds(sys: LinearSystem):
       sum to at most 2h.
     top is the least of m and the rules that apply, so a verified
     2-packing of top lines is maximum."""
-    incidence = _incidence(sys.line_tuples, sys.num_points)
     deg = sys.degrees
     m = sys.num_lines
     # the meet and parity rules, with r the most points of degree >= 2 on
     # one line
-    r = int((incidence & (deg >= 2)).sum(axis=1).max())
+    r = max(_marked(sys.line_tuples, deg >= 2))
     top = m
     if is_intersecting(sys):
         top = r if r % 2 == 0 and m >= r + 2 else min(m, r + 1)
 
     heavy = deg >= 3
     h = int(heavy.sum())
-    weights = (incidence & heavy).sum(axis=1)
-    free = np.flatnonzero(weights == 0).tolist()
-    kept = np.flatnonzero(weights)
-    weights = weights[kept]
+    weights = list(_marked(sys.line_tuples, heavy))
+    free = [i for i, w in enumerate(weights) if not w]
+    kept = [i for i, w in enumerate(weights) if w]
+    weights = [w for w in weights if w]
     f = len(free)
     # the capacity rule; with every weight at the largest one it is at
     # least that cheap count, so only a count below top needs the sort
-    if f + min(m - f, 2 * h // int(weights.max(initial=1))) < top:
+    if f + min(m - f, 2 * h // max(weights, default=1)) < top:
         top = min(top, f + _capacity(weights, h))
-    return top, incidence, free, kept, heavy
+    return top, free, kept, heavy
 
 
 def two_packing_number(
@@ -312,11 +389,16 @@ def two_packing_number(
     ks = kernels if kernels is not None else ACTIVE
     t0 = time.perf_counter()
 
-    top, incidence, free, kept, heavy = _packing_bounds(sys)
+    top, free, kept, heavy = _packing_bounds(sys)
     f = len(free)
     best0 = max(len(incumbent) - f - 1, 0) if incumbent is not None else 0
-    best, wit, nodes = ks.nu2_search(incidence[kept][:, heavy], top - f, best0)
-    witness = tuple(sorted(free + kept[wit[: int(best)]].tolist()))
+    # the kept lines over the heavy points; a system of free lines only
+    # has neither, and hands the kernel the empty matrix
+    lines = _EMPTY
+    if kept:
+        lines = _incidence([sys.line_tuples[i] for i in kept], sys.num_points)[:, heavy]
+    best, wit, nodes = ks.nu2_search(lines, top - f, best0)
+    witness = tuple(sorted(free + [kept[i] for i in wit[: int(best)].tolist()]))
     dt = time.perf_counter() - t0
     return SolveResult(
         KIND_TWO_PACKING, f + int(best), witness, int(nodes), dt

@@ -1,7 +1,7 @@
 """Brute-force reference implementations for the three invariants and
 for isomorphism, embedding and the projective-plane axioms, the
-reference LinearSystem constructor, the reference cover-search kernel
-and the lex-first dual conic of PG(2,q).
+reference LinearSystem constructor, the reference greedy cover and
+cover-search kernel and the lex-first dual conic of PG(2,q).
 
 Deliberately naive: plain set arithmetic over itertools subsets and
 permutations, sharing no code with the package (the reference
@@ -10,7 +10,9 @@ constructor takes only its exception types). Only usable at small scale
 point-map oracles want at most about 7 points, the plane-axiom oracle
 at most about 21). The reference kernel is not brute force: it is the
 cover search one node at a time, whose tree, witness and node count
-the package's kernel must reproduce. The dual conic is geometry, not
+the package's kernel must reproduce; the reference greedy cover is the
+seed taken from a dense cover matrix, whose picks the seeds built from
+the lines must reproduce. The dual conic is geometry, not
 search: it takes a built plane's coordinates and field tables as data.
 ``system_fields`` lists what a built system exposes, to compare a
 system built without the constructor's tests with its validated rebuild.
@@ -228,6 +230,24 @@ def brute_plane_axioms(num_points, lines):
             f"{n} points and {m} lines, expected {expected} for order {q}",
         )
     return (True, q, None, None)
+
+
+# The greedy seed of tau and gamma as it was taken from their dense cover
+# matrices, before the seeds were built from the lines. Unchanged but for
+# its name.
+def reference_greedy_cover(covers, universe):
+    """Pick the candidate (row of covers) covering the most uncovered
+    elements of the universe, lowest index on ties, until all are covered.
+    Returns the picks in ascending order."""
+    # the columns of the elements still uncovered
+    left = covers[:, universe == 1]
+    chosen = []
+    while left.shape[1]:
+        # argmax takes the first of equal counts: the lowest index
+        v = int(left.sum(axis=1).argmax())
+        chosen.append(v)
+        left = left[:, left[v] == 0]
+    return tuple(sorted(chosen))
 
 
 # The cover-search kernel as it stood before its nodes carried their

@@ -388,6 +388,19 @@ def test_battery_builds_its_plane_once(q, monkeypatch):
     assert got == want and all(ok for _, ok in got)
 
 
+def test_battery_builds_the_triangular_system_under_its_caps():
+    # triangular-5 holds 30 point pairs on lines: under a pair cap of 29,
+    # passed to the battery, the saturated-packing row is skipped, as the
+    # reconstruction row is for ext-PG(2,2) and its 42 pairs
+    rows = {r.name: r for r in verification_battery(2, caps=Caps(system_pairs=29))}
+    assert rows["saturated-packing"].status == "skip"
+    assert rows["saturated-packing"].detail == (
+        "size cap: 30 point pairs on lines exceeds cap 29"
+    )
+    assert rows["reconstruction"].status == "skip"
+    assert rows["plane-axioms"].status == "pass"
+
+
 def test_battery_order_two():
     rows = verification_battery(2)
     by_name = {r.name: r for r in rows}

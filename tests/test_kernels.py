@@ -17,7 +17,7 @@ from linsys import (
 )
 from linsys import kernels
 from linsys.kernels import ACTIVE, JIT_KERNELS, PY_KERNELS
-from linsys.solvers import _closed_neighbourhoods, _greedy_cover, _incidence
+from linsys.solvers import _closed_neighbourhoods, _gamma_seed, _incidence, _tau_seed
 
 from corpus import build_corpus
 from oracles import reference_cover_search
@@ -124,12 +124,12 @@ def _cover_inputs(sys_):
     if sys_.line_tuples:
         point_cover = _incidence(sys_.lines_through, sys_.num_lines)
         universe = np.ones(sys_.num_lines, dtype=np.uint8)
-        seed = _greedy_cover(point_cover, universe)
+        seed, _ = _tau_seed(sys_)
         out.append((point_cover, universe, len(seed)))
     if sys_.support:
         cover = _closed_neighbourhoods(sys_)
         universe = (sys_.degrees > 0).astype(np.uint8)
-        seed = _greedy_cover(cover, universe)
+        seed, _ = _gamma_seed(sys_)
         out.append((cover, universe, len(seed)))
     return out
 

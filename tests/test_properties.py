@@ -32,7 +32,9 @@ from linsys import (
 from linsys import solvers
 
 from corpus import MAX_LINES, MAX_POINTS, build_corpus
-from oracles import brute_domination, brute_transversal, brute_two_packing
+from oracles import (
+    brute_domination, brute_transversal, brute_two_packing, reference_greedy_cover,
+)
 
 CORPUS = build_corpus()
 IDS = [f"{i:03d}-{s.name or 'rand'}" for i, s in enumerate(CORPUS)]
@@ -159,8 +161,59 @@ def test_search_bounds_match_brute_force(sys_):
     # candidate that covers something: the support points, for tau and
     # gamma alike) the bounds alone must lead the search to the optimum
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_greedy_cover", _trivial_cover)
+        mp.setattr(solvers, "_tau_seed", _trivial_seed(solvers._tau_seed))
+        mp.setattr(solvers, "_gamma_seed", _trivial_seed(solvers._gamma_seed))
         _solve_all(sys_)
+
+
+def _dense_seeds(sys_):
+    """tau's and gamma's (seed, maxcov) from the dense cover matrices: the
+    reference greedy cover and the largest row count over the universe."""
+    out = []
+    if sys_.line_tuples:
+        cover = solvers._incidence(sys_.lines_through, sys_.num_lines)
+        universe = np.ones(sys_.num_lines, dtype=np.uint8)
+        out.append((reference_greedy_cover(cover, universe), int(cover.sum(axis=1).max())))
+    if sys_.support:
+        cover = solvers._closed_neighbourhoods(sys_)
+        universe = (sys_.degrees > 0).astype(np.uint8)
+        maxcov = int((cover & universe).sum(axis=1).max())
+        out.append((reference_greedy_cover(cover, universe), maxcov))
+    return out
+
+
+def _line_seeds(sys_):
+    """The same pairs as the solvers take them from the lines."""
+    out = []
+    if sys_.line_tuples:
+        out.append(solvers._tau_seed(sys_))
+    if sys_.support:
+        out.append(solvers._gamma_seed(sys_))
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(small_linear_systems())
+def test_seeds_from_the_lines_match_the_dense_greedy_on_small_systems(sys_):
+    assert _line_seeds(sys_) == _dense_seeds(sys_)
+
+
+def test_seeds_from_the_lines_match_the_dense_greedy():
+    # the same picks, lowest index on ties, on the corpus (isolated points
+    # included), the planes and pendant planes up to order 16 and the
+    # triangular systems, where tau's and gamma's seeds differ
+    systems = list(CORPUS)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        plane = projective_plane(q).system
+        systems += [plane, extend_with_pendant_points(plane)]
+    systems += [triangular_system(m) for m in range(3, 13)]
+    assert sum(len(s.support) < s.num_points for s in systems) >= 10
+    differ = 0
+    for s in systems:
+        seeds = _line_seeds(s)
+        assert seeds == _dense_seeds(s), s.name
+        differ += len(seeds) == 2 and seeds[0][0] != seeds[1][0]
+    assert differ >= 50
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -191,8 +244,10 @@ def test_nu2_capacity_rule_and_incumbents_match_brute_force(sys_):
         assert (res.value, res.witness) == (want.value, want.witness), c
 
 
-def _trivial_cover(covers, universe):
-    return tuple(int(v) for v in np.nonzero((covers & universe).any(axis=1))[0])
+def _trivial_seed(seed):
+    """A seed function that offers the support points, with seed's
+    maxcov, a true bound that the root test may use."""
+    return lambda sys_: (tuple(sorted(sys_.support)), seed(sys_)[1])
 
 
 def _root_bound_cases():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import tracemalloc
@@ -617,13 +618,13 @@ def test_closed_neighbourhoods_match_set_logic():
 def test_solver_memory_is_bounded_by_the_cover_matrix(solve, monkeypatch):
     # ext-PG(2,16): 546 points on 273 lines. The cover matrix is (k, e)
     # uint8, points over lines for tau and points over points for gamma.
-    # A solve may hold four arrays of its size (the matrix, the greedy
-    # seed's column copy and its filtered copy, one kernel temporary),
-    # numpy's casting buffer for a row sum (getbufsize() elements of 8
-    # bytes) and O(cap * (k + e)) per-depth rows; one (k, e) int32 or
-    # intp array more, such as candidate lists built from the matrix,
-    # does not fit. At floor 0 gamma searches its whole tree, which the
-    # pendant-line floor would settle at the root
+    # A solve may hold two arrays of its size (the matrix and one kernel
+    # temporary; the greedy seed is taken from the lines), numpy's casting
+    # buffer for a row sum (getbufsize() elements of 8 bytes) and
+    # O(cap * (k + e)) per-depth rows; one (k, e) int32 or intp array
+    # more, such as candidate lists built from the matrix, does not fit.
+    # At floor 0 gamma searches its whole tree, which the pendant-line
+    # floor would settle at the root, and tau settles at the root
     _no_floors(monkeypatch)
     s = _extended_plane(16)
     n, m = s.num_points, s.num_lines
@@ -639,7 +640,7 @@ def test_solver_memory_is_bounded_by_the_cover_matrix(solve, monkeypatch):
     assert res.nodes_explored == (1 if solve is transversal_number else 223)
     # the greedy seed is the value here, so the kernel's depth cap is 19
     cap = res.value + 2
-    assert peak - base <= 4 * k * e + 16 * cap * (k + e) + 8 * np.getbufsize()
+    assert peak - base <= 2 * k * e + 16 * cap * (k + e) + 8 * np.getbufsize()
 
 
 def _rooted_nu2_search(sys_, top):
@@ -712,8 +713,9 @@ def _build_style_system(rng, n, target):
 
 @pytest.mark.parametrize("ks", [k for k in (PY_KERNELS, JIT_KERNELS) if k], ids=lambda k: k.name)
 def test_nu2_of_an_all_free_system_is_the_kernels_root_answer(ks):
-    # a system of free lines only hands the kernel an empty incidence,
-    # settled at the root: every line, in 1 node
+    # a system of free lines only keeps no line and marks no point, and
+    # hands the kernel the empty matrix, settled at the root: every line,
+    # in 1 node
     rng = random.Random(2018)
     free_only = 0
     for i in range(300):
@@ -722,8 +724,9 @@ def test_nu2_of_an_all_free_system_is_the_kernels_root_answer(ks):
             continue
         free_only += 1
         got = two_packing_number(sys_, kernels=ks)
-        top, incidence, free, kept, heavy = solvers._packing_bounds(sys_)
-        best, wit, nodes = ks.nu2_search(incidence[kept][:, heavy], top - len(free), 0)
+        top, free, kept, heavy = solvers._packing_bounds(sys_)
+        assert len(kept) == 0 and not heavy.any()
+        best, wit, nodes = ks.nu2_search(solvers._EMPTY, top - len(free), 0)
         want = (KIND_TWO_PACKING, len(free) + int(best), tuple(free), int(nodes))
         assert (got.kind, got.value, got.witness, got.nodes_explored) == want
         assert want == (KIND_TWO_PACKING, sys_.num_lines, tuple(range(sys_.num_lines)), 1)
@@ -969,6 +972,76 @@ def test_plane_tau_settles_at_root(q):
     res = transversal_number(_plane(q))
     assert res.value == q + 1
     assert res.nodes_explored == 1
+
+
+def _spy_kernels(calls):
+    """PY_KERNELS, with each search's name and input shape recorded in
+    calls."""
+    def spy(name, search):
+        def run(lines, *args):
+            calls.append((name, lines.shape))
+            return search(lines, *args)
+        return run
+
+    return dataclasses.replace(
+        PY_KERNELS,
+        tau_search=spy("tau", PY_KERNELS.tau_search),
+        gamma_search=spy("gamma", PY_KERNELS.gamma_search),
+        nu2_search=spy("nu2", PY_KERNELS.nu2_search),
+    )
+
+
+def test_solves_settled_at_the_root_build_no_matrix(monkeypatch):
+    # the root tests run on the greedy seed before any matrix is built; a
+    # settled solve still calls its kernel, on the empty matrix, in 1 node
+    caps = Caps(solver_points=200, solver_lines=200)
+    planes = {q: projective_plane(q) for q in (2, 3, 4, 5, 7, 8, 9)}
+    pendant = {q: extend_with_pendant_points(planes[q].system) for q in planes if q <= 8}
+
+    def refuse(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(solvers, "_incidence", refuse)
+    monkeypatch.setattr(solvers, "_closed_neighbourhoods", refuse)
+    calls = []
+    ks = _spy_kernels(calls)
+
+    def outcome(res):
+        return res.value, res.witness, res.nodes_explored
+
+    for q, plane in planes.items():
+        res = transversal_number(plane.system, kernels=ks)
+        assert outcome(res) == (q + 1, tuple(range(q + 1)), 1)
+    for q, ext in pendant.items():
+        res = domination_number(planes[q].system, kernels=ks)
+        assert outcome(res) == (1, (0,), 1)
+        res = domination_number(ext, caps=caps, kernels=ks)
+        assert outcome(res) == (q + 1, tuple(range(q + 1)), 1)
+    for m in range(3, 12):
+        res = two_packing_number(triangular_system(m), kernels=ks)
+        assert outcome(res) == (m, tuple(range(m)), 1)
+    assert len(calls) == 7 + 2 * 6 + 9
+    assert {shape for _, shape in calls} == {(0, 0)}
+    # the battery's first solves: tau, and nu2 from the dual hyperoval
+    plane = planes[8]
+    gap = check_packing_gap(plane.system, incumbent=dual_hyperoval_lines(plane))
+    assert (gap.tau, gap.nu2) == (9, 10)
+
+
+def test_a_solve_that_branches_builds_its_matrix(monkeypatch):
+    # gamma on triangular-9 is not settled at the root: its seed, 4
+    # points, is minimum, but its 36 points are at most 3 * 15, 15 points
+    # being the largest closed neighbourhood, and no point has degree 1
+    built = []
+    real = solvers._closed_neighbourhoods
+    monkeypatch.setattr(
+        solvers, "_closed_neighbourhoods", lambda s: built.append(s.name) or real(s)
+    )
+    calls = []
+    res = domination_number(triangular_system(9), kernels=_spy_kernels(calls))
+    assert (res.value, res.witness, res.nodes_explored) == (4, (0, 15, 26, 33), 166)
+    assert built == ["triangular-9"]
+    assert calls == [("gamma", (36, 36))]
 
 
 def test_plane_nu2_order_eight():
