@@ -11,8 +11,9 @@ construction used to generate inputs.
 """
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from .core import (
     LinearSystem,
@@ -22,7 +23,6 @@ from .core import (
     _Linear,
     degree_profile,
     delete_points,
-    drop_isolated,
     embeds_in,
     induced_subsystem,
     is_intersecting,
@@ -93,8 +93,9 @@ def check_extremal_family(
 @dataclass(frozen=True)
 class Derivation:
     """A spanning subsystem with one pendant point per line, and the
-    reduced system left after deleting those pendants. chain records the
-    equalities gamma(source) = gamma(spanning) = tau(spanning) =
+    reduced system left after deleting those pendants; a spanning
+    subsystem that keeps every line is the source object. chain records
+    the equalities gamma(source) = gamma(spanning) = tau(spanning) =
     tau(reduced) = rank-1 verified after extraction."""
 
     source: LinearSystem
@@ -105,19 +106,17 @@ class Derivation:
     chain: Dict[str, int]
 
 
-def _subset_is_valid(sys: LinearSystem, combo) -> bool:
-    # spanning, and a degree-one point on each line; derive has required
-    # sys to be intersecting, so any subset of its lines meets pairwise
-    union = set()
-    for i in combo:
-        union.update(sys.line_tuples[i])
-    if union != sys.support:
-        return False
-    deg: Dict[int, int] = {}
-    for i in combo:
-        for v in sys.line_tuples[i]:
-            deg[v] = deg.get(v, 0) + 1
-    return all(any(deg[v] == 1 for v in sys.line_tuples[i]) for i in combo)
+def _pendants(sys: LinearSystem, combo) -> Optional[Tuple[int, ...]]:
+    """The first degree-one point of each chosen line, by position, when
+    the chosen lines span sys and each holds one; else None. derive has
+    required sys to be intersecting, so any subset of its lines meets
+    pairwise."""
+    lines = [sys.line_tuples[i] for i in combo]
+    deg = Counter(itertools.chain.from_iterable(lines))
+    if deg.keys() != sys.support:
+        return None
+    pendants = tuple(next((v for v in l if deg[v] == 1), None) for l in lines)
+    return None if None in pendants else pendants
 
 
 def derive(sys: LinearSystem, r: int, caps: Caps = DEFAULT_CAPS) -> Derivation:
@@ -137,39 +136,31 @@ def derive(sys: LinearSystem, r: int, caps: Caps = DEFAULT_CAPS) -> Derivation:
         )
 
     candidates = [i for i, l in enumerate(sys.line_tuples) if len(l) == r]
-    tried = 0
-    found = None
-    for k in range(len(candidates), 0, -1):
-        for combo in itertools.combinations(candidates, k):
-            tried += 1
-            if tried > caps.derive_subsets:
-                raise SizeLimit(
-                    f"derivation explored {tried} line subsets,"
-                    f" cap is {caps.derive_subsets}"
-                )
-            if _subset_is_valid(sys, combo):
-                found = combo
-                break
-        if found:
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(candidates, k) for k in range(len(candidates), 0, -1)
+    )
+    for tried, found in enumerate(subsets, 1):
+        if tried > caps.derive_subsets:
+            raise SizeLimit(
+                f"derivation explored {tried} line subsets,"
+                f" cap is {caps.derive_subsets}"
+            )
+        pendants = _pendants(sys, found)
+        if pendants is not None:
             break
-    if found is None:
+    else:
         raise DerivationFailed(
             "no r-uniform intersecting spanning subsystem with pendant"
             " points exists; the input should not have passed membership"
         )
 
-    spanning = induced_subsystem(sys, found)
-    pendant_map: Dict[int, int] = {}
-    for j, l in enumerate(spanning.line_tuples):
-        pendant_map[j] = next(v for v in l if spanning.degrees[v] == 1)
-
-    reduced = delete_points(spanning, pendant_map.values())
-
     # a spanning subsystem that keeps every line is the source itself
-    if spanning == sys:
-        gamma_spanning = report.gamma
+    if len(found) == sys.num_lines:
+        spanning, gamma_spanning = sys, report.gamma
     else:
+        spanning = induced_subsystem(sys, found)
         gamma_spanning = domination_number(spanning, caps=caps).value
+    reduced = delete_points(spanning, pendants)
     chain = {
         "gamma_source": report.gamma,
         "gamma_spanning": gamma_spanning,
@@ -183,9 +174,9 @@ def derive(sys: LinearSystem, r: int, caps: Caps = DEFAULT_CAPS) -> Derivation:
 
     return Derivation(
         source=sys,
-        spanning_line_indices=tuple(found),
+        spanning_line_indices=found,
         spanning=spanning,
-        pendant_map=pendant_map,
+        pendant_map=dict(enumerate(pendants)),
         reduced=reduced,
         chain=chain,
     )
@@ -413,8 +404,10 @@ def _reconstruction(sys: LinearSystem, plane: PlaneModel, caps: Caps) -> Reconst
             embeds and spanned == n_expected,
         )
     )
-    compacted, _ = drop_isolated(red)
-    gamma = domination_number(compacted, caps=caps).value
+    # an isolated point is in every dominating set and dominates only
+    # itself, so gamma of red less them is gamma of red's support
+    isolated = red.num_points - len(red.support)
+    gamma = domination_number(red, caps=caps).value - isolated
     clauses.append(ClauseCheck("domination-one", 1, gamma, gamma == 1))
 
     return ReconstructionReport(order=q, derivation=derivation, clauses=tuple(clauses))

@@ -103,8 +103,7 @@ def _check_caps(sys: LinearSystem, caps: Caps) -> None:
 
 def _incidence(rows, width: int) -> np.ndarray:
     """(len(rows), width) uint8 matrix with a 1 at (i, v) for each v in
-    rows[i]: the point-line cover from (``lines_through``, m) for tau, the
-    kept lines over all points for nu2."""
+    rows[i]: tau's point-line cover from (``lines_through``, m)."""
     out = np.zeros(len(rows) * width, dtype=np.uint8)
     out[[i * width + v for i, r in enumerate(rows) for v in r]] = 1
     return out.reshape(len(rows), width)
@@ -392,11 +391,17 @@ def two_packing_number(
     top, free, kept, heavy = _packing_bounds(sys)
     f = len(free)
     best0 = max(len(incumbent) - f - 1, 0) if incumbent is not None else 0
-    # the kept lines over the heavy points; a system of free lines only
-    # has neither, and hands the kernel the empty matrix
+    # the kept lines over the heavy points, the j-th heavy point in
+    # column j, read from the lines through each: every such line is kept.
+    # A system of free lines only has neither, and hands the kernel the
+    # empty matrix
     lines = _EMPTY
     if kept:
-        lines = _incidence([sys.line_tuples[i] for i in kept], sys.num_points)[:, heavy]
+        pts = np.flatnonzero(heavy).tolist()
+        start = dict(zip(kept, range(0, len(kept) * len(pts), len(pts))))
+        ones = [start[i] + j for j, v in enumerate(pts) for i in sys.lines_through[v]]
+        lines = np.zeros((len(kept), len(pts)), dtype=np.uint8)
+        lines.reshape(-1)[ones] = 1
     best, wit, nodes = ks.nu2_search(lines, top - f, best0)
     witness = tuple(sorted(free + [kept[i] for i in wit[: int(best)].tolist()]))
     dt = time.perf_counter() - t0

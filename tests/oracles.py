@@ -1,7 +1,8 @@
 """Brute-force reference implementations for the three invariants and
 for isomorphism, embedding and the projective-plane axioms, the
 reference LinearSystem constructor, the reference greedy cover and
-cover-search kernel and the lex-first dual conic of PG(2,q).
+cover-search kernel, derive's reference subset test and the lex-first
+dual conic of PG(2,q).
 
 Deliberately naive: plain set arithmetic over itertools subsets and
 permutations, sharing no code with the package (the reference
@@ -146,6 +147,28 @@ def brute_pendant_reduction(lines):
         if not ones:
             return cur
         cur = {l - ones for l in cur} - {frozenset()}
+
+
+def reference_pendants(lines, combo):
+    """derive's subset test and pendant loop, as they were: the chosen
+    lines must cover every point that is on a line, and each must hold a
+    point on no other chosen line. Returns the first such point of each
+    chosen line, in combo's order, or None."""
+    support = set()
+    for l in lines:
+        support.update(l)
+    union = set()
+    for i in combo:
+        union.update(lines[i])
+    if union != support:
+        return None
+    deg = {}
+    for i in combo:
+        for v in lines[i]:
+            deg[v] = deg.get(v, 0) + 1
+    if not all(any(deg[v] == 1 for v in lines[i]) for i in combo):
+        return None
+    return tuple(next(v for v in lines[i] if deg[v] == 1) for i in combo)
 
 
 def brute_isomorphic(lines_a, lines_b):

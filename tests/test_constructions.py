@@ -19,6 +19,7 @@ from linsys import (
     delete_line,
     derive,
     domination_number,
+    drop_isolated,
     extend_with_pendant_points,
     is_intersecting,
     is_spanning_subsystem,
@@ -33,7 +34,7 @@ from linsys import (
 from linsys.limits import Caps
 
 from corpus import build_corpus
-from oracles import system_fields
+from oracles import reference_pendants, system_fields
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +172,7 @@ def test_derive_solves_gamma_once_on_extended_planes(q, monkeypatch):
     ext = extend_with_pendant_points(projective_plane(q).system)
     d = derive(ext, q + 2)
     assert len(calls) == 1
-    assert d.spanning == ext
+    assert d.spanning is ext
     # the chain that two gamma solves gave
     assert d.chain == {
         "gamma_source": q + 1,
@@ -186,8 +187,11 @@ def test_derive_from_a_proper_subset():
     # the four lines leave every point on two of them, so no line has a
     # pendant point; the first three lines are the spanning subsystem,
     # and its gamma is solved on its own
-    d = derive(triangular_system(4), 3)
+    tri = triangular_system(4)
+    d = derive(tri, 3)
     assert d.spanning_line_indices == (0, 1, 2)
+    assert d.spanning is not tri
+    assert d.spanning.line_tuples == tri.line_tuples[:3]
     assert d.pendant_map == {0: 2, 1: 4, 2: 5}
     assert d.reduced.line_tuples == ((0, 1), (0, 3), (1, 3))
     assert set(d.chain.values()) == {2}
@@ -213,11 +217,54 @@ def test_derive_skips_subsets_that_do_not_span():
     )
     d = derive(sys_, 4)
     assert d.spanning_line_indices == (0, 1, 2, 3, 4, 6)
+    assert d.spanning.line_tuples == tuple(sys_.line_tuples[i] for i in (0, 1, 2, 3, 4, 6))
     assert d.pendant_map == {0: 4, 1: 8, 2: 0, 3: 12, 4: 9, 5: 6}
     assert d.reduced.line_tuples == (
         (1, 7, 10), (1, 5, 11), (1, 2, 3), (3, 5, 7), (2, 5, 10), (2, 7, 11),
     )
     assert set(d.chain.values()) == {3}
+
+
+def _small_intersecting_corpus():
+    return [
+        s for s in build_corpus()
+        if s.num_lines <= 10 and is_intersecting(s)
+    ]
+
+
+def test_pendants_match_the_reference_on_every_line_subset():
+    # every subset of the lines of each intersecting corpus system with at
+    # most 10 lines, the empty one too; both ways to fail occur
+    from linsys.constructions import _pendants
+
+    seen = set()
+    for s in _small_intersecting_corpus():
+        for k in range(s.num_lines + 1):
+            for combo in itertools.combinations(range(s.num_lines), k):
+                want = reference_pendants(s.line_tuples, combo)
+                assert _pendants(s, combo) == want, (s, combo)
+                if want is not None:
+                    seen.add("pendants")
+                elif set().union(*(s.line_tuples[i] for i in combo)) != s.support:
+                    seen.add("not spanning")
+                else:
+                    seen.add("a line with no degree-one point")
+    assert seen == {"pendants", "not spanning", "a line with no degree-one point"}
+
+
+def test_gamma_less_isolated_points_is_gamma_of_the_support():
+    # the domination clause reads gamma of the reduced system less its
+    # isolated points, for gamma of the system compacted onto its support
+    isolated = 0
+    for s in build_corpus():
+        n_isolated = s.num_points - len(s.support)
+        isolated += n_isolated
+        compacted, _ = drop_isolated(s)
+        assert (
+            domination_number(s).value - n_isolated
+            == domination_number(compacted).value
+        ), s
+    assert isolated > 0
 
 
 def test_derive_subsets_cap():
@@ -386,6 +433,26 @@ def test_battery_builds_its_plane_once(q, monkeypatch):
     want = [(f"reconstruction-{c.clause}", c.passed) for c in report.clauses]
     got = [(r.name, r.status == "pass") for r in rows if r.name.startswith("reconstruction-")]
     assert got == want and all(ok for _, ok in got)
+
+
+@pytest.mark.parametrize("q, built", [(2, 4), (3, 1), (4, 4), (8, 4), (16, 4)])
+def test_battery_builds_each_system_once(q, built, monkeypatch):
+    # at even q: PG(2,q), its pendant extension, the reduced system and
+    # triangular-(q+3). The extension is its own spanning subsystem, and
+    # the domination clause reads the reduced system as it is; an odd q
+    # builds only the plane
+    calls = []
+    init = LinearSystem.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearSystem, "__init__", counted)
+    rows = verification_battery(q, caps=RAISED_CAPS)
+    assert len(calls) == built
+    assert all(r.status == "pass" for r in rows if r.status != "skip")
+    assert any(r.name.startswith("reconstruction-") for r in rows) == (q % 2 == 0)
 
 
 def test_battery_builds_the_triangular_system_under_its_caps():

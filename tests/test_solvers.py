@@ -506,6 +506,31 @@ CORPUS_NU2_SHA256 = (
 )
 
 
+def test_nu2_kernel_input_is_c_contiguous():
+    # the kept lines over the heavy points are built row by row, heavy
+    # points numbered by rank: the column selection of the full incidence,
+    # in C order, with the pinned answers
+    seen = []
+
+    def spy(lines, *args):
+        seen.append(lines)
+        return PY_KERNELS.nu2_search(lines, *args)
+
+    ks = dataclasses.replace(PY_KERNELS, nu2_search=spy)
+    for s in [_plane(3), _plane(5), triangular_system(9)] + build_corpus():
+        seen.clear()
+        two_packing_number(s, kernels=ks)
+        (lines,) = seen
+        assert lines.flags.c_contiguous
+        _, _, kept, heavy = solvers._packing_bounds(s)
+        full = _incidence([s.line_tuples[i] for i in kept], s.num_points)
+        assert np.array_equal(lines, full[:, heavy] if kept else solvers._EMPTY)
+    for name in ("PG(2,3)", "PG(2,5)", "triangular-9"):
+        build, answer = PINNED_NU2_NODES[name]
+        res = two_packing_number(build(), kernels=ks)
+        assert (res.value, res.witness, res.nodes_explored) == answer
+
+
 def test_pinned_nu2_nodes_on_corpus():
     # the sha256 of the repr of the (value, witness) list in corpus order,
     # and the node total over the 110 systems
