@@ -10,18 +10,17 @@ across derivations. All systems are immutable once built.
 Construction validates whole lines at C speed where it can. A line of
 plain ints within range is accepted by one type-set test and its min and
 max; any other line goes entry by entry, which converts numpy integers
-and names the bad entry. Linearity is a count of distinct point pairs,
-which is sum C(|l|, 2) exactly when no pair lies on two lines. A system
-with at most ``_TABLE_PAIRS`` pairs counts the keys of its pair table,
-which it keeps as ``pair_line``; a larger one sorts every line's pair
-keys in one numpy array and looks for a repeat, and builds the table
-only when ``pair_line`` is first read. Only a system that fails is
-searched for its least clashing line pair. The declared point count and
-the pair count meet their caps before either is allocated.
+and names the bad entry. Linearity, no point pair on two lines, is the
+least-clash search for a system of at most ``_TABLE_PAIRS`` point pairs;
+a larger one sorts every line's pair keys in one numpy array and is
+searched only if a key repeats. No pair table is kept: two points share
+at most one line, their ``_join``, read from ``lines_through``. The
+declared point count and the pair count meet their caps before either
+is allocated.
 
 A system that is linear by construction is built by the constructor
 from its lines as ``_Linear``, ascending int tuples that become its
-``line_tuples`` as they are: no test, no sort and no pair table. Deleting
+``line_tuples`` as they are: no test and no sort. Deleting
 points or lines, keeping some lines and dropping isolated points keep a
 system linear and each source line ascending, so they take this path, as
 do the projective planes, pendant extensions and triangular systems,
@@ -52,10 +51,13 @@ from .limits import DEFAULT_CAPS, Caps
 _INT = {int}
 
 
-# Up to this many point pairs on lines, counting the pair table's keys is
-# the faster linearity test, and it leaves the table built; above it,
-# sorting the pair keys is. Under timeit the two break even near 100
-# pairs on planes and near 400 on random systems of mixed line sizes.
+# Up to this many point pairs on lines, the least-clash search is the
+# faster linearity test; above it, sorting the pair keys is. Under timeit
+# on a 2-core x86-64 machine, the 208 systems of at most 256 pairs that
+# one pass of the build benchmark parses take 1.15 ms by the search and
+# 4.11 ms by the sort, and its 9 larger ones (planes and pendant planes
+# from PG(2,5) to PG(2,16)) take 8.38 ms by the search and 1.03 ms by the
+# sort.
 _TABLE_PAIRS = 256
 # a pair key u * n + v is below n**2, which int64 holds up to this n
 _KEYED_POINTS = math.isqrt(np.iinfo(np.int64).max)
@@ -92,13 +94,6 @@ class _Linear(tuple):
     their count and pairs held to the caps before they were built.
     ``LinearSystem`` takes them as its ``line_tuples``, without its tests
     and without sorting them."""
-
-
-def _pair_table(line_tuples) -> Dict[Tuple[int, int], int]:
-    pair = {}
-    for i, l in enumerate(line_tuples):
-        pair.update(zip(combinations(l, 2), repeat(i)))
-    return pair
 
 
 @lru_cache(maxsize=64)
@@ -139,11 +134,13 @@ def _pairs_distinct(line_tuples, n: int, total: int) -> bool:
     return not (keys[1:] == keys[:-1]).any()
 
 
-def _least_clash(line_tuples) -> Tuple[int, int]:
-    """The least (h, i) with lines h < i sharing a point pair. A pair met
-    again on line i clashes with its first holder h, and every violating
-    line pair through that point pair starts at h or later, so the least
-    clash met this way is the least violating line pair."""
+def _least_clash(line_tuples) -> Optional[Tuple[int, int]]:
+    """The least (h, i) with lines h < i sharing a point pair, or None when
+    the lines are linear: the whole linearity test of a small system, and
+    the error search of a large one that failed the sort. A pair met again
+    on line i clashes with its first holder h, and every violating line
+    pair through that point pair starts at h or later, so the least clash
+    met this way is the least violating line pair."""
     pair = {}
     clash = None
     for i, l in enumerate(line_tuples):
@@ -169,7 +166,6 @@ class LinearSystem:
         "degrees",
         "support",
         "lines_through",
-        "_pair_line",
     )
 
     def __init__(
@@ -205,22 +201,17 @@ class LinearSystem:
             seen[t] = i
         line_tuples = tuple(seen)
 
-        # Linearity: no point pair lies on two lines, so the lines hold
-        # exactly sum C(|l|, 2) distinct pairs. Only a system that holds
-        # fewer is searched for its least clashing line pair.
+        # a large system with distinct pair keys is linear; any other is
+        # searched for its least clashing line pair
         total = sum(k * (k - 1) // 2 for k in map(len, line_tuples))
         _check_pairs(total, caps)
-        pair = None
-        if total <= _TABLE_PAIRS or n > _KEYED_POINTS:
-            pair = _pair_table(line_tuples)
-            linear = len(pair) == total
-        else:
-            linear = _pairs_distinct(line_tuples, n, total)
-        if not linear:
-            h, i = _least_clash(line_tuples)
-            raise LinearityViolation(h, i, set(line_tuples[h]).intersection(line_tuples[i]))
+        sortable = total > _TABLE_PAIRS and n <= _KEYED_POINTS
+        if not (sortable and _pairs_distinct(line_tuples, n, total)):
+            clash = _least_clash(line_tuples)
+            if clash is not None:
+                h, i = clash
+                raise LinearityViolation(h, i, set(line_tuples[h]).intersection(line_tuples[i]))
         self._fill(n, line_tuples, name)
-        self._pair_line = pair
 
     def _fill(self, n: int, line_tuples, name: Optional[str]) -> None:
         self.num_points = n
@@ -235,16 +226,6 @@ class LinearSystem:
         degs.setflags(write=False)
         self.degrees = degs
         self.support = frozenset(np.flatnonzero(degs).tolist())
-        self._pair_line = None
-
-    @property
-    def pair_line(self) -> Dict[Tuple[int, int], int]:
-        """The line through each collinear point pair (u, v), u < v, keyed
-        line by line in ``combinations`` order. Built on first read unless
-        the constructor's linearity test built it; do not modify it."""
-        if self._pair_line is None:
-            self._pair_line = _pair_table(self.line_tuples)
-        return self._pair_line
 
     @property
     def num_lines(self) -> int:
@@ -344,12 +325,23 @@ def is_spanning_subsystem(sub: LinearSystem, sys: LinearSystem) -> bool:
     return all(l in host for l in sub.line_tuples)
 
 
+def _join(sys: LinearSystem, u: int, v: int) -> Optional[int]:
+    """The line through distinct points u and v, or None when no line holds
+    both. Two lines share at most one point, so two points share at most
+    one line: the first line through v that passes through u."""
+    through = sys.lines_through[u]
+    for i in sys.lines_through[v]:
+        if i in through:
+            return i
+    return None
+
+
 def collinearity_adjacent(sys: LinearSystem, u: int, v: int) -> bool:
     """Two points are adjacent when some line contains both. A point is
     adjacent to itself by convention."""
     a = _as_point(u, sys.num_points, "collinearity_adjacent")
     b = _as_point(v, sys.num_points, "collinearity_adjacent")
-    return a == b or any(b in sys.line_tuples[i] for i in sys.lines_through[a])
+    return a == b or _join(sys, a, b) is not None
 
 
 def closed_neighborhood(sys: LinearSystem, v: int) -> frozenset:
@@ -527,7 +519,6 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
     search runs on an explicit stack of [point, index of its next
     candidate] frames, one per mapped point and one for the point tried."""
     a_pts = sorted(sub.support)
-    pair_line = host.pair_line
     mapping: Dict[int, int] = {}
     used = set()
     near = [0] * sub.num_points
@@ -540,8 +531,7 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
             if count[i] >= 2 and w not in host.line_tuples[image[i]]:
                 return False
             if count[i] == 1:
-                x = first[i]
-                j = pair_line.get((min(x, w), max(x, w)))
+                j = _join(host, first[i], w)
                 if j is None or len(host.line_tuples[j]) < len(sub.line_tuples[i]):
                     return False
         return True
@@ -609,8 +599,7 @@ def _map_points(sub: LinearSystem, host: LinearSystem, candidates, priority) -> 
             if count[i] == 1:
                 first[i] = w
             elif count[i] == 2:
-                x = first[i]
-                image[i] = pair_line[(min(x, w), max(x, w))]
+                image[i] = _join(host, first[i], w)
 
 
 def _check_embed_caps(sub: LinearSystem, host: LinearSystem, caps: Caps) -> None:

@@ -41,7 +41,8 @@ def reference_system(num_points, lines):
     """The LinearSystem constructor one entry and one point pair at a
     time: every entry through the Integral check, every pair through
     setdefault. Returns the attributes the package's constructor sets, by
-    name, or raises what it raises."""
+    name, and ``pair_line``, the line through each collinear point pair
+    (u, v), u < v, keyed line by line; or raises what it raises."""
     integral = isinstance(num_points, numbers.Integral) and not isinstance(num_points, bool)
     if not integral or num_points < 0:
         shown = int(num_points) if integral else f"type {type(num_points).__name__}"
@@ -444,8 +445,7 @@ def lex_first_dual_conic(plane):
 
 
 def system_fields(sys):
-    """Every field of a built system, the lazily built pair table too,
-    keys in their order."""
+    """Every field of a built system."""
     return (
         sys.num_points,
         sys.name,
@@ -454,5 +454,4 @@ def system_fields(sys):
         sys.degrees.tolist(),
         sys.lines_through,
         sys.support,
-        list(sys.pair_line.items()),
     )

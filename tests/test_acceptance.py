@@ -109,8 +109,9 @@ def test_criterion_04_hyperoval_arcs():
         pts = sorted(arc.points)
         assert len(pts) == q + 2
         # exhaustive triple check: no line through any three arc points
+        through = plane.system.lines_through
         for a, b, c in itertools.combinations(pts, 3):
-            line = plane.system.pair_line[(a, b)]
+            (line,) = set(through[a]).intersection(through[b])
             assert c not in plane.system.line_tuples[line]
         dual = dual_hyperoval_lines(plane)
         assert len(dual) == q + 2

@@ -619,6 +619,26 @@ def test_battery_rows_at_raised_caps(q):
     assert [(r.name, r.status, r.detail) for r in rows] == RAISED_BATTERY_ROWS[q]
 
 
+# every prime power up to 32, under the caps that let the q = 32 battery
+# run every row
+PRIME_POWERS_TO_32 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
+Q32_CAPS = Caps(plane_order=32, solver_points=3000, solver_lines=3000, iso_points=3000)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_32)
+def test_battery_sweep_to_order_32(q):
+    # even q runs and passes all 15 rows; odd q passes the 5 plane rows
+    # and skips the three that need even q
+    rows = verification_battery(q, caps=Q32_CAPS)
+    passed = [r.name for r in rows if r.status == "pass"]
+    skipped = {r.name for r in rows if r.status == "skip"}
+    if q % 2 == 0:
+        assert len(passed) == len(rows) == 15
+    else:
+        assert len(passed) == 5 and len(rows) == 8
+        assert skipped == {"hyperoval", "reconstruction", "saturated-packing"}
+
+
 def _pendant_plane_rows(q):
     """The reconstruction clause rows of the pendant plane of order q."""
     n = q * q + q + 1

@@ -554,6 +554,21 @@ def test_point_maps_match_brute_force():
     assert found == 922
 
 
+def test_embedding_into_a_plane_keeps_no_pair_table():
+    # joins are read from lines_through; a table of PG(2,16)'s 37,128
+    # point pairs took 3.3 MB
+    plane = projective_plane(16).system
+    reduced, _ = pendant_reduction(extend_with_pendant_points(plane))
+    tracemalloc.start()
+    try:
+        emb = embeds_in(reduced, plane, caps=Caps(iso_points=1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert emb is not None and len(emb.point_map) == plane.num_points
+    assert peak < 2**20
+
+
 def test_point_map_search_is_not_bounded_by_recursion_depth():
     # one mapped point per level of the search, more levels than Python's
     # recursion limit

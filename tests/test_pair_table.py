@@ -1,19 +1,21 @@
-"""The pair table on demand: systems that skip it or build it late equal
-the reference constructor in oracles.py, attribute by attribute, with
-``pair_line`` item for item in insertion order.
+"""Derived systems and the constructor's two linearity tests against the
+reference constructor in oracles.py, attribute by attribute and error by
+error; joins, adjacency and gamma's neighbourhoods against the
+reference's pair table, the one table of point pairs left.
 
 Systems linear by construction (point and line deletion, induced
 subsystems, isolated points dropped, pendant reduction, planes, pendant
 extensions and triangular systems) are built by one constructor call
 each, from ascending line tuples taken as they are, without the
-constructor's tests; systems above ``_TABLE_PAIRS`` point pairs test
-linearity by sorting pair keys. Both must raise, or not raise, and fill
-every container exactly as the reference does."""
+constructor's tests. Systems of at most ``_TABLE_PAIRS`` point pairs test
+linearity by the least-clash search, larger ones by sorting pair keys.
+Both must raise, or not raise, and fill every container exactly as the
+reference does."""
 
 import random
 import tracemalloc
 from collections import Counter
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from linsys import (
     verify_plane_axioms,
 )
 from linsys import core
-from linsys.core import _TABLE_PAIRS, _Linear
+from linsys.core import _TABLE_PAIRS, _join, _Linear
 from linsys.limits import Caps
 from linsys.solvers import _closed_neighbourhoods
 
@@ -57,7 +59,6 @@ def assert_equals_reference(sys_, num_points, lines):
     assert sys_.degrees.dtype == want["degrees"].dtype
     assert sys_.degrees.tolist() == want["degrees"].tolist()
     assert not sys_.degrees.flags.writeable
-    assert list(sys_.pair_line.items()) == list(want["pair_line"].items())
 
 
 def _deleted(lines, gone):
@@ -71,27 +72,27 @@ def _deleted(lines, gone):
 
 def check_delete_points(sys_, gone):
     got = delete_points(sys_, gone)
-    assert got._pair_line is None and got.name is None
+    assert got.name is None
     assert_equals_reference(got, sys_.num_points, _deleted(sys_.line_tuples, set(gone)))
     return got
 
 
 def check_delete_line(sys_, i):
     got = delete_line(sys_, i)
-    assert got._pair_line is None and got.name is None
+    assert got.name is None
     lines = [l for j, l in enumerate(sys_.line_tuples) if j != i]
     assert_equals_reference(got, sys_.num_points, lines)
 
 
 def check_induced(sys_, idx):
     got = induced_subsystem(sys_, idx)
-    assert got._pair_line is None and got.name is None
+    assert got.name is None
     assert_equals_reference(got, sys_.num_points, [sys_.line_tuples[i] for i in sorted(set(idx))])
 
 
 def check_drop_isolated(sys_):
     got, remap = drop_isolated(sys_)
-    assert got._pair_line is None and got.name == sys_.name
+    assert got.name == sys_.name
     support = sorted(set(chain.from_iterable(sys_.line_tuples)))
     assert remap == {v: i for i, v in enumerate(support)}
     assert_equals_reference(got, len(support), [[remap[v] for v in l] for l in sys_.line_tuples])
@@ -152,7 +153,6 @@ def test_pendant_reduction_of_extended_plane_matches_reference(q):
     ext = extend_with_pendant_points(plane)
     reduced, removed = pendant_reduction(ext)
     assert removed == tuple(range(plane.num_points, ext.num_points))
-    assert reduced._pair_line is None
     assert_equals_reference(reduced, ext.num_points, plane.line_tuples)
     compact, _ = drop_isolated(reduced)
     assert compact == plane
@@ -194,19 +194,34 @@ def _disjoint_lines(total):
     return start, lines
 
 
+def _spy_tests(monkeypatch):
+    """Record each call of the constructor's two linearity tests by name."""
+    ran = []
+    for name in ("_least_clash", "_pairs_distinct"):
+        real = getattr(core, name)
+        monkeypatch.setattr(
+            core, name, lambda *a, name=name, real=real: ran.append(name) or real(*a)
+        )
+    return ran
+
+
 @pytest.mark.parametrize("total", [_TABLE_PAIRS - 3, _TABLE_PAIRS, _TABLE_PAIRS + 1])
-def test_both_sides_of_the_threshold(total):
+def test_both_sides_of_the_threshold(total, monkeypatch):
+    ran = _spy_tests(monkeypatch)
     n, lines = _disjoint_lines(total)
     sys_ = LinearSystem(n, lines)
-    assert (sys_._pair_line is not None) == (total <= _TABLE_PAIRS)
+    assert ran == ["_least_clash" if total <= _TABLE_PAIRS else "_pairs_distinct"]
     assert_equals_reference(sys_, n, lines)
     # a line through two points of the first line and one new point
-    # clashes with it and adds 3 pairs
+    # clashes with it and adds 3 pairs; a failed sort is searched
     clashing = lines + [[0, 1, n]]
     with pytest.raises(LinearityViolation) as ref:
         reference_system(n + 1, clashing)
+    del ran[:]
     with pytest.raises(LinearityViolation) as got:
         LinearSystem(n + 1, clashing)
+    searched = ["_least_clash"] if total + 3 <= _TABLE_PAIRS else ["_pairs_distinct", "_least_clash"]
+    assert ran == searched
     assert str(got.value) == str(ref.value)
     assert (got.value.first, got.value.second, got.value.shared) == (0, len(lines), (0, 1))
 
@@ -239,15 +254,13 @@ def test_large_system_builds_no_table_until_read():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the eager table alone, 37,128 tuple keys, takes over 3 MB
+    # a table of its 37,128 point pairs alone takes over 3 MB
     assert peak < 2 * 2**20
-    assert sys_._pair_line is None
+    assert not hasattr(sys_, "pair_line")
     assert verify_plane_axioms(sys_).order == 16
     assert collinearity_adjacent(sys_, 0, 272)
     assert _closed_neighbourhoods(sys_).all()
-    assert sys_._pair_line is None
     assert_equals_reference(sys_, 273, lines)
-    assert sys_.pair_line is sys_.pair_line
 
 
 def test_a_plane_keeps_one_store_of_its_lines():
@@ -268,20 +281,27 @@ def test_a_plane_keeps_one_store_of_its_lines():
 
 def test_points_past_the_key_range_use_the_table(monkeypatch):
     # pair keys u * n + v would overflow int64 past _KEYED_POINTS points;
-    # such a system counts the table's keys instead
+    # such a system is searched pair by pair in the least clash's table
     monkeypatch.setattr(core, "_KEYED_POINTS", 10)
+    ran = _spy_tests(monkeypatch)
     lines = [list(l) for l in projective_plane(16).system.line_tuples]
     sys_ = LinearSystem(273, lines)
-    assert sys_._pair_line is not None
+    assert ran == ["_least_clash"]
     assert_equals_reference(sys_, 273, lines)
     with pytest.raises(LinearityViolation, match=r"^lines 0 and 1 share 2 points"):
         LinearSystem(273, [lines[0] + [v for v in lines[1] if v not in lines[0]][:1]] + lines[1:])
+    assert ran == ["_least_clash"] * 2
+
+
+def _pair_table(sys_):
+    """The reference constructor's line through each collinear point pair."""
+    return reference_system(sys_.num_points, sys_.line_tuples)["pair_line"]
 
 
 def _pair_scatter(sys_):
-    """gamma's cover matrix as built from the pair table's keys."""
+    """gamma's cover matrix as built from the reference pair table's keys."""
     cover = np.eye(sys_.num_points, dtype=np.uint8)
-    pairs = np.fromiter(chain.from_iterable(sys_.pair_line), dtype=np.intp)
+    pairs = np.fromiter(chain.from_iterable(_pair_table(sys_)), dtype=np.intp)
     u, v = pairs.reshape(-1, 2).T
     cover[u, v] = 1
     cover[v, u] = 1
@@ -327,10 +347,22 @@ def test_closed_neighbourhoods_build_no_index_array():
 @pytest.mark.parametrize("sys_", CORPUS[:40] + SMALL_PLANES[:3], ids=[f"{i:03d}" for i in range(43)])
 def test_collinearity_adjacent_equals_the_table(sys_):
     n = sys_.num_points
+    table = _pair_table(sys_)
     for u in range(n):
         for v in range(n):
-            want = u == v or (min(u, v), max(u, v)) in sys_.pair_line
+            want = u == v or (min(u, v), max(u, v)) in table
             assert collinearity_adjacent(sys_, u, v) == want
+
+
+@pytest.mark.parametrize(
+    "sys_", CORPUS + SMALL_PLANES[:4], ids=[f"{i:03d}" for i in range(len(CORPUS) + 4)]
+)
+def test_join_equals_the_table(sys_):
+    # the line through every collinear pair, and None for every other pair
+    table = _pair_table(sys_)
+    for u, v in combinations(range(sys_.num_points), 2):
+        want = table.get((u, v))
+        assert _join(sys_, u, v) == want and _join(sys_, v, u) == want
 
 
 PLANE3 = SMALL_PLANES[1]
@@ -362,7 +394,6 @@ def test_each_system_is_built_by_one_constructor_call(name, monkeypatch):
     monkeypatch.setattr(LinearSystem, "__init__", counted)
     got = SINGLE_PATH[name]()
     assert len(built) == 1 and built[0] is got
-    assert got._pair_line is None
     assert all(type(t) is tuple for t in got.line_tuples)
     assert all(a < b for t in got.line_tuples for a, b in zip(t, t[1:]))
 
